@@ -36,6 +36,7 @@ from .core import (
 )
 from .tables import TableId, column_alpha, locate, predecessor_row, row_iterate, table_window_csv
 from .trajectory import (
+    iterate_strings,
     record_json,
     stats_csv,
     trajectory_direct,
@@ -204,7 +205,7 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         first = args.start if args.start % 2 else args.start + 1
         starts = range(first, args.end + 1, 2)
     if args.stats:
-        stats = trajectory_stats([walk(x, max_steps) for x in starts])
+        stats = trajectory_stats(walk(x, max_steps) for x in starts)
         if args.format == "csv":
             out.write(stats_csv(stats))
         elif args.format == "json":
@@ -223,7 +224,7 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         if args.format == "json":
             out.write(record_json(rec) + "\n")
         else:
-            out.write(" ".join(str(v) for v in (rec.start, *rec.iterates)) + "\n")
+            out.write(f"{rec.start} {' '.join(iterate_strings(rec))}\n")
 
 
 def _cmd_predecessors(args: argparse.Namespace, out: TextIO) -> None:
@@ -420,4 +421,12 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextI
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the unflushed rest to devnull so
+        # the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

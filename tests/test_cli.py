@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+from collatzkit import trajectory_direct
 from collatzkit.cli import OPERATION_COVERAGE, run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -102,6 +103,59 @@ def test_trajectory_range_jsonl_and_stats():
     assert code == 1
     code, _, _ = invoke("trajectory", "3", "--format", "csv")
     assert code == 1
+
+
+def test_big_trajectory_text_and_json_bytes():
+    # reference built with str and json.dumps; the walk crosses the cut-over
+    start = 2**1100 - 1
+    iterates, alphas, x = [], [], start
+    while x != 1:
+        t = 3 * x + 1
+        alpha = (t & -t).bit_length() - 1
+        x = t >> alpha
+        iterates.append(x)
+        alphas.append(alpha)
+    code, out, _ = invoke("trajectory", str(start))
+    assert code == 0
+    assert out == " ".join(map(str, [start, *iterates])) + "\n"
+    code, out, _ = invoke("trajectory", str(start), "--format", "json")
+    assert code == 0
+    payload = {
+        "start": start,
+        "iterates": iterates,
+        "alphas": alphas,
+        "odd_length": len(iterates),
+        "total_divisions": sum(alphas),
+        "peak": max(iterates),
+    }
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_stats_beyond_float_range_exits_0():
+    # the mean of peaks past 2**1024 is reported as the nearest integer
+    start = 2**1100 - 1
+    peak = trajectory_direct(start).peak
+    code, out, err = invoke("trajectory", str(start), "--stats")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == f"peak min={peak} max={peak} mean={peak}"
+    code, out, err = invoke("trajectory", str(start), "--stats", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == f"peak,{peak},{peak},{peak}"
+    code, out, err = invoke("trajectory", str(start), "--stats", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["peak"] == {"minimum": peak, "maximum": peak, "mean": peak}
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzkit", "trajectory", "1", "--end", "2000001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_trajectory_env_budget(monkeypatch):

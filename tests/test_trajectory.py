@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 from collatzkit import (
     DomainError,
     MaxStepsExceeded,
-    is_terminal,
     record_json,
     stats_csv,
     trajectory_direct,
     trajectory_lookup,
     trajectory_stats,
 )
+
+from collatzkit.trajectory import DECIMAL_MIN_BITS, iterate_strings
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -43,10 +45,6 @@ def test_record_fields():
     assert rec.odd_length == len(rec.iterates) == 6
     assert rec.total_divisions == sum(rec.alphas)
     assert rec.peak == 17
-    assert rec.terminal_reached == 5
-    assert trajectory_direct(1).terminal_reached == 1
-    assert trajectory_direct(21).terminal_reached == 21
-    assert trajectory_direct(5).terminal_reached == 5
 
 
 def test_lookup_examples():
@@ -82,11 +80,6 @@ def test_start_one_is_its_own_iterate():
     # the walk from 1 revisits 1; every other start never repeats a value
     rec = trajectory_direct(1)
     assert (1, *rec.iterates) == (1, 1)
-
-
-def test_terminal_reached_is_terminal():
-    for x in range(1, 2001, 2):
-        assert is_terminal(trajectory_direct(x).terminal_reached)
 
 
 def test_growth_exactly_on_3_mod_4():
@@ -127,6 +120,26 @@ def test_stats_aggregation_and_order_independence():
 def test_stats_rejects_empty():
     with pytest.raises(DomainError):
         trajectory_stats([])
+    with pytest.raises(DomainError):
+        trajectory_stats(iter(()))
+
+
+def test_stats_streams_one_pass_over_a_generator():
+    starts = range(1, 200, 2)
+    stats = trajectory_stats(trajectory_direct(x) for x in starts)
+    assert stats == trajectory_stats([trajectory_direct(x) for x in starts])
+
+
+def test_stats_mean_beyond_float_range_is_the_nearest_integer():
+    # peaks past 2**1024: total / count overflows a float
+    big = trajectory_direct(2**1100 - 1)
+    stats = trajectory_stats([big])
+    assert stats.peak.mean == big.peak and isinstance(stats.peak.mean, int)
+    assert isinstance(stats.odd_length.mean, float)
+    pair = [trajectory_direct(2**1100 - 1), trajectory_direct(2**1100 + 1)]
+    total = sum(r.peak for r in pair)
+    assert trajectory_stats(pair).peak.mean == round(Fraction(total, 2))
+    assert stats_csv(stats).splitlines()[3] == f"peak,{big.peak},{big.peak},{big.peak}"
 
 
 def test_record_json_fields():
@@ -139,6 +152,46 @@ def test_record_json_fields():
         "total_divisions": 13,
         "peak": 17,
     }
+
+
+def _old_record_json(record):
+    return json.dumps(
+        {
+            "start": record.start,
+            "iterates": list(record.iterates),
+            "alphas": list(record.alphas),
+            "odd_length": record.odd_length,
+            "total_divisions": record.total_divisions,
+            "peak": record.peak,
+        },
+        separators=(",", ":"),
+    )
+
+
+def test_record_json_equals_json_dumps_payload():
+    for x in (*range(1, 300, 2), 2**1100 - 1, 2**1500 + 1):
+        rec = trajectory_direct(x)
+        assert record_json(rec) == _old_record_json(rec), x
+
+
+big_starts = st.integers(min_value=900, max_value=1300).flatmap(
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+).map(lambda n: n | 1)
+
+
+@given(x=big_starts)
+@settings(max_examples=25, deadline=None)
+def test_iterate_strings_equal_str_across_the_cutover(x):
+    for rec in (trajectory_direct(x), trajectory_lookup(x)):
+        assert list(iterate_strings(rec)) == [str(v) for v in rec.iterates]
+
+
+def test_iterate_strings_walk_crosses_the_cutover_both_ways():
+    # 2**1000 - 1 climbs from below the cut-over to above it, then falls back
+    rec = trajectory_direct(2**1000 - 1)
+    big = [v.bit_length() >= DECIMAL_MIN_BITS for v in rec.iterates]
+    assert {(False, True), (True, False)} <= set(zip(big, big[1:]))
+    assert list(iterate_strings(rec)) == [str(v) for v in rec.iterates]
 
 
 def test_stats_csv_layout():
