@@ -21,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DEFAULT_MAX_STEPS, DomainError, _raw_step, _require_count, _require_odd
-from .trajectory import trajectory_direct
+from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _raw_step, _require_count, _require_odd
+from .trajectory import TrajectoryRecord, trajectory_direct
 
 INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
@@ -136,12 +136,6 @@ class DriftReport:
     target: float  # heuristic per-step factor for the empirical value
     tolerance: float
 
-    @property
-    def within_tolerance(self) -> bool | None:
-        if self.empirical_value is None:
-            return None
-        return abs(self.empirical_value - self.target) <= self.tolerance
-
 
 @dataclass(frozen=True)
 class TheoremScanReport:
@@ -168,7 +162,12 @@ def _chunk_spans(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(worker, tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    import os  # loaded at interpreter start; not a module-level import
+
+    # a fork pool starts every worker up front, so never ask for more
+    # workers than there are chunks or CPUs
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
@@ -210,25 +209,44 @@ def _ratio_chunk(span: tuple[int, int]) -> tuple[int, int]:
     return c1, c5
 
 
+def _collect_witnesses(rec: TrajectoryRecord, mult3: list, dups: list) -> None:
+    x = rec.start
+    # the end integer's own walk is the fixed point 1 -> 1, not a duplicate
+    seen = {x} if x != 1 else set()
+    for y in rec.iterates:
+        if y % 3 == 0:
+            mult3.append((x, y))
+        if y in seen:
+            dups.append((x, y))
+        seen.add(y)
+
+
 def _verify_chunk(task: tuple[int, int, int]) -> tuple[int, int, list, list]:
     lo, hi, max_steps = task
     mult3 = []
     dups = []
-    trajectories = 0
     iterates_checked = 0
     for x in range(lo, hi + 1, 2):
-        rec = trajectory_direct(x, max_steps)
-        trajectories += 1
-        iterates_checked += rec.odd_length
-        # the end integer's own walk is the fixed point 1 -> 1, not a duplicate
+        # walk without a record, checking every iterate as it appears; a
+        # flagged start is rewalked through trajectory_direct for its witnesses
         seen = {x} if x != 1 else set()
-        for y in rec.iterates:
-            if y % 3 == 0:
-                mult3.append((x, y))
-            if y in seen:
-                dups.append((x, y))
-            seen.add(y)
-    return trajectories, iterates_checked, mult3, dups
+        add = seen.add
+        cur = x
+        for steps in range(1, max_steps + 1):
+            t = 3 * cur + 1
+            cur = t >> ((t & -t).bit_length() - 1)
+            if cur % 3 == 0 or cur in seen:
+                rec = trajectory_direct(x, max_steps)
+                iterates_checked += rec.odd_length
+                _collect_witnesses(rec, mult3, dups)
+                break
+            if cur == 1:
+                iterates_checked += steps
+                break
+            add(cur)
+        else:
+            raise MaxStepsExceeded(x, max_steps)
+    return len(range(lo, hi + 1, 2)), iterates_checked, mult3, dups
 
 
 def _odd_ceiling(bound: int) -> int:

@@ -401,7 +401,22 @@ _HANDLERS = {
 
 
 def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextIO | None = None) -> int:
-    """Parse argv, dispatch, and return the process exit code."""
+    """Parse argv, dispatch, and return the process exit code.
+
+    Numbers of any length are parsed and printed: CPython's int/str digit
+    limit is lifted for the call and restored on return.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv, out, err)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, out, err)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()

@@ -54,7 +54,10 @@ class SyracuseResult(NamedTuple):
 
 
 def _raw_step(x: int) -> tuple[int, int]:
-    # hot path shared by the iteration drivers; callers guarantee x is odd
+    # the step for single-step callers; callers guarantee x is odd.  Hot
+    # loops inline the same arithmetic on purpose, to save a call per
+    # iterate: alpha_of, trajectory.trajectory_direct, and the scan chunks
+    # analysis._density_chunk, _drift_chunk, _ratio_chunk and _verify_chunk
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha

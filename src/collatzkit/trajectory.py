@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _raw_step, _require_count, _require_odd
+from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,21 @@ def trajectory_direct(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryR
     """Record of repeated (3x+1)/2**alpha steps from x down to 1."""
     _require_odd(x)
     _require_count(max_steps, 1, "max_steps")
-    return _run(x, _raw_step, max_steps)
+    iterates: list[int] = []
+    alphas: list[int] = []
+    append_i = iterates.append
+    append_a = alphas.append
+    cur = x
+    for _ in range(max_steps):
+        # the step, inlined: no call per iterate
+        t = 3 * cur + 1
+        alpha = (t & -t).bit_length() - 1
+        cur = t >> alpha
+        append_i(cur)
+        append_a(alpha)
+        if cur == 1:
+            return _record(x, iterates, alphas)
+    raise MaxStepsExceeded(x, max_steps)
 
 
 def _lookup_step(x: int) -> tuple[int, int]:

@@ -1,13 +1,15 @@
+import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzkit import (
     DECREASE_SERIES_LIMIT,
     INCREASE_SERIES_LIMIT,
     DomainError,
+    MaxStepsExceeded,
     alpha_chain,
     alpha_chain_length,
     alpha_residue_class,
@@ -19,8 +21,12 @@ from collatzkit import (
     empirical_alpha_density,
     empirical_drift,
     empirical_iterate_class_ratio,
+    trajectory_direct,
     verify_theorems,
 )
+from collatzkit import analysis
+from collatzkit.analysis import TheoremScanReport, _collect_witnesses
+from collatzkit.trajectory import TrajectoryRecord
 
 run_starts = st.integers(min_value=0, max_value=2**64).map(lambda n: 4 * n + 3)
 
@@ -231,9 +237,99 @@ def test_drift_report_combination():
     assert report.series_increase == drift_series_increase(10)
     assert report.series_decrease == drift_series_decrease(10)
     assert 0.65 <= report.empirical_value <= 0.85
-    assert report.within_tolerance is not None
     series_only = drift_report(n_terms=5)
     assert series_only.empirical_value is None
-    assert series_only.within_tolerance is None
     with pytest.raises(DomainError):
         drift_report()
+
+
+def reference_scan(bound, max_steps=10**6):
+    # the theorem scan as full records and the witness loop over each
+    mult3, dups, checked = [], [], 0
+    starts = range(1, bound + 1, 2)
+    for x in starts:
+        rec = trajectory_direct(x, max_steps)
+        checked += rec.odd_length
+        seen = {x} if x != 1 else set()
+        for y in rec.iterates:
+            if y % 3 == 0:
+                mult3.append((x, y))
+            if y in seen:
+                dups.append((x, y))
+            seen.add(y)
+    return TheoremScanReport(
+        bound=bound,
+        trajectories=len(starts),
+        iterates_checked=checked,
+        multiple_of_three=tuple(mult3),
+        duplicates=tuple(dups),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@given(bound=st.integers(min_value=3, max_value=3000))
+@example(bound=3)
+@settings(max_examples=40, deadline=None)
+def test_verify_equals_the_record_reference(bound, workers):
+    assert verify_theorems(bound, workers=workers) == reference_scan(bound)
+
+
+def test_verify_equals_the_record_reference_across_chunks():
+    assert verify_theorems(70_001, workers=3) == reference_scan(70_001)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@given(bound=st.integers(min_value=3, max_value=600), max_steps=st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, workers):
+    try:
+        expected = reference_scan(bound, max_steps)
+    except MaxStepsExceeded as exc:
+        with pytest.raises(MaxStepsExceeded) as got:
+            verify_theorems(bound, max_steps, workers=workers)
+        assert (got.value.start, got.value.max_steps) == (exc.start, max_steps)
+    else:
+        assert verify_theorems(bound, max_steps, workers=workers) == expected
+
+
+def test_witnesses_of_a_planted_violation():
+    # fabricated: 9 is a multiple of 3, 11 repeats, and the walk returns to its start
+    rec = TrajectoryRecord(
+        start=7, iterates=(11, 9, 11, 7, 1), alphas=(1, 1, 1, 1, 1), odd_length=5, total_divisions=5, peak=11
+    )
+    mult3, dups = [], []
+    _collect_witnesses(rec, mult3, dups)
+    assert mult3 == [(7, 9)]
+    assert dups == [(7, 11), (7, 7)]
+    mult3, dups = [], []
+    _collect_witnesses(trajectory_direct(1), mult3, dups)
+    assert (mult3, dups) == ([], [])
+
+
+class RecordingPool:
+    # stands in for ProcessPoolExecutor: records max_workers, maps in-process
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,expected", [(64, [7]), (2, [2]), (1, []), (None, [])])
+def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    bound = 7 * 2 * 2**15 - 1  # exactly 7 chunks of odd integers
+    reference = empirical_iterate_class_ratio(bound)
+    assert RecordingPool.sizes == []
+    assert empirical_iterate_class_ratio(bound, workers=10**9) == reference
+    assert RecordingPool.sizes == expected

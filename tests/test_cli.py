@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -144,6 +145,83 @@ def test_stats_beyond_float_range_exits_0():
     code, out, err = invoke("trajectory", str(start), "--stats", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["peak"] == {"minimum": peak, "maximum": peak, "mean": peak}
+
+
+@contextlib.contextmanager
+def digit_limit(digits):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def invoke_under_default_limit(*argv):
+    # run lifts CPython's 4300-digit int/str limit and restores it on return
+    with digit_limit(4300):
+        result = invoke(*argv)
+        assert sys.get_int_max_str_digits() == 4300
+    return result
+
+
+def _walk(start):
+    iterates, alphas, x = [], [], start
+    while x != 1:
+        t = 3 * x + 1
+        alpha = (t & -t).bit_length() - 1
+        x = t >> alpha
+        iterates.append(x)
+        alphas.append(alpha)
+    return iterates, alphas
+
+
+def test_classify_past_the_digit_limit():
+    value = 10**4399 + 1  # 4400 digits
+    t = 3 * value + 1
+    alpha = (t & -t).bit_length() - 1
+    with digit_limit(0):
+        arg = str(value)
+        expected = (
+            f"value={value} kind=intermediary-6m+5 terminal=no end=no "
+            f"iterate={t >> alpha} alpha={alpha}\n"
+        )
+    assert invoke_under_default_limit("classify", arg) == (0, expected, "")
+
+
+def test_stats_of_a_walk_past_the_digit_limit():
+    start = 2**13000 - 1  # its peak has about 6200 digits
+    iterates, alphas = _walk(start)
+    peak, steps, divisions = max(iterates), len(iterates), sum(alphas)
+    with digit_limit(0):
+        arg = str(start)
+        expected = (
+            f"count=1\nodd_length min={steps} max={steps} mean={float(steps)!r}\n"
+            f"total_divisions min={divisions} max={divisions} mean={float(divisions)!r}\n"
+            f"peak min={peak} max={peak} mean={peak}\n"
+        )
+    assert invoke_under_default_limit("trajectory", arg, "--stats") == (0, expected, "")
+
+
+def test_json_record_past_the_digit_limit():
+    # y = (4**7501 - 1) / 3 steps straight to 1 and x = (4y - 1) / 3 steps to
+    # y, so the walk x -> y -> 1 peaks at a 4516-digit y in two steps
+    y = (4**7501 - 1) // 3
+    start = (4 * y - 1) // 3
+    iterates, alphas = _walk(start)
+    assert iterates == [y, 1]
+    payload = {
+        "start": start,
+        "iterates": iterates,
+        "alphas": alphas,
+        "odd_length": len(iterates),
+        "total_divisions": sum(alphas),
+        "peak": max(iterates),
+    }
+    with digit_limit(0):
+        arg = str(start)
+        expected = json.dumps(payload, separators=(",", ":")) + "\n"
+    assert invoke_under_default_limit("trajectory", arg, "--format", "json") == (0, expected, "")
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -68,6 +68,33 @@ def test_lookup_equals_direct_random(x):
     assert trajectory_lookup(x) == trajectory_direct(x)
 
 
+def reference_record(x):
+    # a plain walk, independent of both routes
+    iterates, alphas = [], []
+    while True:
+        t = 3 * x + 1
+        alpha = 0
+        while t % 2 == 0:
+            t //= 2
+            alpha += 1
+        x = t
+        iterates.append(x)
+        alphas.append(alpha)
+        if x == 1:
+            break
+    return (tuple(iterates), tuple(alphas), len(iterates), sum(alphas), max(iterates))
+
+
+@given(x=st.integers(min_value=0, max_value=2**1999).map(lambda n: 2 * n + 1))
+@settings(max_examples=40, deadline=None)
+def test_direct_equals_lookup_and_a_reference_walk_up_to_2000_bits(x):
+    direct = trajectory_direct(x)
+    assert direct == trajectory_lookup(x)
+    fields = (direct.iterates, direct.alphas, direct.odd_length, direct.total_divisions, direct.peak)
+    assert direct.start == x
+    assert fields == reference_record(x)
+
+
 def test_no_duplicates_and_no_multiples_of_three():
     for x in range(3, 10_001, 2):
         rec = trajectory_direct(x)
