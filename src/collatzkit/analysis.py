@@ -17,7 +17,6 @@ results are identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +27,12 @@ INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
+
+# the pool class, imported by _run_chunks only when it starts a pool:
+# concurrent.futures loads multiprocessing, logging, pickle, socket and
+# subprocess, which no single-process command needs at start-up.  A value
+# set from outside (a test double, a traced pool) is used as it is.
+ProcessPoolExecutor = None
 
 
 def _require_run_start(x: int) -> None:
@@ -162,6 +167,7 @@ def _chunk_spans(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(worker, tasks, workers: int) -> list:
+    global ProcessPoolExecutor
     import os  # loaded at interpreter start; not a module-level import
 
     # a fork pool starts every worker up front, so never ask for more
@@ -169,6 +175,8 @@ def _run_chunks(worker, tasks, workers: int) -> list:
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
@@ -258,13 +266,14 @@ def empirical_alpha_density(bound: int, max_alpha: int, *, workers: int = 1) -> 
 
     Each alpha value is taken on exactly one odd residue class mod
     2**(alpha+1), so the shares halve as alpha steps up; requires
-    bound >= 2**(max_alpha+1) so every class is populated.
+    bound >= 2**(max_alpha+1) - 1 so every class is populated (each
+    class's least member is an odd number below 2**(alpha+1)).
     """
     _require_count(max_alpha, 1, "max_alpha")
     _require_count(bound, 2, "bound")
-    if bound < 2 ** (max_alpha + 1):
+    if bound < 2 ** (max_alpha + 1) - 1:
         raise DomainError(
-            f"bound must be >= 2**(max_alpha+1) = {2 ** (max_alpha + 1)}, got {bound}"
+            f"bound must be >= 2**(max_alpha+1) - 1 = {2 ** (max_alpha + 1) - 1}, got {bound}"
         )
     _require_count(workers, 1, "workers")
     tasks = [(lo, hi, max_alpha) for lo, hi in _chunk_spans(1, _odd_ceiling(bound))]

@@ -1,8 +1,8 @@
 """Command-line front end; every library operation is reachable from here.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 step budget
-exceeded.  Output for a fixed command line is byte-identical across runs.
-COLLATZ_MAX_STEPS overrides the default odd-step budget for walks, and
+Exit codes: 0 success, 1 domain error (or Ctrl-C), 2 usage error, 3 step
+budget exceeded.  Output for a fixed command line is byte-identical across
+runs.  COLLATZ_MAX_STEPS overrides the default odd-step budget for walks, and
 range-scan commands accept --workers for parallel partitioning (fixed
 chunk boundaries keep the results identical for any worker count).
 """
@@ -443,5 +443,8 @@ def main() -> None:
         # the reader closed the pipe: send the unflushed rest to devnull so
         # the interpreter's flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
         code = 1
     sys.exit(code)

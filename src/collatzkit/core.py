@@ -31,6 +31,11 @@ class MaxStepsExceeded(RuntimeError):
         self.start = start
         self.max_steps = max_steps
 
+    def __reduce__(self):
+        # an exception pickles its args (here the message); rebuild from the
+        # fields instead, so the error survives the trip out of a pool worker
+        return type(self), (self.start, self.max_steps)
+
 
 def _require_odd(x: int, name: str = "x") -> None:
     if not isinstance(x, int) or isinstance(x, bool):

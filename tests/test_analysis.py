@@ -192,9 +192,20 @@ def test_density_counts_match_residue_classes():
 
 def test_density_validation():
     with pytest.raises(DomainError):
-        empirical_alpha_density(100, 10)  # bound below 2**11
+        empirical_alpha_density(100, 10)  # bound below 2**11 - 1
     with pytest.raises(DomainError):
         empirical_alpha_density(2**12, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_density_accepts_the_least_bound_that_populates_every_class(k):
+    # each alpha = 1..k class mod 2**(alpha+1) has an odd member below
+    # 2**(k+1), so the least bound the check accepts already reaches them all
+    report = empirical_alpha_density(2 ** (k + 1) - 1, k)
+    assert [b.alpha for b in report.buckets] == list(range(1, k + 1))
+    assert all(b.count >= 1 for b in report.buckets)
+    with pytest.raises(DomainError):
+        empirical_alpha_density(2 ** (k + 1) - 2, k)
 
 
 def test_empirical_drift_single_point():
@@ -290,6 +301,13 @@ def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, wo
         assert (got.value.start, got.value.max_steps) == (exc.start, max_steps)
     else:
         assert verify_theorems(bound, max_steps, workers=workers) == expected
+
+
+def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
+    # two chunks, so with two CPUs a real pool runs and the error is pickled
+    with pytest.raises(MaxStepsExceeded) as got:
+        verify_theorems(70_001, 5, workers=2)
+    assert (got.value.start, got.value.max_steps) == (9, 5)
 
 
 def test_witnesses_of_a_planted_violation():

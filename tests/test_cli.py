@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
-from collatzkit import trajectory_direct
+import pytest
+
+from collatzkit import cli, trajectory_direct
 from collatzkit.cli import OPERATION_COVERAGE, run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -322,6 +325,53 @@ def test_verify_with_workers():
     baseline = invoke("verify", "--bound", "9999")
     parallel = invoke("verify", "--bound", "9999", "--workers", "2")
     assert baseline == parallel
+
+
+def test_verify_at_the_least_bound():
+    # odd starts 1 and 3: walks 1 and 3 -> 5 -> 1, alphas 2 and 1
+    code, out, err = invoke("verify", "--bound", "3")
+    assert (code, err) == (0, "")
+    starts = [1, 3]
+    iterates = sum(trajectory_direct(x).odd_length for x in starts)
+    alpha_1 = sum(1 for x in starts if (3 * x + 1) % 4 == 2)
+    to_6m1 = sum(1 for x in starts if trajectory_direct(x).iterates[0] % 6 == 1)
+    assert out == (
+        f"theorem scan: bound=3 trajectories=2 iterates={iterates} "
+        "multiple-of-3-violations=0 duplicate-violations=0\n"
+        "alpha density: bound=3 odds=2\n"
+        f"  alpha=1 count={alpha_1} ratio={alpha_1 / 2!r} expected=0.5\n"
+        f"iterate classes: 6m+1={to_6m1 / 2!r} 6m+5={(2 - to_6m1) / 2!r}\n"
+    )
+
+
+def test_budget_exhaustion_in_a_pool_worker_exits_3():
+    def verify(workers):
+        return subprocess.run(
+            [sys.executable, "-m", "collatzkit", "verify", "--bound", "70001", "--workers", workers],
+            capture_output=True,
+            env={**os.environ, "COLLATZ_MAX_STEPS": "5"},
+            timeout=120,
+        )
+
+    pooled, single = verify("2"), verify("1")
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == (3, b"", single.stderr)
+    assert single.returncode == 3
+    assert single.stderr == b"error: budget of 5 steps exhausted starting from 9\n"
+
+
+def test_interrupt_exits_1_with_one_line(monkeypatch, capsys):
+    def interrupted(args, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", interrupted)
+    monkeypatch.setattr(sys, "argv", ["collatzkit", "classify", "7"])
+    with pytest.raises(SystemExit) as exc:
+        try:
+            cli.main()
+        except KeyboardInterrupt:  # would otherwise stop the whole test session
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_table_export():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,14 @@ def test_reverse_to_starter_budget():
     assert exc.value.start == 13
     assert exc.value.max_steps == 2
     assert reverse_to_starter(13, max_steps=4) == [17, 11, 7, 9]
+
+
+def test_max_steps_exceeded_pickles():
+    # a pool worker sends the error back pickled; it must keep its fields
+    exc = MaxStepsExceeded(2**70 + 1, 5)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is MaxStepsExceeded
+    assert (copy.start, copy.max_steps, str(copy)) == (exc.start, exc.max_steps, str(exc))
 
 
 def test_reconstruction_and_no_multiple_of_three_iterates():
