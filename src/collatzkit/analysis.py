@@ -11,7 +11,10 @@ per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
 Range scans are split into fixed-size chunks combined in chunk order, so
-results are identical for any worker count.
+results are identical for any worker count.  The theorem scan runs its
+first _TABLE_CHUNKS chunks in the calling process, recording each start's
+odd-step count; every walk stops where it joins a start in that table and
+adds the count, so the report is that of the full walks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
+_TABLE_CHUNKS = 4  # leading theorem-scan chunks whose odd-step counts later walks join
+_FLAGGED = -1  # table entry of a start whose walk showed a violation
 
 # the pool class, imported by _run_chunks only when it starts a pool:
 # concurrent.futures loads multiprocessing, logging, pickle, socket and
@@ -229,14 +234,20 @@ def _collect_witnesses(rec: TrajectoryRecord, mult3: list, dups: list) -> None:
         seen.add(y)
 
 
-def _verify_chunk(task: tuple[int, int, int]) -> tuple[int, int, list, list]:
-    lo, hi, max_steps = task
+def _verify_chunk(task: tuple[int, int, int, list, bool]) -> tuple[int, int, list, list]:
+    lo, hi, max_steps, table, grow = task
+    # table[i] is the odd-step count from 2i+1 down to 1 (0 for 1, _FLAGGED
+    # for a start whose walk showed a violation).  Each walk stops at its
+    # first iterate y the table holds: below x when this chunk extends the
+    # table, else within its reach.  The rest of the walk is y's, already
+    # checked, and a value met both before and after y would put y on a cycle
     mult3 = []
     dups = []
     iterates_checked = 0
+    reach = 2 * len(table) - 1
     for x in range(lo, hi + 1, 2):
-        # walk without a record, checking every iterate as it appears; a
-        # flagged start is rewalked through trajectory_direct for its witnesses
+        if grow:
+            reach = x  # cur == x is a repeat, caught first (x == 1 joins 1)
         seen = {x} if x != 1 else set()
         add = seen.add
         cur = x
@@ -244,16 +255,27 @@ def _verify_chunk(task: tuple[int, int, int]) -> tuple[int, int, list, list]:
             t = 3 * cur + 1
             cur = t >> ((t & -t).bit_length() - 1)
             if cur % 3 == 0 or cur in seen:
-                rec = trajectory_direct(x, max_steps)
-                iterates_checked += rec.odd_length
-                _collect_witnesses(rec, mult3, dups)
+                count = _FLAGGED
                 break
-            if cur == 1:
-                iterates_checked += steps
+            if cur <= reach:
+                count = table[cur >> 1]
+                if count != _FLAGGED:
+                    count += steps
                 break
             add(cur)
         else:
             raise MaxStepsExceeded(x, max_steps)
+        if count == _FLAGGED:
+            # rewalked through trajectory_direct for its witnesses
+            rec = trajectory_direct(x, max_steps)
+            iterates_checked += rec.odd_length
+            _collect_witnesses(rec, mult3, dups)
+        elif count > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        else:
+            iterates_checked += count
+        if grow and x > 1:
+            table.append(count)
     return len(range(lo, hi + 1, 2)), iterates_checked, mult3, dups
 
 
@@ -340,12 +362,16 @@ def verify_theorems(
     _require_count(bound, 3, "bound")
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
-    tasks = [(lo, hi, max_steps) for lo, hi in _chunk_spans(1, _odd_ceiling(bound))]
+    spans = _chunk_spans(1, _odd_ceiling(bound))
+    table = [0]
+    parts = [_verify_chunk((lo, hi, max_steps, table, True)) for lo, hi in spans[:_TABLE_CHUNKS]]
+    tasks = [(lo, hi, max_steps, table, False) for lo, hi in spans[_TABLE_CHUNKS:]]
+    parts += _run_chunks(_verify_chunk, tasks, workers)
     trajectories = 0
     iterates_checked = 0
     mult3: list[tuple[int, int]] = []
     dups: list[tuple[int, int]] = []
-    for n, checked, m3, du in _run_chunks(_verify_chunk, tasks, workers):
+    for n, checked, m3, du in parts:
         trajectories += n
         iterates_checked += checked
         mult3.extend(m3)

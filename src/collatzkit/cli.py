@@ -1,10 +1,11 @@
 """Command-line front end; every library operation is reachable from here.
 
-Exit codes: 0 success, 1 domain error (or Ctrl-C), 2 usage error, 3 step
-budget exceeded.  Output for a fixed command line is byte-identical across
-runs.  COLLATZ_MAX_STEPS overrides the default odd-step budget for walks, and
-range-scan commands accept --workers for parallel partitioning (fixed
-chunk boundaries keep the results identical for any worker count).
+Exit codes: 0 success, 1 domain error (or Ctrl-C, or a dead worker
+process), 2 usage error, 3 step budget exceeded.  Output for a fixed
+command line is byte-identical across runs.  COLLATZ_MAX_STEPS overrides
+the default odd-step budget for walks, and range-scan commands accept
+--workers for parallel partitioning (fixed chunk boundaries keep the
+results identical for any worker count).
 """
 
 from __future__ import annotations
@@ -433,6 +434,16 @@ def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> 
     except DomainError as exc:
         err.write(f"error: {exc}\n")
         return 1
+    except _broken_pool() as exc:
+        err.write(f"error: a worker process died: {exc}\n")
+        return 1
+
+
+def _broken_pool() -> type | tuple:
+    # evaluated only when an error reaches the except clause; without a
+    # started pool the class is not loaded and the empty tuple matches nothing
+    process = sys.modules.get("concurrent.futures.process")
+    return process.BrokenProcessPool if process is not None else ()
 
 
 def main() -> None:

@@ -1,5 +1,9 @@
+import contextlib
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -285,8 +289,101 @@ def test_verify_equals_the_record_reference(bound, workers):
     assert verify_theorems(bound, workers=workers) == reference_scan(bound)
 
 
-def test_verify_equals_the_record_reference_across_chunks():
-    assert verify_theorems(70_001, workers=3) == reference_scan(70_001)
+def test_verify_equals_the_record_reference_across_chunks(monkeypatch):
+    expected = reference_scan(70_001)
+    assert verify_theorems(70_001, workers=3) == expected
+    # a one-chunk table: the second chunk joins it from a pool worker
+    monkeypatch.setattr(analysis, "_TABLE_CHUNKS", 1)
+    assert verify_theorems(70_001, workers=3) == expected
+
+
+@contextlib.contextmanager
+def small_table():
+    # 64 odd starts per chunk and a table of two chunks (starts 1..255), so
+    # chunks that join a finished table run at test sizes (in a pool for workers > 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK_ODDS", 64)
+        mp.setattr(analysis, "_TABLE_CHUNKS", 2)
+        yield
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@given(bound=st.integers(min_value=3, max_value=3000))
+@example(bound=255)
+@example(bound=257)
+@settings(max_examples=40, deadline=None)
+def test_verify_equals_the_record_reference_across_the_table_boundary(bound, workers):
+    with small_table():
+        assert verify_theorems(bound, workers=workers) == reference_scan(bound)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@given(bound=st.integers(min_value=3, max_value=1000), max_steps=st.integers(min_value=1, max_value=60))
+@example(bound=1000, max_steps=45)  # first failing start 231, inside the table
+@example(bound=1000, max_steps=46)  # first failing start 313, past it
+@settings(max_examples=40, deadline=None)
+def test_budget_exhaustion_across_the_table_boundary_names_the_reference_start(bound, max_steps, workers):
+    with small_table():
+        try:
+            expected = reference_scan(bound, max_steps)
+        except MaxStepsExceeded as exc:
+            with pytest.raises(MaxStepsExceeded) as got:
+                verify_theorems(bound, max_steps, workers=workers)
+            assert (got.value.start, got.value.max_steps) == (exc.start, max_steps)
+        else:
+            assert verify_theorems(bound, max_steps, workers=workers) == expected
+
+
+def odd_step_table(top):
+    # table entries for the odd starts 1..top from full walks (0 for 1)
+    return [0] + [trajectory_direct(x).odd_length for x in range(3, top + 1, 2)]
+
+
+def counting_rewalks(monkeypatch):
+    calls = []
+
+    def rewalk(x, max_steps):
+        calls.append(x)
+        return trajectory_direct(x, max_steps)
+
+    monkeypatch.setattr(analysis, "trajectory_direct", rewalk)
+    return calls
+
+
+def test_a_flagged_table_entry_flags_the_walks_that_join_it(monkeypatch):
+    flagged, reach = 61, 255
+    table = odd_step_table(reach)
+    table[flagged >> 1] = analysis._FLAGGED
+    calls = counting_rewalks(monkeypatch)
+    starts = range(reach + 2, 1024, 2)
+    n, checked, mult3, dups = analysis._verify_chunk((starts[0], starts[-1], 10**6, table, False))
+    # a walk stops at its first iterate the table holds; only those stopping at 61 are flagged
+    joiners = [x for x in starts if next(y for y in trajectory_direct(x).iterates if y <= reach) == flagged]
+    assert 0 < len(joiners) < len(starts)
+    assert calls == joiners
+    assert n == len(starts)
+    assert checked == sum(trajectory_direct(x).odd_length for x in starts)
+    assert (mult3, dups) == ([], [])  # the rewalks meet real arithmetic
+
+
+def test_a_flagged_start_flags_every_later_start_whose_walk_reaches_it(monkeypatch):
+    flagged = 61
+    # 61 flagged, and with it the smaller starts whose walk passes through it
+    table = [
+        analysis._FLAGGED if x == flagged or flagged in trajectory_direct(x).iterates else count
+        for x, count in zip(range(1, flagged + 1, 2), odd_step_table(flagged))
+    ]
+    assert table.count(analysis._FLAGGED) > 1
+    calls = counting_rewalks(monkeypatch)
+    starts = range(flagged + 2, 1024, 2)
+    analysis._verify_chunk((starts[0], starts[-1], 10**6, table, True))
+    # a flag spreads through the table it extends, so it reaches every walk through 61
+    reaching = [x for x in starts if flagged in trajectory_direct(x).iterates]
+    assert 0 < len(reaching) < len(starts)
+    assert calls == reaching
+    assert len(table) == 512
+    assert [x for x in starts if table[x >> 1] == analysis._FLAGGED] == reaching
+    assert all(table[x >> 1] == trajectory_direct(x).odd_length for x in starts if x not in reaching)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -304,10 +401,30 @@ def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, wo
 
 
 def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
-    # two chunks, so with two CPUs a real pool runs and the error is pickled
-    with pytest.raises(MaxStepsExceeded) as got:
-        verify_theorems(70_001, 5, workers=2)
-    assert (got.value.start, got.value.max_steps) == (9, 5)
+    # seven chunks: the first four build the table in this process, the
+    # other three run in a real pool (with two CPUs) and the error is pickled.
+    # Every start below 2**18 takes at most 164 odd steps, so the first start
+    # over that budget, 410011, lies in the last chunk
+    assert 2 * analysis._TABLE_CHUNKS * analysis._CHUNK_ODDS < 410_011
+    for workers in (2, 1):
+        with pytest.raises(MaxStepsExceeded) as got:
+            verify_theorems(7 * 2**16 - 1, 164, workers=workers)
+        assert (got.value.start, got.value.max_steps) == (410_011, 164)
+
+
+def test_a_huge_bound_keeps_the_table_bounded():
+    # the table never grows past _TABLE_CHUNKS chunks, whatever the bound;
+    # under a 1 GiB address-space cap a table sized by 10**9 cannot be built
+    script = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit import MaxStepsExceeded, verify_theorems\n"
+        "try:\n    verify_theorems(10**9, 5)\n"
+        "except MaxStepsExceeded as exc:\n    print(exc.start, exc.max_steps)\n"
+    )
+    src = str(Path(analysis.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9 5\n", "")
 
 
 def test_witnesses_of_a_planted_violation():

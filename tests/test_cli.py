@@ -345,18 +345,51 @@ def test_verify_at_the_least_bound():
 
 
 def test_budget_exhaustion_in_a_pool_worker_exits_3():
+    # seven chunks: four build the theorem scan's table in the calling
+    # process, three go to the pool; every start below 2**18 takes at most
+    # 164 odd steps, so the first over budget (410011) is met in a worker
     def verify(workers):
         return subprocess.run(
-            [sys.executable, "-m", "collatzkit", "verify", "--bound", "70001", "--workers", workers],
+            [sys.executable, "-m", "collatzkit", "verify", "--bound", "458751", "--workers", workers],
             capture_output=True,
-            env={**os.environ, "COLLATZ_MAX_STEPS": "5"},
+            env={**os.environ, "COLLATZ_MAX_STEPS": "164"},
             timeout=120,
         )
 
     pooled, single = verify("2"), verify("1")
     assert (pooled.returncode, pooled.stdout, pooled.stderr) == (3, b"", single.stderr)
     assert single.returncode == 3
-    assert single.stderr == b"error: budget of 5 steps exhausted starting from 9\n"
+    assert single.stderr == b"error: budget of 164 steps exhausted starting from 410011\n"
+
+
+class BrokenPool:
+    # stands in for ProcessPoolExecutor: a worker died before returning
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--bound", "70001"], ["drift", "--bound", "70001"]])
+def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
+    from collatzkit import analysis
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out, err = io.StringIO(), io.StringIO()
+    assert run([*argv, "--workers", "2"], out, err) == 1
+    assert err.getvalue() == (
+        "error: a worker process died: A process in the process pool was terminated abruptly\n"
+    )
 
 
 def test_interrupt_exits_1_with_one_line(monkeypatch, capsys):
