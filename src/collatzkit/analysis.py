@@ -11,10 +11,27 @@ per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
 Range scans are split into fixed-size chunks combined in chunk order, so
-results are identical for any worker count.  The theorem scan runs its
-first _TABLE_CHUNKS chunks in the calling process, recording each start's
-odd-step count; every walk stops where it joins a start in that table and
-adds the count, so the report is that of the full walks.
+results are identical for any worker count.  The alpha density and the
+iterate-class ratio read one count per alpha value from the same chunk
+kernel.
+
+The theorem scan needs no per-iterate test, because both of its
+properties are lemmas:
+
+- no iterate is a multiple of 3: every iterate y satisfies
+  y * 2**a == 3x+1 == 1 (mod 3), so 3 does not divide y (this is why
+  starters are leaves);
+- no walk that reaches 1 repeats a value: a repeated value makes the walk
+  periodic from there on, and the only cycle through 1 is 1 -> 1, where
+  the walk stops.
+
+So the scan only walks and counts.  Its first _TABLE_CHUNKS chunks run in
+the calling process and record each start's odd-step count; a walk stops
+at its first iterate within the table's reach, 2*len(table) - 1, and adds
+that iterate's count, so the report is that of the full walks.  While the
+table grows the reach is x - 2, strictly below the start x, so a walk
+that could only come back to x (a cycle) never joins: it runs out of
+budget and raises MaxStepsExceeded at x, as its full walk would.
 """
 
 from __future__ import annotations
@@ -24,14 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _raw_step, _require_count, _require_odd
-from .trajectory import TrajectoryRecord, trajectory_direct
+# unused here; perfbench/tracing.py wraps analysis.trajectory_direct by name
+from .trajectory import trajectory_direct
 
 INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
 _TABLE_CHUNKS = 4  # leading theorem-scan chunks whose odd-step counts later walks join
-_FLAGGED = -1  # table entry of a start whose walk showed a violation
 
 # the pool class, imported by _run_chunks only when it starts a pool:
 # concurrent.futures loads multiprocessing, logging, pickle, socket and
@@ -152,8 +169,10 @@ class TheoremScanReport:
     bound: int
     trajectories: int
     iterates_checked: int
-    multiple_of_three: tuple[tuple[int, int], ...]  # (start, offending iterate)
-    duplicates: tuple[tuple[int, int], ...]  # (start, repeated value)
+    # (start, offending iterate) and (start, repeated value) witnesses;
+    # always empty, by the two lemmas in the module docstring
+    multiple_of_three: tuple[tuple[int, int], ...]
+    duplicates: tuple[tuple[int, int], ...]
 
     @property
     def violations(self) -> int:
@@ -186,14 +205,23 @@ def _run_chunks(worker, tasks, workers: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _density_chunk(task: tuple[int, int, int]) -> list[int]:
-    lo, hi, max_alpha = task
-    counts = [0] * (max_alpha + 1)
+def _alpha_chunk(span: tuple[int, int]) -> list[int]:
+    lo, hi = span
+    # alpha <= log2(3x+1), so every alpha of the span has an index here
+    counts = [0] * (3 * hi + 1).bit_length()
     for x in range(lo, hi + 1, 2):
         t = 3 * x + 1
-        a = (t & -t).bit_length() - 1
-        if a <= max_alpha:
-            counts[a] += 1
+        counts[(t & -t).bit_length() - 1] += 1
+    return counts
+
+
+def _alpha_counts(bound: int, workers: int) -> list[int]:
+    # counts[a] = number of odd x <= bound whose step divides by exactly 2**a
+    top = _odd_ceiling(bound)
+    counts = [0] * (3 * top + 1).bit_length()
+    for chunk_counts in _run_chunks(_alpha_chunk, _chunk_spans(1, top), workers):
+        for a, c in enumerate(chunk_counts):
+            counts[a] += c
     return counts
 
 
@@ -209,74 +237,29 @@ def _drift_chunk(span: tuple[int, int]) -> tuple[int, float]:
     return len(logs), math.fsum(logs)
 
 
-def _ratio_chunk(span: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = span
-    c1 = c5 = 0
-    for x in range(lo, hi + 1, 2):
-        t = 3 * x + 1
-        y = t >> ((t & -t).bit_length() - 1)
-        if y % 6 == 1:
-            c1 += 1
-        else:
-            c5 += 1
-    return c1, c5
-
-
-def _collect_witnesses(rec: TrajectoryRecord, mult3: list, dups: list) -> None:
-    x = rec.start
-    # the end integer's own walk is the fixed point 1 -> 1, not a duplicate
-    seen = {x} if x != 1 else set()
-    for y in rec.iterates:
-        if y % 3 == 0:
-            mult3.append((x, y))
-        if y in seen:
-            dups.append((x, y))
-        seen.add(y)
-
-
-def _verify_chunk(task: tuple[int, int, int, list, bool]) -> tuple[int, int, list, list]:
+def _verify_chunk(task: tuple[int, int, int, list, bool]) -> tuple[int, int]:
     lo, hi, max_steps, table, grow = task
-    # table[i] is the odd-step count from 2i+1 down to 1 (0 for 1, _FLAGGED
-    # for a start whose walk showed a violation).  Each walk stops at its
-    # first iterate y the table holds: below x when this chunk extends the
-    # table, else within its reach.  The rest of the walk is y's, already
-    # checked, and a value met both before and after y would put y on a cycle
-    mult3 = []
-    dups = []
+    # table[i] is the odd-step count from 2i+1 down to 1 (0 for 1).  Each
+    # walk stops at its first iterate y within the table's reach and adds
+    # y's count; a growing table gains one entry per start
     iterates_checked = 0
-    reach = 2 * len(table) - 1
     for x in range(lo, hi + 1, 2):
-        if grow:
-            reach = x  # cur == x is a repeat, caught first (x == 1 joins 1)
-        seen = {x} if x != 1 else set()
-        add = seen.add
+        reach = 2 * len(table) - 1
         cur = x
         for steps in range(1, max_steps + 1):
             t = 3 * cur + 1
             cur = t >> ((t & -t).bit_length() - 1)
-            if cur % 3 == 0 or cur in seen:
-                count = _FLAGGED
-                break
             if cur <= reach:
-                count = table[cur >> 1]
-                if count != _FLAGGED:
-                    count += steps
                 break
-            add(cur)
         else:
             raise MaxStepsExceeded(x, max_steps)
-        if count == _FLAGGED:
-            # rewalked through trajectory_direct for its witnesses
-            rec = trajectory_direct(x, max_steps)
-            iterates_checked += rec.odd_length
-            _collect_witnesses(rec, mult3, dups)
-        elif count > max_steps:
+        count = steps + table[cur >> 1]
+        if count > max_steps:
             raise MaxStepsExceeded(x, max_steps)
-        else:
-            iterates_checked += count
+        iterates_checked += count
         if grow and x > 1:
             table.append(count)
-    return len(range(lo, hi + 1, 2)), iterates_checked, mult3, dups
+    return len(range(lo, hi + 1, 2)), iterates_checked
 
 
 def _odd_ceiling(bound: int) -> int:
@@ -298,11 +281,7 @@ def empirical_alpha_density(bound: int, max_alpha: int, *, workers: int = 1) -> 
             f"bound must be >= 2**(max_alpha+1) - 1 = {2 ** (max_alpha + 1) - 1}, got {bound}"
         )
     _require_count(workers, 1, "workers")
-    tasks = [(lo, hi, max_alpha) for lo, hi in _chunk_spans(1, _odd_ceiling(bound))]
-    counts = [0] * (max_alpha + 1)
-    for chunk_counts in _run_chunks(_density_chunk, tasks, workers):
-        for a, c in enumerate(chunk_counts):
-            counts[a] += c
+    counts = _alpha_counts(bound, workers)
     odd_total = (bound + 1) // 2
     buckets = tuple(
         AlphaBucket(alpha=a, count=counts[a], ratio=counts[a] / odd_total)
@@ -344,9 +323,9 @@ def empirical_iterate_class_ratio(bound: int, *, workers: int = 1) -> tuple[floa
     """
     _require_count(bound, 1, "bound")
     _require_count(workers, 1, "workers")
-    parts = _run_chunks(_ratio_chunk, _chunk_spans(1, _odd_ceiling(bound)), workers)
-    c1 = sum(p[0] for p in parts)
-    c5 = sum(p[1] for p in parts)
+    counts = _alpha_counts(bound, workers)
+    c1 = sum(counts[2::2])
+    c5 = sum(counts[1::2])
     total = c1 + c5
     return c1 / total, c5 / total
 
@@ -354,10 +333,12 @@ def empirical_iterate_class_ratio(bound: int, *, workers: int = 1) -> tuple[floa
 def verify_theorems(
     bound: int, max_steps: int = DEFAULT_MAX_STEPS, *, workers: int = 1
 ) -> TheoremScanReport:
-    """Scan every odd x <= bound for iterates divisible by 3 or repeated in-trajectory values.
+    """Walk every odd x <= bound down to 1 and count the iterates.
 
-    Violations are returned as witness pairs, not raised; a clean scan has
-    empty witness tuples.
+    No iterate is a multiple of 3 and no walk that reaches 1 repeats a
+    value (see the module docstring), so the witness tuples are always
+    empty; a walk over max_steps odd steps raises MaxStepsExceeded for the
+    first such start in scan order.
     """
     _require_count(bound, 3, "bound")
     _require_count(max_steps, 1, "max_steps")
@@ -367,21 +348,12 @@ def verify_theorems(
     parts = [_verify_chunk((lo, hi, max_steps, table, True)) for lo, hi in spans[:_TABLE_CHUNKS]]
     tasks = [(lo, hi, max_steps, table, False) for lo, hi in spans[_TABLE_CHUNKS:]]
     parts += _run_chunks(_verify_chunk, tasks, workers)
-    trajectories = 0
-    iterates_checked = 0
-    mult3: list[tuple[int, int]] = []
-    dups: list[tuple[int, int]] = []
-    for n, checked, m3, du in parts:
-        trajectories += n
-        iterates_checked += checked
-        mult3.extend(m3)
-        dups.extend(du)
     return TheoremScanReport(
         bound=bound,
-        trajectories=trajectories,
-        iterates_checked=iterates_checked,
-        multiple_of_three=tuple(mult3),
-        duplicates=tuple(dups),
+        trajectories=sum(n for n, _ in parts),
+        iterates_checked=sum(checked for _, checked in parts),
+        multiple_of_three=(),
+        duplicates=(),
     )
 
 

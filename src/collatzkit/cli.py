@@ -30,6 +30,7 @@ from .core import (
     DEFAULT_MAX_STEPS,
     DomainError,
     MaxStepsExceeded,
+    _require_count,
     alpha_of,
     classify,
     reverse_to_starter,
@@ -57,7 +58,7 @@ OPERATION_COVERAGE = {
     ),
     "predecessors": ("tables.predecessor_row", "core.reverse_to_starter"),
     "locate": ("tables.locate", "tables.row_iterate"),
-    "tree": ("tree.build_layers", "tree.predecessors_of", "tree.export_tree", "core.terminal"),
+    "tree": ("tree.build_layers", "tables.predecessor_row", "tree.export_tree", "core.terminal"),
     "alpha-table": (
         "analysis.alpha_table_entry",
         "analysis.alpha_chain",
@@ -285,6 +286,8 @@ def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
                 f"chain={chain_text} exit={run.exit_iterate}\n"
             )
         return
+    _require_count(args.rows, 1, "rows")
+    _require_count(args.cols, 1, "cols")
     rows = [
         [n, *(alpha_table_entry(h, n) for h in range(1, args.cols + 1))]
         for n in range(1, args.rows + 1)

@@ -61,10 +61,8 @@ class SyracuseResult(NamedTuple):
 def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
-    # iterate: alpha_of, trajectory.trajectory_direct, the scan chunks
-    # analysis._density_chunk, _drift_chunk and _ratio_chunk, and
-    # analysis._verify_chunk, which steps each walk only until it joins
-    # a start in the theorem scan's table
+    # iterate: alpha_of, trajectory.trajectory_direct, and the scan chunks
+    # analysis._alpha_chunk, _drift_chunk and _verify_chunk
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha

@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import DomainError, _require_count, _require_odd, terminal
+from .core import DomainError, _require_count, terminal
+from .tables import predecessor_row
 
 _FORMATS = ("dot", "json", "text")
 
@@ -42,27 +43,6 @@ class TreeNode:
     is_leaf: bool  # true iff value is a starter
 
 
-def predecessors_of(y: int, count: int) -> list[int]:
-    """First `count` odd integers whose single step lands on y (y > 1).
-
-    The least predecessor is 8*(y//6)+1 when y == 1 (mod 6) and 4*(y//6)+3
-    when y == 5 (mod 6); the rest follow by z -> 4z+1.  The root's
-    predecessors are the terminal chain and come from terminal() instead.
-    """
-    _require_odd(y, "y")
-    if y == 1:
-        raise DomainError("the root's predecessors are the terminal chain; use terminal()")
-    if y % 3 == 0:
-        raise DomainError(f"{y} is a starter (odd multiple of 3) and has no predecessors")
-    _require_count(count, 1, "count")
-    r = y // 6
-    z = 8 * r + 1 if y % 6 == 1 else 4 * r + 3
-    out = [z]
-    for _ in range(count - 1):
-        out.append(4 * out[-1] + 1)
-    return out
-
-
 def build_layers(max_depth: int, breadth: int) -> list[TreeLayer]:
     """Layers 0..max_depth with at most `breadth` children per parent.
 
@@ -78,7 +58,7 @@ def build_layers(max_depth: int, breadth: int) -> list[TreeLayer]:
     for depth in range(2, max_depth + 1):
         parents = sorted(v for v in layers[-1].nodes() if v % 3 != 0)
         segments = tuple(
-            TreeSegment(parent=p, children=tuple(predecessors_of(p, breadth))) for p in parents
+            TreeSegment(parent=p, children=predecessor_row(p, breadth).entries) for p in parents
         )
         layers.append(TreeLayer(depth=depth, segments=segments))
     return layers

@@ -16,6 +16,7 @@ from collatzkit import (
     MaxStepsExceeded,
     alpha_chain,
     alpha_chain_length,
+    alpha_of,
     alpha_residue_class,
     alpha_table_entry,
     drift_report,
@@ -29,8 +30,7 @@ from collatzkit import (
     verify_theorems,
 )
 from collatzkit import analysis
-from collatzkit.analysis import TheoremScanReport, _collect_witnesses
-from collatzkit.trajectory import TrajectoryRecord
+from collatzkit.analysis import TheoremScanReport
 
 run_starts = st.integers(min_value=0, max_value=2**64).map(lambda n: 4 * n + 3)
 
@@ -230,6 +230,41 @@ def test_iterate_class_ratio():
     assert abs(r5 - 2 / 3) < 0.01
 
 
+def brute_alpha_counts(bound):
+    # independent oracle: alpha_of for every odd x <= bound
+    counts = {}
+    for x in range(1, bound + 1, 2):
+        a = alpha_of(x)
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@given(bound=st.integers(min_value=1, max_value=3000), max_alpha=st.integers(min_value=1, max_value=11))
+@example(bound=1, max_alpha=1)
+@example(bound=2, max_alpha=1)
+@example(bound=3, max_alpha=1)
+@example(bound=2047, max_alpha=10)
+@settings(max_examples=40, deadline=None)
+def test_alpha_scans_equal_brute_force_counts(bound, max_alpha, workers):
+    # 64 odd starts per chunk: chunks of different alpha ranges are merged,
+    # in a pool for workers > 1
+    counts = brute_alpha_counts(bound)
+    odds = (bound + 1) // 2
+    c5 = sum(c for a, c in counts.items() if a % 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK_ODDS", 64)
+        assert empirical_iterate_class_ratio(bound, workers=workers) == ((odds - c5) / odds, c5 / odds)
+        # the largest max_alpha the bound allows (none below 3)
+        max_alpha = min(max_alpha, (bound + 1).bit_length() - 2)
+        if max_alpha >= 1:
+            report = empirical_alpha_density(bound, max_alpha, workers=workers)
+            assert report.odd_total == odds
+            assert [(b.alpha, b.count, b.ratio) for b in report.buckets] == [
+                (a, counts.get(a, 0), counts.get(a, 0) / odds) for a in range(1, max_alpha + 1)
+            ]
+
+
 def test_verify_theorems_clean_scan():
     report = verify_theorems(1001)
     assert report.trajectories == 501
@@ -334,58 +369,6 @@ def test_budget_exhaustion_across_the_table_boundary_names_the_reference_start(b
             assert verify_theorems(bound, max_steps, workers=workers) == expected
 
 
-def odd_step_table(top):
-    # table entries for the odd starts 1..top from full walks (0 for 1)
-    return [0] + [trajectory_direct(x).odd_length for x in range(3, top + 1, 2)]
-
-
-def counting_rewalks(monkeypatch):
-    calls = []
-
-    def rewalk(x, max_steps):
-        calls.append(x)
-        return trajectory_direct(x, max_steps)
-
-    monkeypatch.setattr(analysis, "trajectory_direct", rewalk)
-    return calls
-
-
-def test_a_flagged_table_entry_flags_the_walks_that_join_it(monkeypatch):
-    flagged, reach = 61, 255
-    table = odd_step_table(reach)
-    table[flagged >> 1] = analysis._FLAGGED
-    calls = counting_rewalks(monkeypatch)
-    starts = range(reach + 2, 1024, 2)
-    n, checked, mult3, dups = analysis._verify_chunk((starts[0], starts[-1], 10**6, table, False))
-    # a walk stops at its first iterate the table holds; only those stopping at 61 are flagged
-    joiners = [x for x in starts if next(y for y in trajectory_direct(x).iterates if y <= reach) == flagged]
-    assert 0 < len(joiners) < len(starts)
-    assert calls == joiners
-    assert n == len(starts)
-    assert checked == sum(trajectory_direct(x).odd_length for x in starts)
-    assert (mult3, dups) == ([], [])  # the rewalks meet real arithmetic
-
-
-def test_a_flagged_start_flags_every_later_start_whose_walk_reaches_it(monkeypatch):
-    flagged = 61
-    # 61 flagged, and with it the smaller starts whose walk passes through it
-    table = [
-        analysis._FLAGGED if x == flagged or flagged in trajectory_direct(x).iterates else count
-        for x, count in zip(range(1, flagged + 1, 2), odd_step_table(flagged))
-    ]
-    assert table.count(analysis._FLAGGED) > 1
-    calls = counting_rewalks(monkeypatch)
-    starts = range(flagged + 2, 1024, 2)
-    analysis._verify_chunk((starts[0], starts[-1], 10**6, table, True))
-    # a flag spreads through the table it extends, so it reaches every walk through 61
-    reaching = [x for x in starts if flagged in trajectory_direct(x).iterates]
-    assert 0 < len(reaching) < len(starts)
-    assert calls == reaching
-    assert len(table) == 512
-    assert [x for x in starts if table[x >> 1] == analysis._FLAGGED] == reaching
-    assert all(table[x >> 1] == trajectory_direct(x).odd_length for x in starts if x not in reaching)
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 @given(bound=st.integers(min_value=3, max_value=600), max_steps=st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
@@ -425,20 +408,6 @@ def test_a_huge_bound_keeps_the_table_bounded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9 5\n", "")
-
-
-def test_witnesses_of_a_planted_violation():
-    # fabricated: 9 is a multiple of 3, 11 repeats, and the walk returns to its start
-    rec = TrajectoryRecord(
-        start=7, iterates=(11, 9, 11, 7, 1), alphas=(1, 1, 1, 1, 1), odd_length=5, total_divisions=5, peak=11
-    )
-    mult3, dups = [], []
-    _collect_witnesses(rec, mult3, dups)
-    assert mult3 == [(7, 9)]
-    assert dups == [(7, 11), (7, 7)]
-    mult3, dups = [], []
-    _collect_witnesses(trajectory_direct(1), mult3, dups)
-    assert (mult3, dups) == ([], [])
 
 
 class RecordingPool:

@@ -27,7 +27,6 @@ SPEC_OPERATIONS = {
     "trajectory.trajectory_direct",
     "trajectory.trajectory_lookup",
     "trajectory.trajectory_stats",
-    "tree.predecessors_of",
     "tree.build_layers",
     "tree.export_tree",
     "analysis.alpha_chain_length",
@@ -294,6 +293,19 @@ def test_alpha_table_window_and_chain():
     assert out == "start=63 length=5 chain=95 143 215 323 485 exit=91\n"
     code, out, _ = invoke("alpha-table", "--chain", "63", "--format", "json")
     assert json.loads(out)["exit_iterate"] == 91
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("--rows", "0"), "error: rows must be >= 1, got 0\n"),
+        (("--rows", "-3", "--format", "json"), "error: rows must be >= 1, got -3\n"),
+        (("--cols", "-1"), "error: cols must be >= 1, got -1\n"),
+        (("--cols", "0", "--format", "csv"), "error: cols must be >= 1, got 0\n"),
+    ],
+)
+def test_alpha_table_rejects_an_empty_window(argv, line):
+    assert invoke("alpha-table", *argv) == (1, "", line)
 
 
 def test_drift_series_and_scan():

@@ -71,8 +71,14 @@ def test_locate_rejects_even():
 def test_predecessor_row_examples():
     assert predecessor_row(7, 3).entries == (9, 37, 149)
     assert predecessor_row(41, 3).entries == (27, 109, 437)
+    # the children of 13, 53 and 5 in the tree of odd integers
+    assert predecessor_row(13, 3).entries == (17, 69, 277)
+    assert predecessor_row(53, 3).entries == (35, 141, 565)
+    assert predecessor_row(5, 4).entries == (3, 13, 53, 213)
     with pytest.raises(DomainError):
         predecessor_row(9, 3)
+    with pytest.raises(DomainError):
+        predecessor_row(8, 3)
     with pytest.raises(DomainError):
         predecessor_row(7, 0)
 

@@ -7,50 +7,10 @@ from collatzkit import (
     build_layers,
     export_tree,
     iter_nodes,
-    predecessor_row,
-    predecessors_of,
     syracuse_step,
     terminal,
     trajectory_direct,
 )
-
-
-@pytest.mark.parametrize(
-    "y,count,expected",
-    [
-        (13, 3, [17, 69, 277]),
-        (53, 3, [35, 141, 565]),
-        (5, 4, [3, 13, 53, 213]),
-    ],
-)
-def test_predecessors_of_examples(y, count, expected):
-    assert predecessors_of(y, count) == expected
-
-
-def test_predecessors_of_rejections():
-    with pytest.raises(DomainError):
-        predecessors_of(1, 3)
-    with pytest.raises(DomainError):
-        predecessors_of(9, 3)
-    with pytest.raises(DomainError):
-        predecessors_of(8, 3)
-    with pytest.raises(DomainError):
-        predecessors_of(13, 0)
-
-
-def test_predecessors_step_back_onto_y():
-    for y in range(5, 501, 2):
-        if y % 3 == 0:
-            continue
-        for v in predecessors_of(y, 5):
-            assert syracuse_step(v).iterate == y
-
-
-def test_predecessors_agree_with_table_rows():
-    for y in range(5, 301, 2):
-        if y % 3 == 0:
-            continue
-        assert tuple(predecessors_of(y, 4)) == predecessor_row(y, 4).entries
 
 
 def test_build_layers_spot_values():
