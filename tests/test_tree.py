@@ -7,10 +7,34 @@ from collatzkit import (
     build_layers,
     export_tree,
     iter_nodes,
+    predecessor_row,
     syracuse_step,
     terminal,
     trajectory_direct,
 )
+
+
+@pytest.mark.parametrize(
+    "y,count,expected",
+    [
+        (13, 3, [17, 69, 277]),
+        (53, 3, [35, 141, 565]),
+        (5, 4, [3, 13, 53, 213]),
+    ],
+)
+def test_predecessors_of_examples(y, count, expected):
+    assert list(predecessor_row(y, count).entries) == expected
+
+
+def test_predecessors_of_rejections():
+    # the root's predecessors are the terminal chain
+    assert predecessor_row(1, 3).entries == tuple(terminal(k) for k in range(3))
+    with pytest.raises(DomainError):
+        predecessor_row(9, 3)
+    with pytest.raises(DomainError):
+        predecessor_row(8, 3)
+    with pytest.raises(DomainError):
+        predecessor_row(13, 0)
 
 
 def test_build_layers_spot_values():
