@@ -11,9 +11,13 @@ per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
 Range scans are split into fixed-size chunks combined in chunk order, so
-results are identical for any worker count.  The alpha density and the
-iterate-class ratio read one count per alpha value from the same chunk
-kernel.
+results are identical for any worker count.  One driver, _run_chunks,
+runs every scan: it makes each chunk's span only when the chunk is due,
+runs the chunks in the calling process or in a process pool, and yields
+their results in chunk order; each scan folds them as they arrive, so an
+in-process scan's memory does not grow with the bound.  The alpha density
+and the iterate-class ratio read one count per alpha value from the same
+chunk kernel.
 
 The theorem scan needs no per-iterate test, because both of its
 properties are lemmas:
@@ -46,6 +50,8 @@ from .trajectory import trajectory_direct
 
 INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
+EMPIRICAL_TARGET = 0.75  # heuristic per-step factor reported with the measured value
+EMPIRICAL_TOLERANCE = 0.05
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
 _TABLE_CHUNKS = 4  # leading theorem-scan chunks whose odd-step counts later walks join
@@ -179,30 +185,27 @@ class TheoremScanReport:
         return len(self.multiple_of_three) + len(self.duplicates)
 
 
-def _chunk_spans(lo: int, hi: int) -> list[tuple[int, int]]:
-    # inclusive spans over odd lo..hi with a fixed odd count per span
-    spans = []
-    x = lo
-    while x <= hi:
-        end = min(x + 2 * (_CHUNK_ODDS - 1), hi)
-        spans.append((x, end))
-        x = end + 2
-    return spans
-
-
-def _run_chunks(worker, tasks, workers: int) -> list:
+def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
+    # the one scan driver: yields worker((first, last, *args)) for each
+    # fixed span of _CHUNK_ODDS odd integers over odd lo..hi, in span order.
+    # Spans are made only as they are needed, so an in-process scan holds one
+    # at a time whatever hi is
     global ProcessPoolExecutor
     import os  # loaded at interpreter start; not a module-level import
 
+    firsts = range(lo, hi + 1, 2 * _CHUNK_ODDS)
+    tasks = ((x, min(x + 2 * (_CHUNK_ODDS - 1), hi), *args) for x in firsts)
     # a fork pool starts every worker up front, so never ask for more
-    # workers than there are chunks or CPUs
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    # workers than there are chunks or CPUs (a sliced range has a len()
+    # even where the whole one is too long for it)
+    workers = min(len(firsts[:workers]), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(t) for t in tasks]
+        yield from map(worker, tasks)
+        return
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        yield from pool.map(worker, tasks)
 
 
 def _alpha_chunk(span: tuple[int, int]) -> list[int]:
@@ -219,13 +222,13 @@ def _alpha_counts(bound: int, workers: int) -> list[int]:
     # counts[a] = number of odd x <= bound whose step divides by exactly 2**a
     top = _odd_ceiling(bound)
     counts = [0] * (3 * top + 1).bit_length()
-    for chunk_counts in _run_chunks(_alpha_chunk, _chunk_spans(1, top), workers):
+    for chunk_counts in _run_chunks(_alpha_chunk, 1, top, workers):
         for a, c in enumerate(chunk_counts):
             counts[a] += c
     return counts
 
 
-def _drift_chunk(span: tuple[int, int]) -> tuple[int, float]:
+def _drift_chunk(span: tuple[int, int]) -> float:
     lo, hi = span
     log = math.log
     logs = []
@@ -234,10 +237,10 @@ def _drift_chunk(span: tuple[int, int]) -> tuple[int, float]:
         t = 3 * x + 1
         y = t >> ((t & -t).bit_length() - 1)
         append(log(y) - log(x))
-    return len(logs), math.fsum(logs)
+    return math.fsum(logs)
 
 
-def _verify_chunk(task: tuple[int, int, int, list, bool]) -> tuple[int, int]:
+def _verify_chunk(task: tuple[int, int, int, list, bool]) -> int:
     lo, hi, max_steps, table, grow = task
     # table[i] is the odd-step count from 2i+1 down to 1 (0 for 1).  Each
     # walk stops at its first iterate y within the table's reach and adds
@@ -259,7 +262,7 @@ def _verify_chunk(task: tuple[int, int, int, list, bool]) -> tuple[int, int]:
         iterates_checked += count
         if grow and x > 1:
             table.append(count)
-    return len(range(lo, hi + 1, 2)), iterates_checked
+    return iterates_checked
 
 
 def _odd_ceiling(bound: int) -> int:
@@ -290,9 +293,7 @@ def empirical_alpha_density(bound: int, max_alpha: int, *, workers: int = 1) -> 
     return AlphaDensityReport(bound=bound, odd_total=odd_total, buckets=buckets)
 
 
-def empirical_drift(
-    bound: int, *, workers: int = 1, target: float = 0.75, tolerance: float = 0.05
-) -> DriftReport:
+def empirical_drift(bound: int, *, workers: int = 1) -> DriftReport:
     """Geometric mean of iterate/x over odd x in [3, bound].
 
     The mean alpha is 2, so the measured per-step factor settles near 3/4.
@@ -301,17 +302,17 @@ def empirical_drift(
     """
     _require_count(bound, 3, "bound")
     _require_count(workers, 1, "workers")
-    parts = _run_chunks(_drift_chunk, _chunk_spans(3, _odd_ceiling(bound)), workers)
-    count = sum(p[0] for p in parts)
-    total = math.fsum(p[1] for p in parts)
+    top = _odd_ceiling(bound)
+    # the chunk sums add exactly as Fractions and round once, as math.fsum of them all would
+    total = sum(map(Fraction, _run_chunks(_drift_chunk, 3, top, workers)))
     return DriftReport(
         n_terms=None,
         scan_bound=bound,
         series_increase=None,
         series_decrease=None,
-        empirical_value=math.exp(total / count),
-        target=target,
-        tolerance=tolerance,
+        empirical_value=math.exp(float(total) / ((top - 1) // 2)),
+        target=EMPIRICAL_TARGET,
+        tolerance=EMPIRICAL_TOLERANCE,
     )
 
 
@@ -343,33 +344,30 @@ def verify_theorems(
     _require_count(bound, 3, "bound")
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
-    spans = _chunk_spans(1, _odd_ceiling(bound))
+    top = _odd_ceiling(bound)
+    # the table chunks run here and grow the table; the rest join it, in workers
     table = [0]
-    parts = [_verify_chunk((lo, hi, max_steps, table, True)) for lo, hi in spans[:_TABLE_CHUNKS]]
-    tasks = [(lo, hi, max_steps, table, False) for lo, hi in spans[_TABLE_CHUNKS:]]
-    parts += _run_chunks(_verify_chunk, tasks, workers)
+    table_top = min(top, 2 * _TABLE_CHUNKS * _CHUNK_ODDS - 1)
+    checked = sum(_run_chunks(_verify_chunk, 1, table_top, 1, max_steps, table, True))
+    checked += sum(_run_chunks(_verify_chunk, table_top + 2, top, workers, max_steps, table, False))
     return TheoremScanReport(
         bound=bound,
-        trajectories=sum(n for n, _ in parts),
-        iterates_checked=sum(checked for _, checked in parts),
+        trajectories=(top + 1) // 2,
+        iterates_checked=checked,
         multiple_of_three=(),
         duplicates=(),
     )
 
 
 def drift_report(
-    n_terms: int | None = None,
-    scan_bound: int | None = None,
-    *,
-    workers: int = 1,
-    target: float = 0.75,
-    tolerance: float = 0.05,
+    n_terms: int | None = None, scan_bound: int | None = None, *, workers: int = 1
 ) -> DriftReport:
     """Series partial sums and/or the measured per-step factor, side by side."""
     if n_terms is None and scan_bound is None:
         raise DomainError("need n_terms and/or scan_bound")
     inc = drift_series_increase(n_terms) if n_terms is not None else None
     dec = drift_series_decrease(n_terms) if n_terms is not None else None
+    _require_count(workers, 1, "workers")
     emp = None
     if scan_bound is not None:
         emp = empirical_drift(scan_bound, workers=workers).empirical_value
@@ -379,6 +377,6 @@ def drift_report(
         series_increase=inc,
         series_decrease=dec,
         empirical_value=emp,
-        target=target,
-        tolerance=tolerance,
+        target=EMPIRICAL_TARGET,
+        tolerance=EMPIRICAL_TOLERANCE,
     )

@@ -100,6 +100,11 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _emit(out: TextIO, fmt: str, payload: dict, text: str) -> None:
+    # the one output path of every single-result command
+    out.write(json.dumps(payload) + "\n" if fmt == "json" else text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatzkit",
@@ -166,32 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
     cls = classify(args.value)
-    step = syracuse_step(args.value)
     payload = {
         "value": args.value,
         "kind": cls.kind.value,
         "is_terminal": cls.is_terminal,
         "is_end": cls.is_end,
-        "iterate": step.iterate,
+        "iterate": syracuse_step(args.value).iterate,
         "alpha": alpha_of(args.value),
     }
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    else:
-        out.write(
-            f"value={payload['value']} kind={payload['kind']} "
-            f"terminal={_yesno(cls.is_terminal)} end={_yesno(cls.is_end)} "
-            f"iterate={payload['iterate']} alpha={payload['alpha']}\n"
-        )
-
-
-def _stats_payload(stats) -> dict:
-    return {
-        "count": stats.count,
-        "odd_length": vars(stats.odd_length).copy(),
-        "total_divisions": vars(stats.total_divisions).copy(),
-        "peak": vars(stats.peak).copy(),
-    }
+    text = (
+        f"value={payload['value']} kind={payload['kind']} terminal={_yesno(payload['is_terminal'])} "
+        f"end={_yesno(payload['is_end'])} iterate={payload['iterate']} alpha={payload['alpha']}\n"
+    )
+    _emit(out, args.format, payload, text)
 
 
 def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
@@ -208,18 +200,15 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         starts = range(first, args.end + 1, 2)
     if args.stats:
         stats = trajectory_stats(walk(x, max_steps) for x in starts)
+        fields = {name: vars(getattr(stats, name)) for name in ("odd_length", "total_divisions", "peak")}
         if args.format == "csv":
-            out.write(stats_csv(stats))
-        elif args.format == "json":
-            out.write(json.dumps(_stats_payload(stats)) + "\n")
+            text = stats_csv(stats)
         else:
-            out.write(f"count={stats.count}\n")
-            for name, f in (
-                ("odd_length", stats.odd_length),
-                ("total_divisions", stats.total_divisions),
-                ("peak", stats.peak),
-            ):
-                out.write(f"{name} min={f.minimum} max={f.maximum} mean={f.mean!r}\n")
+            text = f"count={stats.count}\n" + "".join(
+                f"{name} min={f['minimum']} max={f['maximum']} mean={f['mean']!r}\n"
+                for name, f in fields.items()
+            )
+        _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
     for x in starts:
         rec = walk(x, max_steps)
@@ -231,17 +220,13 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_predecessors(args: argparse.Namespace, out: TextIO) -> None:
     if args.to_starter:
-        chain = reverse_to_starter(args.iterate, _max_steps_from_env())
-        payload: dict = {"value": args.iterate, "chain": chain}
-        text = " ".join(map(str, chain))
+        values = reverse_to_starter(args.iterate, _max_steps_from_env())
+        payload: dict = {"value": args.iterate, "chain": values}
     else:
         row = predecessor_row(args.iterate, args.count)
-        payload = {"iterate": row.iterate, "entries": list(row.entries)}
-        text = " ".join(map(str, row.entries))
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    else:
-        out.write(text + "\n")
+        values = list(row.entries)
+        payload = {"iterate": row.iterate, "entries": values}
+    _emit(out, args.format, payload, " ".join(map(str, values)) + "\n")
 
 
 def _cmd_locate(args: argparse.Namespace, out: TextIO) -> None:
@@ -254,13 +239,7 @@ def _cmd_locate(args: argparse.Namespace, out: TextIO) -> None:
         "alpha": column_alpha(coord.table, coord.column),
         "iterate": row_iterate(coord.table, coord.row),
     }
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-    else:
-        out.write(
-            f"value={payload['value']} table={payload['table']} column={payload['column']} "
-            f"row={payload['row']} alpha={payload['alpha']} iterate={payload['iterate']}\n"
-        )
+    _emit(out, args.format, payload, " ".join(f"{k}={v}" for k, v in payload.items()) + "\n")
 
 
 def _cmd_tree(args: argparse.Namespace, out: TextIO) -> None:
@@ -270,6 +249,8 @@ def _cmd_tree(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
     if args.chain is not None:
+        if args.format == "csv":
+            raise DomainError("csv output is only available without --chain")
         run = alpha_chain(args.chain)
         payload = {
             "start": run.start,
@@ -277,14 +258,12 @@ def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
             "chain": list(run.chain),
             "exit_iterate": run.exit_iterate,
         }
-        if args.format == "json":
-            out.write(json.dumps(payload) + "\n")
-        else:
-            chain_text = " ".join(map(str, run.chain))
-            out.write(
-                f"start={run.start} length={payload['length']} "
-                f"chain={chain_text} exit={run.exit_iterate}\n"
-            )
+        chain_text = " ".join(map(str, payload["chain"]))
+        text = (
+            f"start={payload['start']} length={payload['length']} "
+            f"chain={chain_text} exit={payload['exit_iterate']}\n"
+        )
+        _emit(out, args.format, payload, text)
         return
     _require_count(args.rows, 1, "rows")
     _require_count(args.cols, 1, "cols")
@@ -292,13 +271,10 @@ def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
         [n, *(alpha_table_entry(h, n) for h in range(1, args.cols + 1))]
         for n in range(1, args.rows + 1)
     ]
-    if args.format == "json":
-        out.write(json.dumps({"rows": args.rows, "cols": args.cols, "values": rows}) + "\n")
-        return
     sep = "," if args.format == "csv" else " "
-    out.write(sep.join(["n", *(f"h={h}" for h in range(1, args.cols + 1))]) + "\n")
-    for row in rows:
-        out.write(sep.join(map(str, row)) + "\n")
+    lines = [["n", *(f"h={h}" for h in range(1, args.cols + 1))], *rows]
+    text = "".join(sep.join(map(str, line)) + "\n" for line in lines)
+    _emit(out, args.format, {"rows": args.rows, "cols": args.cols, "values": rows}, text)
 
 
 def _cmd_drift(args: argparse.Namespace, out: TextIO) -> None:
@@ -306,40 +282,33 @@ def _cmd_drift(args: argparse.Namespace, out: TextIO) -> None:
     if n_terms is None and args.bound is None:
         n_terms = 60
     report = drift_report(n_terms=n_terms, scan_bound=args.bound, workers=args.workers)
-    if args.format == "json":
-        payload = {
-            "n_terms": report.n_terms,
-            "series_increase": None,
-            "series_increase_limit": 3.0,
-            "series_decrease": None,
-            "series_decrease_limit": 0.25,
-            "scan_bound": report.scan_bound,
-            "empirical_value": report.empirical_value,
-            "target": report.target,
-            "tolerance": report.tolerance,
-        }
-        if report.series_increase is not None:
-            payload["series_increase"] = float(report.series_increase)
-            payload["series_decrease"] = float(report.series_decrease)
-        out.write(json.dumps(payload) + "\n")
-        return
+    payload = {
+        "n_terms": report.n_terms,
+        "series_increase": None,
+        "series_increase_limit": 3.0,
+        "series_decrease": None,
+        "series_decrease_limit": 0.25,
+        "scan_bound": report.scan_bound,
+        "empirical_value": report.empirical_value,
+        "target": report.target,
+        "tolerance": report.tolerance,
+    }
+    text = ""
     if report.series_increase is not None:
+        payload["series_increase"] = float(report.series_increase)
+        payload["series_decrease"] = float(report.series_decrease)
         odd_part, even_part = drift_series_decrease_parts(report.n_terms)
-        out.write(
-            f"increase series: terms={report.n_terms} "
-            f"sum={float(report.series_increase)!r} limit=3\n"
-        )
-        out.write(
-            f"decrease series: terms={report.n_terms} "
-            f"sum={float(report.series_decrease)!r} limit=0.25 "
+        text += (
+            f"increase series: terms={payload['n_terms']} sum={payload['series_increase']!r} limit=3\n"
+            f"decrease series: terms={payload['n_terms']} sum={payload['series_decrease']!r} limit=0.25 "
             f"odd-alpha={float(odd_part)!r} even-alpha={float(even_part)!r}\n"
         )
     if report.empirical_value is not None:
-        out.write(
-            f"empirical: bound={report.scan_bound} "
-            f"geometric-mean={report.empirical_value!r} "
-            f"target={report.target!r} tolerance={report.tolerance!r}\n"
+        text += (
+            f"empirical: bound={payload['scan_bound']} geometric-mean={payload['empirical_value']!r} "
+            f"target={payload['target']!r} tolerance={payload['tolerance']!r}\n"
         )
+    _emit(out, args.format, payload, text)
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
@@ -350,37 +319,33 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
     theorem = verify_theorems(bound, _max_steps_from_env(), workers=args.workers)
     density = empirical_alpha_density(bound, max_alpha, workers=args.workers)
     ratio_6m1, ratio_6m5 = empirical_iterate_class_ratio(bound, workers=args.workers)
-    if args.format == "json":
-        payload = {
-            "bound": bound,
-            "trajectories": theorem.trajectories,
-            "iterates_checked": theorem.iterates_checked,
-            "multiple_of_three_violations": [list(w) for w in theorem.multiple_of_three],
-            "duplicate_violations": [list(w) for w in theorem.duplicates],
-            "alpha_density": [
-                {"alpha": b.alpha, "count": b.count, "ratio": b.ratio, "expected": 2.0**-b.alpha}
-                for b in density.buckets
-            ],
-            "iterate_class_ratio": {"6m+1": ratio_6m1, "6m+5": ratio_6m5},
-        }
-        out.write(json.dumps(payload) + "\n")
-        return
+    buckets = [
+        {"alpha": b.alpha, "count": b.count, "ratio": b.ratio, "expected": 2.0**-b.alpha}
+        for b in density.buckets
+    ]
+    payload = {
+        "bound": bound,
+        "trajectories": theorem.trajectories,
+        "iterates_checked": theorem.iterates_checked,
+        "multiple_of_three_violations": [list(w) for w in theorem.multiple_of_three],
+        "duplicate_violations": [list(w) for w in theorem.duplicates],
+        "alpha_density": buckets,
+        "iterate_class_ratio": {"6m+1": ratio_6m1, "6m+5": ratio_6m5},
+    }
     if args.format == "csv":
-        out.write("alpha,count,ratio,expected\n")
-        for b in density.buckets:
-            out.write(f"{b.alpha},{b.count},{b.ratio!r},{2.0 ** -b.alpha!r}\n")
-        return
-    out.write(
-        f"theorem scan: bound={bound} trajectories={theorem.trajectories} "
-        f"iterates={theorem.iterates_checked} multiple-of-3-violations="
-        f"{len(theorem.multiple_of_three)} duplicate-violations={len(theorem.duplicates)}\n"
-    )
-    out.write(f"alpha density: bound={bound} odds={density.odd_total}\n")
-    for b in density.buckets:
-        out.write(
-            f"  alpha={b.alpha} count={b.count} ratio={b.ratio!r} expected={2.0 ** -b.alpha!r}\n"
+        text = "".join(",".join(map(repr, b.values())) + "\n" for b in buckets)
+        text = "alpha,count,ratio,expected\n" + text
+    else:
+        text = (
+            f"theorem scan: bound={bound} trajectories={payload['trajectories']} "
+            f"iterates={payload['iterates_checked']} "
+            f"multiple-of-3-violations={len(payload['multiple_of_three_violations'])} "
+            f"duplicate-violations={len(payload['duplicate_violations'])}\n"
+            f"alpha density: bound={bound} odds={density.odd_total}\n"
+            + "".join("  " + " ".join(f"{k}={v!r}" for k, v in b.items()) + "\n" for b in buckets)
+            + f"iterate classes: 6m+1={ratio_6m1!r} 6m+5={ratio_6m5!r}\n"
         )
-    out.write(f"iterate classes: 6m+1={ratio_6m1!r} 6m+5={ratio_6m5!r}\n")
+    _emit(out, args.format, payload, text)
 
 
 def _cmd_table_export(args: argparse.Namespace, out: TextIO) -> None:

@@ -130,6 +130,12 @@ def pre_terminal(k: int) -> int:
     return (10 * 4 ** (k - 1) - 1) // 3
 
 
+def _least_predecessor(y: int) -> int:
+    # least odd x stepping onto odd y, a non-multiple of 3: the smallest
+    # n >= 1 with 2**n * y == 1 (mod 3) is 1 for y == 2 and 2 for y == 1 (mod 3)
+    return (2 * y - 1) // 3 if y % 3 == 2 else (4 * y - 1) // 3
+
+
 def reverse_to_starter(y: int, max_steps: int = DEFAULT_MAX_STEPS) -> list[int]:
     """Walk upward from y along least predecessors until an odd multiple of 3.
 
@@ -151,8 +157,7 @@ def reverse_to_starter(y: int, max_steps: int = DEFAULT_MAX_STEPS) -> list[int]:
     chain: list[int] = []
     x = y
     for _ in range(max_steps):
-        # smallest n >= 1 with 2**n * x == 1 (mod 3): n=1 for x == 2, n=2 for x == 1 (mod 3)
-        x = (2 * x - 1) // 3 if x % 3 == 2 else (4 * x - 1) // 3
+        x = _least_predecessor(x)
         chain.append(x)
         if x % 3 == 0:
             return chain

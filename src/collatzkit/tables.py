@@ -10,12 +10,10 @@ appears at exactly one coordinate across the two tables.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass
 
-from .core import DomainError, _require_count, _require_odd, pre_terminal, terminal
+from .core import DomainError, _least_predecessor, _require_count, _require_odd, pre_terminal, terminal
 
 
 class TableId(enum.Enum):
@@ -92,11 +90,8 @@ def predecessor_row(iterate: int, count: int) -> PredecessorRow:
     if iterate % 3 == 0:
         raise DomainError(f"{iterate} is a starter (odd multiple of 3) and has no predecessors")
     _require_count(count, 1, "count")
-    if iterate % 6 == 1:
-        table, row = TableId.A, (iterate - 1) // 6
-    else:
-        table, row = TableId.B, (iterate - 5) // 6
-    entries = [table_entry(table, 1, row)]
+    # the least predecessor is the row's column-1 entry: 1+8n in A, 3+4n in B
+    entries = [_least_predecessor(iterate)]
     for _ in range(count - 1):
         entries.append(4 * entries[-1] + 1)
     return PredecessorRow(iterate=iterate, entries=tuple(entries))
@@ -117,11 +112,8 @@ def table_window_csv(table: TableId, rows: int, cols: int) -> str:
     _require_count(rows, 1, "rows")
     _require_count(cols, 1, "cols")
     iterate_header = "6*n+1" if table is TableId.A else "6*n+5"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", *(column_header(table, k) for k in range(1, cols + 1)), iterate_header])
+    # ints and fixed headers: no cell needs quoting
+    lines = [["n", *(column_header(table, k) for k in range(1, cols + 1)), iterate_header]]
     for n in range(rows):
-        writer.writerow(
-            [n, *(table_entry(table, k, n) for k in range(1, cols + 1)), row_iterate(table, n)]
-        )
-    return buf.getvalue()
+        lines.append([n, *(table_entry(table, k, n) for k in range(1, cols + 1)), row_iterate(table, n)])
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

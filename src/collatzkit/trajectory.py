@@ -13,7 +13,7 @@ Records hold odd iterates only; even intermediates are never materialised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
 
@@ -39,21 +39,6 @@ def _record(start: int, iterates: list[int], alphas: list[int]) -> TrajectoryRec
     )
 
 
-def _run(start: int, step: Callable[[int], tuple[int, int]], max_steps: int) -> TrajectoryRecord:
-    iterates: list[int] = []
-    alphas: list[int] = []
-    append_i = iterates.append
-    append_a = alphas.append
-    cur = start
-    for _ in range(max_steps):
-        cur, alpha = step(cur)
-        append_i(cur)
-        append_a(alpha)
-        if cur == 1:
-            return _record(start, iterates, alphas)
-    raise MaxStepsExceeded(start, max_steps)
-
-
 def trajectory_direct(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     """Record of repeated (3x+1)/2**alpha steps from x down to 1."""
     _require_odd(x)
@@ -75,22 +60,30 @@ def trajectory_direct(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryR
     raise MaxStepsExceeded(x, max_steps)
 
 
-def _lookup_step(x: int) -> tuple[int, int]:
-    # next iterate and alpha read straight off the table layout; no 3x+1 arithmetic
-    strips = 0
-    while x % 8 == 5:
-        x = (x - 1) // 4
-        strips += 1
-    if x % 4 == 3:
-        return 6 * (x // 4) + 5, 2 * strips + 1
-    return 6 * (x // 8) + 1, 2 * strips + 2
-
-
 def trajectory_lookup(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     """Same record as trajectory_direct, built by table lookup alone."""
     _require_odd(x)
     _require_count(max_steps, 1, "max_steps")
-    return _run(x, _lookup_step, max_steps)
+    iterates: list[int] = []
+    alphas: list[int] = []
+    append_i = iterates.append
+    append_a = alphas.append
+    cur = x
+    for _ in range(max_steps):
+        # next iterate and alpha read straight off the table layout; no 3x+1 arithmetic
+        strips = 0
+        while cur % 8 == 5:
+            cur = (cur - 1) // 4
+            strips += 1
+        if cur % 4 == 3:
+            cur, alpha = 6 * (cur // 4) + 5, 2 * strips + 1
+        else:
+            cur, alpha = 6 * (cur // 8) + 1, 2 * strips + 2
+        append_i(cur)
+        append_a(alpha)
+        if cur == 1:
+            return _record(x, iterates, alphas)
+    raise MaxStepsExceeded(x, max_steps)
 
 
 @dataclass(frozen=True)

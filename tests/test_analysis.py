@@ -395,13 +395,15 @@ def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
         assert (got.value.start, got.value.max_steps) == (410_011, 164)
 
 
-def test_a_huge_bound_keeps_the_table_bounded():
-    # the table never grows past _TABLE_CHUNKS chunks, whatever the bound;
-    # under a 1 GiB address-space cap a table sized by 10**9 cannot be built
+@pytest.mark.parametrize("bound", ["10**9", "10**12", "10**30"])
+def test_a_huge_bound_keeps_the_table_bounded(bound):
+    # neither the table nor the chunk spans grow with the bound: the table
+    # stops at _TABLE_CHUNKS chunks and spans are made one at a time, so
+    # under a 1 GiB address-space cap the first failing start, 9, is reached
     script = (
         "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
         "from collatzkit import MaxStepsExceeded, verify_theorems\n"
-        "try:\n    verify_theorems(10**9, 5)\n"
+        f"try:\n    verify_theorems({bound}, 5)\n"
         "except MaxStepsExceeded as exc:\n    print(exc.start, exc.max_steps)\n"
     )
     src = str(Path(analysis.__file__).resolve().parent.parent)

@@ -308,6 +308,21 @@ def test_alpha_table_rejects_an_empty_window(argv, line):
     assert invoke("alpha-table", *argv) == (1, "", line)
 
 
+def test_alpha_table_rejects_csv_with_chain():
+    # a run is one record with a list field; csv is only the window's format
+    assert invoke("alpha-table", "--chain", "7", "--format", "csv") == (
+        1,
+        "",
+        "error: csv output is only available without --chain\n",
+    )
+
+
+def test_drift_rejects_zero_workers_without_a_scan():
+    # as drift --bound and verify do, although no scan would use the workers
+    error = "error: workers must be >= 1, got 0\n"
+    assert invoke("drift", "--terms", "5", "--workers", "0") == (1, "", error)
+
+
 def test_drift_series_and_scan():
     code, out, _ = invoke("drift", "--terms", "60")
     assert code == 0
@@ -354,6 +369,26 @@ def test_verify_at_the_least_bound():
         f"  alpha=1 count={alpha_1} ratio={alpha_1 / 2!r} expected=0.5\n"
         f"iterate classes: 6m+1={to_6m1 / 2!r} 6m+5={(2 - to_6m1) / 2!r}\n"
     )
+
+
+def test_budget_exhaustion_at_a_huge_bound_exits_3_in_bounded_memory():
+    # the scan makes its chunk spans one at a time, so a 10**12 bound stops
+    # at the first over-budget start, 9, under a 1 GiB address-space cap
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        "sys.argv = ['collatzkit', 'verify', '--bound', str(10**12)]\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "COLLATZ_MAX_STEPS": "5"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: budget of 5 steps exhausted starting from 9\n"
 
 
 def test_budget_exhaustion_in_a_pool_worker_exits_3():

@@ -1,8 +1,9 @@
-"""Golden-output gate: every CLI example in the README, byte for byte.
+"""Golden-output gates: every CLI example in the README, and every
+subcommand in each of its --format choices, byte for byte.
 
-The digests are sha256 of each example's stdout, recorded before the
-output paths were refactored.  A change that moves any byte of these
-outputs fails here.
+The digests are sha256 of each command's stdout, recorded before the
+output paths were refactored; the matrix also pins each exit code.  A
+change that moves any byte of these outputs fails here.
 """
 
 import hashlib
@@ -53,3 +54,75 @@ def test_readme_example_stdout_is_unchanged(example):
     out, err = io.StringIO(), io.StringIO()
     assert run(example.split(), out, err) == 0, err.getvalue()
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[example]
+
+
+# (sha256 of stdout, exit code) per command line: every subcommand in each
+# of its --format choices, both walk methods, both alpha-table modes, each
+# drift input and a pooled verify, plus domain and usage errors
+MATRIX = {
+    "classify 7": ("1a32683cde84359d68de46eda08449371508e8b5126769c28887c66d151ab4f5", 0),
+    "classify 7 --format json": ("e2ab99312622dd735f245fa45c54a2630179825a95de17ef15db2cbec26838f0", 0),
+    "classify 85 --format json": ("28ea5386b35682eb849978eddaf84b7c147ebcbebf3c1c6e981e20ed00828583", 0),
+    "classify 8": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "trajectory 27": ("db957f8af4e6860cb9a08524933d3e9a6dc17cd50f06cf470ca5a785d3ddbc55", 0),
+    "trajectory 27 --format json": ("d3f60b0e8f2f8447f82c841948faf412ba48fb051bca8419633709e80e475942", 0),
+    "trajectory 27 --method lookup --format json": ("d3f60b0e8f2f8447f82c841948faf412ba48fb051bca8419633709e80e475942", 0),
+    "trajectory 3 --end 99": ("8d412ec74b8393cecf2d7521a0d0e7ec30e8c896907af5c521b80feb8af09520", 0),
+    "trajectory 3 --format csv": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "trajectory 3 --end 99 --stats": ("fb8aa65b2384a9cfd58f1862d62c0b845bf1be575d4b7d638acfb606eaefbaa1", 0),
+    "trajectory 3 --end 99 --stats --format json": ("6d6bc405da6078c9e0a29cbe836e7ccbd2caeebe4ad3c2dcb8e0b8892d8f8680", 0),
+    "trajectory 3 --end 99 --stats --format csv": ("8b79113271591b8344d8fed00a2d631adccd8d299d8e9e02e31de172410d3c7d", 0),
+    "trajectory 3 --end 99 --stats --method lookup": ("fb8aa65b2384a9cfd58f1862d62c0b845bf1be575d4b7d638acfb606eaefbaa1", 0),
+    "trajectory 3 --end 99 --stats --method lookup --format json": ("6d6bc405da6078c9e0a29cbe836e7ccbd2caeebe4ad3c2dcb8e0b8892d8f8680", 0),
+    "trajectory 3 --end 99 --stats --method lookup --format csv": ("8b79113271591b8344d8fed00a2d631adccd8d299d8e9e02e31de172410d3c7d", 0),
+    "trajectory 9 --end 7": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "predecessors 41 --count 3": ("39ecf059e48c88f532da9697f75095b472602bfd1a6682236a452e2dfe783ce2", 0),
+    "predecessors 41 --count 3 --format json": ("962b814a1d12c90f2977b4fe074db42228acc4d4dfd2422d0962b8ee2b04e266", 0),
+    "predecessors 85 --to-starter": ("a59537b9797ebae4348f8eae0d6be2f59c957db15fa88ac933082fdeb683eb97", 0),
+    "predecessors 85 --to-starter --format json": ("0659e4d7fbc88c6e333872c97ab9227f536cb1cfde77c48210f216c4e776d83c", 0),
+    "predecessors 9": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "locate 27": ("d8e48c3431c00f0d9653023084a559132ef7f0f9c8ba850d2943d2c9692407b6", 0),
+    "locate 27 --format json": ("8e91baea396f90eb3904f161407c6544980a1c0dcb3a9f4750f947fabf954886", 0),
+    "locate 8": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "tree --depth 2 --breadth 3": ("ae697b8b7202c3e2c8f012e38d844b8c5a101ab605ae7608f87f30a77db9d6cd", 0),
+    "tree --depth 2 --breadth 3 --format json": ("250ae36cced88dbdfc435ae549f6d7398ae35962ef5148a3981e944cf0df558f", 0),
+    "tree --depth 2 --breadth 3 --format dot": ("f76b0aa0269c76e842b67e92ceaa106489b346b0e36514a7b4dbec32401efeee", 0),
+    "alpha-table --rows 4 --cols 3": ("441cbbf9263fd98d8c3403e92bc4008ed56a3a6fb818d17e50257dfa7ce93531", 0),
+    "alpha-table --rows 4 --cols 3 --format json": ("2bb17c82e3a440d110706adc4a01d9db7f2eb6a74ce35f672ddd2bb604de70ff", 0),
+    "alpha-table --rows 4 --cols 3 --format csv": ("734ae5525a4a29e5a7b466bd1c4c9554d843bc6dba612a3287578b0d84c7abf0", 0),
+    "alpha-table --rows 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "alpha-table --chain 63": ("d9b174c393cbd8f90334ba139320bbb7b2ca47cde5cf18bcef10dcd92f86de98", 0),
+    "alpha-table --chain 63 --format json": ("9bf32650f1be48d56258f898e6dbc8c0668fc6755e34162272749c1cabc5df5d", 0),
+    "alpha-table --chain 5": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "drift": ("45a9ef10743c76cfc9ccac2e814f9ff1ba6ec39e871217bbc3b950fd0fc70af4", 0),
+    "drift --format json": ("92d0d3c276239898fc43090c7edff330db5e3e5b8eb071b821e8e598b3175684", 0),
+    "drift --terms 5": ("97b334da4edfea79d05e4c0c5a6705bd5d580c3bfb060568646bc8900d4b89a8", 0),
+    "drift --terms 5 --format json": ("54238e4dcb30d0711e7fea122ef868aa1eb47c3220c5a34c624110965ee33e17", 0),
+    "drift --bound 10001": ("766afaa26b10c8e537e40ed598d44c7d83e7fd55dcec9e48503b4d4fdcd94cf8", 0),
+    "drift --bound 10001 --format json": ("13c021c21faf07f1312aa9e874734b845a3af3a282659c8c6e9a3164bbbcc2f9", 0),
+    "drift --terms 5 --bound 10001": ("939aa8066f9ab48005dd9bd4a38eda7243c68ddfdd611aade4694f9ad705e4f0", 0),
+    "drift --terms 5 --bound 10001 --format json": ("2d192212b5fa717377894db0dfb86947b076a460e4d847d5de201eb3b11dae63", 0),
+    "drift --bound 10001 --workers 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "drift --bound 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "verify --bound 2048": ("6280313fff26c9c25666a8cf3f70529666d402f6a9872d929eb232a87d118780", 0),
+    "verify --bound 2048 --format json": ("6d4d9c6e6fb4efba65f61f2bf4f4e04e4e64a74f58631f9f40876ba1adb9f231", 0),
+    "verify --bound 2048 --max-alpha 3 --format csv": ("e16355ab7bfc019dd91fd841b4dc06b6bc5577c85387d3784876718436d9da88", 0),
+    "verify --bound 70001 --workers 2": ("fa238126c6ea06bffc831c997d8f8e50cdfffcbf04d67ff72b660d63c74d0e1f", 0),
+    "verify --bound 70001 --workers 2 --format json": ("3b5a84517b4624000a35fe6afc959e30b07e98a27d6e5ac5e55521d898f479a3", 0),
+    "verify --bound 70001 --workers 2 --format csv": ("0bf735e522c5d7c71a6083c8369dce3d90044b9c9932e6ae1be457ece2feb761", 0),
+    "verify --bound 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "verify --bound 99 --workers 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "table-export --table A --rows 5": ("591a530180d6e48c256f10c25e54df1c9f889c009775fdf1759ac0fda0c51005", 0),
+    "table-export --table B --rows 5 --cols 3": ("c691b758ccc10a3cc004c26f07debaf671784655c62506fd99630b88a623f92e", 0),
+    "table-export --table A --rows 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "classify": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "nosuch": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+}
+
+
+@pytest.mark.parametrize("command", list(MATRIX))
+def test_command_matrix_stdout_and_exit_code_are_unchanged(command, monkeypatch):
+    monkeypatch.delenv("COLLATZ_MAX_STEPS", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(command.split(), out, err)
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest(), code) == MATRIX[command]

@@ -83,6 +83,12 @@ def test_predecessor_row_examples():
         predecessor_row(7, 0)
 
 
+@given(row=st.integers(min_value=0, max_value=2**256), table=st.sampled_from(TableId))
+@settings(max_examples=300)
+def test_least_predecessor_is_the_first_column_entry(row, table):
+    assert predecessor_row(row_iterate(table, row), 1).entries[0] == table_entry(table, 1, row)
+
+
 def test_predecessor_row_entries_step_to_iterate():
     for iterate in range(1, 302, 2):
         if iterate % 3 == 0:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 from fractions import Fraction
 
@@ -60,6 +62,20 @@ def test_lookup_equals_direct_below_bound():
         a = trajectory_direct(x)
         b = trajectory_lookup(x)
         assert a == b, x
+
+
+def test_lookup_never_evaluates_the_step_formula():
+    # the lookup route stays independent of (3x+1)/2**alpha: no product by 3
+    # and no call into the direct step anywhere in its body
+    tree = ast.parse(inspect.getsource(trajectory_lookup))
+    products = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and 3 in (getattr(n.left, "value", None), getattr(n.right, "value", None))
+    ]
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert products == []
+    assert not names & {"_raw_step", "syracuse_step", "alpha_of", "trajectory_direct"}
 
 
 @given(x=odd_starts)
