@@ -15,9 +15,12 @@ results are identical for any worker count.  One driver, _run_chunks,
 runs every scan: it makes each chunk's span only when the chunk is due,
 runs the chunks in the calling process or in a process pool, and yields
 their results in chunk order; each scan folds them as they arrive, so an
-in-process scan's memory does not grow with the bound.  The alpha density
-and the iterate-class ratio read one count per alpha value from the same
-chunk kernel.
+in-process scan's memory does not grow with the bound, and a pool holds at
+most 2 * workers tasks.  The alpha density and the iterate-class ratio read
+one count per alpha value from the same chunk kernel.  The drift kernel
+steps no odd: alpha = a holds on exactly one odd class mod 2**(a+1), whose
+iterates run in steps of 6 (the 6m+1 / 6m+5 sets), so it maps log over
+the class's starts and its iterates as two ranges.
 
 The theorem scan needs no per-iterate test, because both of its
 properties are lemmas:
@@ -41,10 +44,21 @@ budget and raises MaxStepsExceeded at x, as its full walk would.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import sub
 
-from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _raw_step, _require_count, _require_odd
+from .core import (
+    DEFAULT_MAX_STEPS,
+    DomainError,
+    MaxStepsExceeded,
+    _raw_step,
+    _require_count,
+    _require_odd,
+    alpha_residue_class,
+)
 # unused here; perfbench/tracing.py wraps analysis.trajectory_direct by name
 from .trajectory import trajectory_direct
 
@@ -189,7 +203,7 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
     # the one scan driver: yields worker((first, last, *args)) for each
     # fixed span of _CHUNK_ODDS odd integers over odd lo..hi, in span order.
     # Spans are made only as they are needed, so an in-process scan holds one
-    # at a time whatever hi is
+    # at a time whatever hi is, and a pool has at most 2 * workers in flight
     global ProcessPoolExecutor
     import os  # loaded at interpreter start; not a module-level import
 
@@ -205,7 +219,18 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, tasks)
+        pending = deque()
+        try:
+            for task in tasks:
+                pending.append(pool.submit(worker, task))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # on an error or an early close, start none of the queued tasks
+            for future in pending:
+                future.cancel()
 
 
 def _alpha_chunk(span: tuple[int, int]) -> list[int]:
@@ -230,14 +255,20 @@ def _alpha_counts(bound: int, workers: int) -> list[int]:
 
 def _drift_chunk(span: tuple[int, int]) -> float:
     lo, hi = span
+    # math.fsum of log(y) - log(x) over odd x in the span, taken class by
+    # class: alpha = a on exactly one odd class x == r (mod 2**(a+1)), where
+    # y = (3x+1) >> a steps by 6 as x steps by 2**(a+1).  The floats are
+    # those of a walk over the span and fsum is exactly rounded, so the
+    # order they come in does not change the sum
     log = math.log
-    logs = []
-    append = logs.append
-    for x in range(lo, hi + 1, 2):
-        t = 3 * x + 1
-        y = t >> ((t & -t).bit_length() - 1)
-        append(log(y) - log(x))
-    return math.fsum(logs)
+    terms = []
+    for a in range(1, (3 * hi + 1).bit_length()):
+        r, m = alpha_residue_class(a)
+        xs = range(lo + (r - lo) % m, hi + 1, m)
+        if xs:
+            y = (3 * xs[0] + 1) >> a
+            terms.append(map(sub, map(log, range(y, y + 6 * len(xs), 6)), map(log, xs)))
+    return math.fsum(chain.from_iterable(terms))
 
 
 def _verify_chunk(task: tuple[int, int, int, list, bool]) -> int:

@@ -38,6 +38,7 @@ from .core import (
 )
 from .tables import TableId, column_alpha, locate, predecessor_row, row_iterate, table_window_csv
 from .trajectory import (
+    _range_stats,
     iterate_strings,
     record_json,
     stats_csv,
@@ -199,7 +200,14 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         first = args.start if args.start % 2 else args.start + 1
         starts = range(first, args.end + 1, 2)
     if args.stats:
-        stats = trajectory_stats(walk(x, max_steps) for x in starts)
+        if args.method == "direct" and starts:
+            # the first start goes through this module's trajectory_direct
+            # (perfbench/tracing.py counts direct steps there); the later
+            # starts' walks join the earlier ones without records
+            stats = _range_stats(trajectory_direct(starts[0], max_steps), starts[-1], max_steps)
+        else:
+            # the lookup route never evaluates 3x+1, so it walks every start in full
+            stats = trajectory_stats(walk(x, max_steps) for x in starts)
         fields = {name: vars(getattr(stats, name)) for name in ("odd_length", "total_divisions", "peak")}
         if args.format == "csv":
             text = stats_csv(stats)

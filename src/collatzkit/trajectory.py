@@ -8,6 +8,16 @@ routes must agree element for element, alphas included (the lookup route
 recovers alpha from the column it stripped through).
 
 Records hold odd iterates only; even intermediates are never materialised.
+
+A direct --stats range (_range_stats) builds no record past its first
+start.  All three summarised fields add up across a join: if a walk from
+x first reaches y, a start already summarised, then odd_length(x) is the
+steps to y plus odd_length(y), total_divisions adds the same way, and
+peak(x) is the larger of the walk's maximum up to y (y included) and
+peak(y), since a peak never counts its own start.  Each walk therefore
+steps only until it falls onto an earlier start of the range.  The table
+of summarised starts holds at most _MEMO_STARTS entries, whatever the
+range's length.
 """
 
 from __future__ import annotations
@@ -110,6 +120,15 @@ def _mean(total: int, count: int) -> float | int:
         return round(Fraction(total, count))
 
 
+def _summary(count: int, lows, highs, totals) -> TrajectoryStats:
+    # lows, highs and totals each hold (odd_length, total_divisions, peak)
+    odd_length, total_divisions, peak = (
+        FieldStats(minimum=lo, maximum=hi, mean=_mean(total, count))
+        for lo, hi, total in zip(lows, highs, totals)
+    )
+    return TrajectoryStats(count=count, odd_length=odd_length, total_divisions=total_divisions, peak=peak)
+
+
 def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
     """Aggregate min/max/mean over records in one pass; order-independent.
 
@@ -128,11 +147,81 @@ def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
         count += 1
     if not count:
         raise DomainError("no trajectory records to summarise")
-    odd_length, total_divisions, peak = (
-        FieldStats(minimum=lo, maximum=hi, mean=_mean(total, count))
-        for lo, hi, total in zip(lows, highs, totals)
+    return _summary(count, lows, highs, totals)
+
+
+# starts a direct --stats range keeps summaries of, from its first start on
+_MEMO_STARTS = 2**17
+
+
+def _range_stats(first: TrajectoryRecord, last: int, max_steps: int) -> TrajectoryStats:
+    """trajectory_stats of the direct records of the odd starts first.start..last.
+
+    first is the range's first record; every later start x is walked
+    without a record until it reaches 1 or an earlier start of the range
+    whose summary is in the table (see the module docstring).  A start
+    whose walk passes max_steps odd steps raises MaxStepsExceeded, so the
+    first failing start is that of the full walks.
+    """
+    lo = first.start
+    lengths = [first.odd_length]
+    divisions = [first.total_divisions]
+    peaks = [first.peak]
+    # entry (y - lo) // 2 summarises start y; starts from cap on add none
+    cap = lo + 2 * _MEMO_STARTS
+    low_len = high_len = total_len = first.odd_length
+    low_div = high_div = total_div = first.total_divisions
+    low_peak = high_peak = total_peak = first.peak
+    for x in range(lo + 2, last + 1, 2):
+        reach = x if x < cap else cap
+        cur = x
+        divs = peak = 0
+        for steps in range(1, max_steps + 1):
+            # the step, inlined: no call per iterate
+            t = 3 * cur + 1
+            alpha = (t & -t).bit_length() - 1
+            cur = t >> alpha
+            divs += alpha
+            if cur > peak:
+                peak = cur
+            if cur == 1:
+                break
+            if lo <= cur < reach:
+                i = (cur - lo) >> 1
+                steps += lengths[i]
+                divs += divisions[i]
+                if peaks[i] > peak:
+                    peak = peaks[i]
+                break
+        else:
+            raise MaxStepsExceeded(x, max_steps)
+        if steps > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        if x < cap:
+            lengths.append(steps)
+            divisions.append(divs)
+            peaks.append(peak)
+        if steps < low_len:
+            low_len = steps
+        elif steps > high_len:
+            high_len = steps
+        if divs < low_div:
+            low_div = divs
+        elif divs > high_div:
+            high_div = divs
+        if peak < low_peak:
+            low_peak = peak
+        elif peak > high_peak:
+            high_peak = peak
+        total_len += steps
+        total_div += divs
+        total_peak += peak
+    return _summary(
+        len(range(lo, last + 1, 2)),
+        (low_len, low_div, low_peak),
+        (high_len, high_div, high_peak),
+        (total_len, total_div, total_peak),
     )
-    return TrajectoryStats(count=count, odd_length=odd_length, total_divisions=total_divisions, peak=peak)
 
 
 # Iterates of at least this many bits are rendered from the previous one's

@@ -1,7 +1,10 @@
 import contextlib
+import itertools
+import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +226,34 @@ def test_empirical_drift_small_scan():
     assert 0.65 <= value <= 0.85
 
 
+def per_odd_drift_chunk(span):
+    # the drift kernel as one step per odd x, the reference for the
+    # residue-class kernel
+    lo, hi = span
+    logs = []
+    for x in range(lo, hi + 1, 2):
+        t = 3 * x + 1
+        y = t >> ((t & -t).bit_length() - 1)
+        logs.append(math.log(y) - math.log(x))
+    return math.fsum(logs)
+
+
+drift_spans = st.tuples(
+    st.one_of(st.integers(min_value=1, max_value=5000), st.integers(min_value=2**63, max_value=2**63 + 5000)),
+    st.integers(min_value=0, max_value=3000),
+).map(lambda p: (2 * p[0] + 1, 2 * p[0] + 1 + 2 * p[1]))
+
+
+@given(span=drift_spans)
+@example(span=(3, 3))
+@example(span=(3, 2 * 2**15 + 1))
+@example(span=(2**64 + 1, 2**64 + 1))
+@example(span=(2**64 - 1, 2**64 + 4001))
+@settings(max_examples=80, deadline=None)
+def test_drift_chunk_equals_the_per_odd_kernel(span):
+    assert analysis._drift_chunk(span) == per_odd_drift_chunk(span)
+
+
 def test_iterate_class_ratio():
     r1, r5 = empirical_iterate_class_ratio(10_000)
     assert r1 + r5 == pytest.approx(1.0)
@@ -413,8 +444,10 @@ def test_a_huge_bound_keeps_the_table_bounded(bound):
 
 
 class RecordingPool:
-    # stands in for ProcessPoolExecutor: records max_workers, maps in-process
+    # stands in for ProcessPoolExecutor: records max_workers and counts
+    # submissions; each task runs in-process when it is submitted
     sizes = []
+    submitted = 0
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -425,8 +458,14 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        RecordingPool.submitted += 1
+        future = Future()
+        try:
+            future.set_result(fn(task))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 @pytest.mark.parametrize("cpus,expected", [(64, [7]), (2, [2]), (1, []), (None, [])])
@@ -439,3 +478,26 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected)
     assert RecordingPool.sizes == []
     assert empirical_iterate_class_ratio(bound, workers=10**9) == reference
     assert RecordingPool.sizes == expected
+
+
+def test_a_pool_scan_keeps_a_bounded_window_of_tasks(monkeypatch):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "submitted", 0)
+    # about 15 million chunks; each result is its span's first odd
+    results = analysis._run_chunks(lambda task: task[0], 1, 10**12, 2)
+    assert list(itertools.islice(results, 5)) == [1 + 2 * 2**15 * i for i in range(5)]
+    results.close()
+    assert RecordingPool.sizes == [2]
+    assert RecordingPool.submitted <= 5 + 2 * 2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_scan_yields_every_chunk_in_order(monkeypatch, workers):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
+    spans = list(analysis._run_chunks(lambda task: task, 1, 97, workers))
+    assert spans == list(analysis._run_chunks(lambda task: task, 1, 97, 1))
+    assert spans[0] == (1, 7) and spans[-1] == (97, 97) and len(spans) == 13

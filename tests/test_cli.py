@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from collatzkit import cli, trajectory_direct
+from collatzkit import cli, trajectory_direct, trajectory_lookup
 from collatzkit.cli import OPERATION_COVERAGE, run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -420,10 +420,13 @@ class BrokenPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def submit(self, fn, task):
+        from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+        future = Future()
+        future.set_exception(BrokenProcessPool("A process in the process pool was terminated abruptly"))
+        return future
 
 
 @pytest.mark.parametrize("argv", [["verify", "--bound", "70001"], ["drift", "--bound", "70001"]])
@@ -437,6 +440,35 @@ def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     assert err.getvalue() == (
         "error: a worker process died: A process in the process pool was terminated abruptly\n"
     )
+
+
+def test_a_direct_stats_range_walks_only_its_first_start_through_the_cli(monkeypatch):
+    # benchmark tracers count direct-walk steps through cli.trajectory_direct
+    # and divide by them, so a --stats range must still reach it
+    calls = []
+
+    def counting(x, max_steps):
+        calls.append(x)
+        return trajectory_direct(x, max_steps)
+
+    monkeypatch.setattr(cli, "trajectory_direct", counting)
+    code, out, err = invoke("trajectory", "281", "--end", "50281", "--stats")
+    assert (code, err, calls) == (0, "", [281])
+    assert out.startswith("count=25001\n")
+
+
+def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
+    calls = []
+
+    def counting(x, max_steps):
+        calls.append(x)
+        return trajectory_lookup(x, max_steps)
+
+    monkeypatch.setattr(cli, "trajectory_lookup", counting)
+    monkeypatch.setattr(cli, "trajectory_direct", None)
+    monkeypatch.setattr(cli, "_range_stats", None)
+    code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
+    assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
 
 
 def test_interrupt_exits_1_with_one_line(monkeypatch, capsys):

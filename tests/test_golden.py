@@ -58,7 +58,8 @@ def test_readme_example_stdout_is_unchanged(example):
 
 # (sha256 of stdout, exit code) per command line: every subcommand in each
 # of its --format choices, both walk methods, both alpha-table modes, each
-# drift input and a pooled verify, plus domain and usage errors
+# drift input and a pooled verify, plus domain and usage errors.  Leading
+# NAME=value words set environment variables for the command
 MATRIX = {
     "classify 7": ("1a32683cde84359d68de46eda08449371508e8b5126769c28887c66d151ab4f5", 0),
     "classify 7 --format json": ("e2ab99312622dd735f245fa45c54a2630179825a95de17ef15db2cbec26838f0", 0),
@@ -75,6 +76,13 @@ MATRIX = {
     "trajectory 3 --end 99 --stats --method lookup": ("fb8aa65b2384a9cfd58f1862d62c0b845bf1be575d4b7d638acfb606eaefbaa1", 0),
     "trajectory 3 --end 99 --stats --method lookup --format json": ("6d6bc405da6078c9e0a29cbe836e7ccbd2caeebe4ad3c2dcb8e0b8892d8f8680", 0),
     "trajectory 3 --end 99 --stats --method lookup --format csv": ("8b79113271591b8344d8fed00a2d631adccd8d299d8e9e02e31de172410d3c7d", 0),
+    "trajectory 281 --end 50281 --stats": ("9ffb626c9a622472f2bb3995332ba4565d16217468e9655a4ba59525e2ebfd2a", 0),
+    "trajectory 281 --end 50281 --stats --format json": ("f37544b060c9ad2fa5636d5725674a59bc81a4bfb164942455f46a6abacc531a", 0),
+    "trajectory 281 --end 50281 --stats --format csv": ("16a2421c0925ae75494593c754cba6bb3e0d5202b6243a95be537f4048256a02", 0),
+    "trajectory 1 --end 2001 --stats": ("ad0305697ffb28257a64d2d1738fed4ec5147ca1ac0c85871c4767a9283b8753", 0),
+    # 2**64 + 1 to 2**64 + 199
+    "trajectory 18446744073709551617 --end 18446744073709551815 --stats": ("dd1c141c6465270ebd4b4eb16e76d3b7125a0ce58ca82852befeb3c8299d53b6", 0),
+    "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001 --stats": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
     "trajectory 9 --end 7": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "predecessors 41 --count 3": ("39ecf059e48c88f532da9697f75095b472602bfd1a6682236a452e2dfe783ce2", 0),
     "predecessors 41 --count 3 --format json": ("962b814a1d12c90f2977b4fe074db42228acc4d4dfd2422d0962b8ee2b04e266", 0),
@@ -102,6 +110,8 @@ MATRIX = {
     "drift --bound 10001 --format json": ("13c021c21faf07f1312aa9e874734b845a3af3a282659c8c6e9a3164bbbcc2f9", 0),
     "drift --terms 5 --bound 10001": ("939aa8066f9ab48005dd9bd4a38eda7243c68ddfdd611aade4694f9ad705e4f0", 0),
     "drift --terms 5 --bound 10001 --format json": ("2d192212b5fa717377894db0dfb86947b076a460e4d847d5de201eb3b11dae63", 0),
+    "drift --bound 1000001 --workers 1": ("4e702e7c0d5cbc55d3ee16e9e98f3176f43d3e3bf0ff4f8483d67f509880dcbb", 0),
+    "drift --bound 1000001 --workers 2": ("4e702e7c0d5cbc55d3ee16e9e98f3176f43d3e3bf0ff4f8483d67f509880dcbb", 0),
     "drift --bound 10001 --workers 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "drift --bound 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "verify --bound 2048": ("6280313fff26c9c25666a8cf3f70529666d402f6a9872d929eb232a87d118780", 0),
@@ -123,6 +133,16 @@ MATRIX = {
 @pytest.mark.parametrize("command", list(MATRIX))
 def test_command_matrix_stdout_and_exit_code_are_unchanged(command, monkeypatch):
     monkeypatch.delenv("COLLATZ_MAX_STEPS", raising=False)
+    argv = command.split()
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     out, err = io.StringIO(), io.StringIO()
-    code = run(command.split(), out, err)
+    code = run(argv, out, err)
     assert (hashlib.sha256(out.getvalue().encode()).hexdigest(), code) == MATRIX[command]
+
+
+def test_a_stats_range_over_budget_names_its_first_failing_start(monkeypatch):
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", "20")
+    out, err = io.StringIO(), io.StringIO()
+    assert run("trajectory 101 --end 2001 --stats".split(), out, err) == 3
+    assert err.getvalue() == "error: budget of 20 steps exhausted starting from 103\n"

@@ -1,10 +1,12 @@
 import ast
 import inspect
 import json
+import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzkit import (
@@ -17,7 +19,8 @@ from collatzkit import (
     trajectory_stats,
 )
 
-from collatzkit.trajectory import DECIMAL_MIN_BITS, iterate_strings
+import collatzkit.trajectory as trajectory_module
+from collatzkit.trajectory import DECIMAL_MIN_BITS, _range_stats, iterate_strings
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -243,3 +246,71 @@ def test_stats_csv_layout():
     assert lines[0] == "metric,min,max,mean"
     assert lines[1].startswith("odd_length,2,6,")
     assert len(lines) == 4
+
+
+def summarise(first, last, max_steps, engine):
+    # the stats of the odd starts first..last, or the (start, budget) of the
+    # MaxStepsExceeded the range raises
+    try:
+        if engine:
+            return _range_stats(trajectory_direct(first, max_steps), last, max_steps)
+        return trajectory_stats(trajectory_direct(x, max_steps) for x in range(first, last + 1, 2))
+    except MaxStepsExceeded as exc:
+        return exc.start, exc.max_steps
+
+
+range_firsts = st.one_of(
+    st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=2**69)
+).map(lambda n: 2 * n + 1)
+
+
+@given(
+    first=range_firsts,
+    width=st.integers(min_value=0, max_value=600),
+    cap=st.sampled_from([8, trajectory_module._MEMO_STARTS]),
+)
+@example(first=1, width=600, cap=8)
+@example(first=1, width=0, cap=8)
+@settings(max_examples=60, deadline=None)
+def test_memoised_range_stats_equal_the_full_records(first, width, cap):
+    with patch.object(trajectory_module, "_MEMO_STARTS", cap):
+        assert summarise(first, first + width, 10**6, True) == summarise(first, first + width, 10**6, False)
+
+
+@given(
+    first=range_firsts,
+    width=st.integers(min_value=0, max_value=600),
+    max_steps=st.integers(min_value=1, max_value=150),
+    cap=st.sampled_from([8, trajectory_module._MEMO_STARTS]),
+)
+@example(first=101, width=1900, max_steps=20, cap=trajectory_module._MEMO_STARTS)
+@settings(max_examples=60, deadline=None)
+def test_memoised_range_stats_run_out_of_budget_at_the_full_records_start(first, width, max_steps, cap):
+    with patch.object(trajectory_module, "_MEMO_STARTS", cap):
+        assert summarise(first, first + width, max_steps, True) == summarise(first, first + width, max_steps, False)
+
+
+def test_the_memo_table_stops_at_its_cap(monkeypatch):
+    # the table's column lengths as _range_stats returns
+    columns = []
+
+    def trace_calls(frame, event, arg):
+        if frame.f_code is not _range_stats.__code__:
+            return None
+
+        def trace_lines(frame, event, arg):
+            if event == "return":
+                columns.extend(len(frame.f_locals[n]) for n in ("lengths", "divisions", "peaks"))
+            return trace_lines
+
+        return trace_lines
+
+    monkeypatch.setattr(trajectory_module, "_MEMO_STARTS", 8)
+    expected = summarise(1, 401, 10**6, False)
+    sys.settrace(trace_calls)
+    try:
+        stats = _range_stats(trajectory_direct(1), 401, 10**6)
+    finally:
+        sys.settrace(None)
+    assert stats == expected
+    assert columns == [8, 8, 8]
