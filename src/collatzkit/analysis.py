@@ -5,8 +5,8 @@ whose iterates climb by ~3/2 each; the run length is one less than the
 number of trailing one-bits, and 2**(h+1)*(2n-1) - 1 enumerates the
 integers with run length exactly h.  The weighted series over run lengths
 sums to 3 (average climb), while the alpha>=2 population's weighted series
-sums to 1/4 (average shrink).  The empirical scans measure per-step
-behaviour directly against a brute-force walk; the series and the measured
+sums to 1/4 (average shrink).  The empirical functions measure per-step
+behaviour over every odd start up to a bound; the series and the measured
 per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
@@ -16,11 +16,13 @@ runs every scan: it makes each chunk's span only when the chunk is due,
 runs the chunks in the calling process or in a process pool, and yields
 their results in chunk order; each scan folds them as they arrive, so an
 in-process scan's memory does not grow with the bound, and a pool holds at
-most 2 * workers tasks.  The alpha density and the iterate-class ratio read
-one count per alpha value from the same chunk kernel.  The drift kernel
-steps no odd: alpha = a holds on exactly one odd class mod 2**(a+1), whose
-iterates run in steps of 6 (the 6m+1 / 6m+5 sets), so it maps log over
-the class's starts and its iterates as two ranges.
+most 2 * workers tasks.  Neither the alpha counts nor the drift kernel
+steps an odd, because alpha = a holds on exactly one odd class mod
+2**(a+1).  The alpha density and the iterate-class ratio are no scan: they
+read one closed-form class size per alpha, in the calling process whatever
+the worker count.  The drift kernel uses that a class's iterates run in
+steps of 6 (the 6m+1 / 6m+5 sets), so it maps log over the class's starts
+and its iterates as two ranges.
 
 The theorem scan needs no per-iterate test, because both of its
 properties are lemmas:
@@ -45,10 +47,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import sub
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_MAX_STEPS,
@@ -105,8 +107,7 @@ def alpha_table_entry(length: int, index: int) -> int:
     return 2 ** (length + 1) * (2 * index - 1) - 1
 
 
-@dataclass(frozen=True)
-class AlphaChain:
+class AlphaChain(NamedTuple):
     start: int
     length: int
     chain: tuple[int, ...]  # the alpha=1 iterates; the last is == 1 (mod 4)
@@ -159,22 +160,19 @@ def drift_series_decrease(n_terms: int) -> Fraction:
     return odd_part + even_part
 
 
-@dataclass(frozen=True)
-class AlphaBucket:
+class AlphaBucket(NamedTuple):
     alpha: int
     count: int
     ratio: float
 
 
-@dataclass(frozen=True)
-class AlphaDensityReport:
+class AlphaDensityReport(NamedTuple):
     bound: int
     odd_total: int
     buckets: tuple[AlphaBucket, ...]
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     n_terms: int | None
     scan_bound: int | None
     series_increase: Fraction | None  # partial sum, limit 3
@@ -184,8 +182,7 @@ class DriftReport:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class TheoremScanReport:
+class TheoremScanReport(NamedTuple):
     bound: int
     trajectories: int
     iterates_checked: int
@@ -233,23 +230,15 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
                 future.cancel()
 
 
-def _alpha_chunk(span: tuple[int, int]) -> list[int]:
-    lo, hi = span
-    # alpha <= log2(3x+1), so every alpha of the span has an index here
-    counts = [0] * (3 * hi + 1).bit_length()
-    for x in range(lo, hi + 1, 2):
-        t = 3 * x + 1
-        counts[(t & -t).bit_length() - 1] += 1
-    return counts
-
-
-def _alpha_counts(bound: int, workers: int) -> list[int]:
-    # counts[a] = number of odd x <= bound whose step divides by exactly 2**a
+def _alpha_counts(bound: int) -> list[int]:
+    # counts[a] = number of odd x <= bound whose step divides by exactly 2**a,
+    # for every a <= log2(3x+1): the members r, r + m, ... <= top of the one
+    # odd class x == r (mod m = 2**(a+1)) on which alpha = a
     top = _odd_ceiling(bound)
     counts = [0] * (3 * top + 1).bit_length()
-    for chunk_counts in _run_chunks(_alpha_chunk, 1, top, workers):
-        for a, c in enumerate(chunk_counts):
-            counts[a] += c
+    for a in range(1, len(counts)):
+        r, m = alpha_residue_class(a)
+        counts[a] = (top - r) // m + 1 if r <= top else 0
     return counts
 
 
@@ -306,7 +295,8 @@ def empirical_alpha_density(bound: int, max_alpha: int, *, workers: int = 1) -> 
     Each alpha value is taken on exactly one odd residue class mod
     2**(alpha+1), so the shares halve as alpha steps up; requires
     bound >= 2**(max_alpha+1) - 1 so every class is populated (each
-    class's least member is an odd number below 2**(alpha+1)).
+    class's least member is an odd number below 2**(alpha+1)).  The counts
+    are class sizes, not a scan, so `workers` is only validated.
     """
     _require_count(max_alpha, 1, "max_alpha")
     _require_count(bound, 2, "bound")
@@ -315,7 +305,7 @@ def empirical_alpha_density(bound: int, max_alpha: int, *, workers: int = 1) -> 
             f"bound must be >= 2**(max_alpha+1) - 1 = {2 ** (max_alpha + 1) - 1}, got {bound}"
         )
     _require_count(workers, 1, "workers")
-    counts = _alpha_counts(bound, workers)
+    counts = _alpha_counts(bound)
     odd_total = (bound + 1) // 2
     buckets = tuple(
         AlphaBucket(alpha=a, count=counts[a], ratio=counts[a] / odd_total)
@@ -351,11 +341,12 @@ def empirical_iterate_class_ratio(bound: int, *, workers: int = 1) -> tuple[floa
     """Fractions of odd x <= bound whose iterate is == 1 resp. 5 (mod 6).
 
     Iterates land on 6m+5 exactly when alpha is odd, which happens for
-    2/3 of the odd integers, so the pair tends to (1/3, 2/3).
+    2/3 of the odd integers, so the pair tends to (1/3, 2/3).  The counts
+    are class sizes, not a scan, so `workers` is only validated.
     """
     _require_count(bound, 1, "bound")
     _require_count(workers, 1, "workers")
-    counts = _alpha_counts(bound, workers)
+    counts = _alpha_counts(bound)
     c1 = sum(counts[2::2])
     c5 = sum(counts[1::2])
     total = c1 + c5

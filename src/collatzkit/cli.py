@@ -11,7 +11,6 @@ results identical for any worker count).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence, TextIO
@@ -103,7 +102,11 @@ def _yesno(flag: bool) -> str:
 
 def _emit(out: TextIO, fmt: str, payload: dict, text: str) -> None:
     # the one output path of every single-result command
-    out.write(json.dumps(payload) + "\n" if fmt == "json" else text)
+    if fmt == "json":
+        import json  # only JSON output needs it; not a module-level import
+
+        text = json.dumps(payload) + "\n"
+    out.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +211,7 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         else:
             # the lookup route never evaluates 3x+1, so it walks every start in full
             stats = trajectory_stats(walk(x, max_steps) for x in starts)
-        fields = {name: vars(getattr(stats, name)) for name in ("odd_length", "total_divisions", "peak")}
+        fields = {name: getattr(stats, name)._asdict() for name in ("odd_length", "total_divisions", "peak")}
         if args.format == "csv":
             text = stats_csv(stats)
         else:

@@ -13,7 +13,6 @@ All functions are pure, exact at arbitrary precision, and thread-safe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 DEFAULT_MAX_STEPS = 10**6
@@ -62,7 +61,7 @@ def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
     # iterate: alpha_of, trajectory.trajectory_direct and _range_stats, and
-    # the scan chunks analysis._alpha_chunk and _verify_chunk
+    # the scan chunk analysis._verify_chunk
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha
@@ -90,8 +89,7 @@ class Kind(enum.Enum):
     INTERMEDIARY_6M5 = "intermediary-6m+5"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: Kind
     is_terminal: bool
     is_end: bool

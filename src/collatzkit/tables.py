@@ -11,7 +11,7 @@ appears at exactly one coordinate across the two tables.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DomainError, _least_predecessor, _require_count, _require_odd, pre_terminal, terminal
 
@@ -21,15 +21,13 @@ class TableId(enum.Enum):
     B = "B"  # rows step to 6n+5
 
 
-@dataclass(frozen=True)
-class TableCoordinate:
+class TableCoordinate(NamedTuple):
     table: TableId
     column: int  # k >= 1
     row: int  # n >= 0
 
 
-@dataclass(frozen=True)
-class PredecessorRow:
+class PredecessorRow(NamedTuple):
     iterate: int
     entries: tuple[int, ...]
 

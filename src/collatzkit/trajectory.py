@@ -22,14 +22,12 @@ range's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     start: int
     iterates: tuple[int, ...]  # ends at 1
     alphas: tuple[int, ...]  # one per step
@@ -96,15 +94,13 @@ def trajectory_lookup(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryR
     raise MaxStepsExceeded(x, max_steps)
 
 
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(NamedTuple):
     minimum: int
     maximum: int
     mean: float | int  # int only where the mean is beyond float range
 
 
-@dataclass(frozen=True)
-class TrajectoryStats:
+class TrajectoryStats(NamedTuple):
     count: int
     odd_length: FieldStats
     total_divisions: FieldStats

@@ -10,9 +10,7 @@ no segment of their own.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import DomainError, _require_count, terminal
 from .tables import predecessor_row
@@ -20,14 +18,12 @@ from .tables import predecessor_row
 _FORMATS = ("dot", "json", "text")
 
 
-@dataclass(frozen=True)
-class TreeSegment:
+class TreeSegment(NamedTuple):
     parent: int | None  # None only for the root layer
     children: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TreeLayer:
+class TreeLayer(NamedTuple):
     depth: int
     segments: tuple[TreeSegment, ...]
 
@@ -35,8 +31,7 @@ class TreeLayer:
         return tuple(v for seg in self.segments for v in seg.children)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     value: int
     parent: int | None
     depth: int
@@ -99,6 +94,8 @@ def _export_dot(layers: list[TreeLayer]) -> bytes:
 
 
 def _export_json(layers: list[TreeLayer]) -> bytes:
+    import json  # only JSON output needs it; not a module-level import
+
     payload = [
         {
             "depth": layer.depth,

@@ -278,22 +278,53 @@ def brute_alpha_counts(bound):
 @example(bound=2047, max_alpha=10)
 @settings(max_examples=40, deadline=None)
 def test_alpha_scans_equal_brute_force_counts(bound, max_alpha, workers):
-    # 64 odd starts per chunk: chunks of different alpha ranges are merged,
-    # in a pool for workers > 1
+    # the worker count is accepted and cannot change the counts
     counts = brute_alpha_counts(bound)
     odds = (bound + 1) // 2
     c5 = sum(c for a, c in counts.items() if a % 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_CHUNK_ODDS", 64)
-        assert empirical_iterate_class_ratio(bound, workers=workers) == ((odds - c5) / odds, c5 / odds)
-        # the largest max_alpha the bound allows (none below 3)
-        max_alpha = min(max_alpha, (bound + 1).bit_length() - 2)
-        if max_alpha >= 1:
-            report = empirical_alpha_density(bound, max_alpha, workers=workers)
-            assert report.odd_total == odds
-            assert [(b.alpha, b.count, b.ratio) for b in report.buckets] == [
-                (a, counts.get(a, 0), counts.get(a, 0) / odds) for a in range(1, max_alpha + 1)
-            ]
+    assert empirical_iterate_class_ratio(bound, workers=workers) == ((odds - c5) / odds, c5 / odds)
+    # the largest max_alpha the bound allows (none below 3)
+    max_alpha = min(max_alpha, (bound + 1).bit_length() - 2)
+    if max_alpha >= 1:
+        report = empirical_alpha_density(bound, max_alpha, workers=workers)
+        assert report.odd_total == odds
+        assert [(b.alpha, b.count, b.ratio) for b in report.buckets] == [
+            (a, counts.get(a, 0), counts.get(a, 0) / odds) for a in range(1, max_alpha + 1)
+        ]
+
+
+@given(bound=st.integers(min_value=1, max_value=5000))
+@example(bound=100001)
+@example(bound=2**17 + 1)
+@example(bound=2**18 - 1)
+@example(bound=1000001)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_alpha_counts_equal_brute_force(bound):
+    # one entry per alpha up to log2(3 * top + 1), zero where no odd <= bound has it
+    counts = analysis._alpha_counts(bound)
+    brute = brute_alpha_counts(bound)
+    assert len(counts) == (3 * (bound - 1 + bound % 2) + 1).bit_length()
+    assert max(brute) < len(counts)
+    assert counts == [brute.get(a, 0) for a in range(len(counts))]
+
+
+def test_alpha_counts_at_a_huge_bound_are_the_class_sizes():
+    # no scan: a bound of 10**300 takes one class size per alpha
+    bound = 10**300 + 1
+    counts = analysis._alpha_counts(bound)
+    assert sum(counts) == (bound + 1) // 2
+    assert counts[1] == (bound + 1) // 4 and counts[2] == (bound + 7) // 8
+
+
+def test_verify_alpha_counts_start_no_pool(monkeypatch):
+    # four chunks, all within the theorem scan's table, and the alpha counts are closed-form
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    verify_theorems(100001, workers=2)
+    empirical_alpha_density(100001, 10, workers=2)
+    empirical_iterate_class_ratio(100001, workers=2)
+    assert RecordingPool.sizes == []
 
 
 def test_verify_theorems_clean_scan():
@@ -473,10 +504,10 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected)
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    bound = 7 * 2 * 2**15 - 1  # exactly 7 chunks of odd integers
-    reference = empirical_iterate_class_ratio(bound)
+    bound = 7 * 2 * 2**15 - 1  # 7 chunks of the odd integers from 3
+    reference = empirical_drift(bound)
     assert RecordingPool.sizes == []
-    assert empirical_iterate_class_ratio(bound, workers=10**9) == reference
+    assert empirical_drift(bound, workers=10**9) == reference
     assert RecordingPool.sizes == expected
 
 
