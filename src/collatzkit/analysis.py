@@ -213,9 +213,15 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
     if workers <= 1:
         yield from map(worker, tasks)
         return
+    import signal
+
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Ctrl-C reaches the whole process group: only the parent handles it
+    # (one line, exit 1); a worker finishes its task in hand, with no traceback
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    ) as pool:
         pending = deque()
         try:
             for task in tasks:

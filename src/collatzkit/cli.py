@@ -13,42 +13,61 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from typing import Sequence, TextIO
 
-from .analysis import (
-    alpha_chain,
-    alpha_chain_length,
-    alpha_table_entry,
-    drift_report,
-    drift_series_decrease_parts,
-    empirical_alpha_density,
-    empirical_iterate_class_ratio,
-    verify_theorems,
-)
-from .core import (
-    DEFAULT_MAX_STEPS,
-    DomainError,
-    MaxStepsExceeded,
-    _require_count,
-    alpha_of,
-    classify,
-    reverse_to_starter,
-    syracuse_step,
-)
-from .tables import TableId, column_alpha, locate, predecessor_row, row_iterate, table_window_csv
-from .trajectory import (
-    _range_stats,
-    iterate_strings,
-    record_json,
-    stats_csv,
-    trajectory_direct,
-    trajectory_lookup,
-    trajectory_stats,
-)
-from .tree import build_layers, export_tree
+from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count
+
+# the library names the handlers call, by home module.  Each module is
+# imported when a command that uses it runs (_run binds its names here just
+# before dispatch) or when one of its names is read from this module, so a
+# command loads only what it uses.  A name already set here, by a test or a
+# tracer that wraps it, is never overwritten, and no handler imports one of
+# these names itself, so such a replacement is the function that gets called.
+_LIBRARY = {
+    "analysis": (
+        "alpha_chain",
+        "alpha_chain_length",
+        "alpha_table_entry",
+        "drift_report",
+        "drift_series_decrease_parts",
+        "empirical_alpha_density",
+        "empirical_iterate_class_ratio",
+        "verify_theorems",
+    ),
+    "core": ("alpha_of", "classify", "reverse_to_starter", "syracuse_step"),
+    "tables": ("TableId", "column_alpha", "locate", "predecessor_row", "row_iterate", "table_window_csv"),
+    "trajectory": (
+        "_range_stats",
+        "iterate_strings",
+        "record_json",
+        "stats_csv",
+        "trajectory_direct",
+        "trajectory_lookup",
+        "trajectory_stats",
+    ),
+    "tree": ("build_layers", "export_tree"),
+}
+
+
+def _bind(module: str) -> None:
+    home = import_module(f"{__package__}.{module}")
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: outside callers (and patchers) read the library names here
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # audit map: library operations reachable through each command (directly
-# or through the command's library calls); tests assert it is exhaustive
+# or through the command's library calls); tests assert it is exhaustive.
+# Its modules are the ones _run binds before the command runs
 OPERATION_COVERAGE = {
     "classify": ("core.classify", "core.syracuse_step", "core.alpha_of", "core.is_terminal"),
     "trajectory": (
@@ -405,6 +424,8 @@ def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> 
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for module in dict.fromkeys(op.partition(".")[0] for op in OPERATION_COVERAGE[args.command]):
+            _bind(module)
         _HANDLERS[args.command](args, out)
         return 0
     except MaxStepsExceeded as exc:

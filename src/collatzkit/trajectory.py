@@ -236,7 +236,7 @@ def iterate_strings(record: TrajectoryRecord) -> Iterable[str]:
 
 
 def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
-    import decimal  # already loaded through fractions; not a module-level import
+    import decimal  # loaded only for walks this big; not a module-level import
 
     # any loss of exactness raises instead of printing a wrong digit
     exact = decimal.Context(

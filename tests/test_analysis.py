@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -480,7 +481,7 @@ class RecordingPool:
     sizes = []
     submitted = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -532,3 +533,14 @@ def test_a_pool_scan_yields_every_chunk_in_order(monkeypatch, workers):
     spans = list(analysis._run_chunks(lambda task: task, 1, 97, workers))
     assert spans == list(analysis._run_chunks(lambda task: task, 1, 97, 1))
     assert spans[0] == (1, 7) and spans[-1] == (97, 97) and len(spans) == 13
+
+
+def _sigint_handler(task):
+    return signal.getsignal(signal.SIGINT)
+
+
+def test_pool_workers_ignore_sigint(monkeypatch):
+    # a real pool: Ctrl-C reaches the workers too, and only the parent reports it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
+    assert set(analysis._run_chunks(_sigint_handler, 1, 97, 2)) == {signal.SIG_IGN}

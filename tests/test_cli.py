@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -411,7 +413,7 @@ def test_budget_exhaustion_in_a_pool_worker_exits_3():
 
 class BrokenPool:
     # stands in for ProcessPoolExecutor: a worker died before returning
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         pass
 
     def __enter__(self):
@@ -441,6 +443,29 @@ def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     assert err.getvalue() == (
         "error: a worker process died: A process in the process pool was terminated abruptly\n"
     )
+
+
+# before, during and after the pool's start-up, which follows the theorem
+# scan's in-process table chunks
+@pytest.mark.parametrize("delay", [0.25, 0.3, 0.35, 0.45, 0.6, 0.8])
+def test_ctrl_c_during_a_pooled_scan_exits_1_with_one_line(delay):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group, workers
+    # included; only the parent may report it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzkit", "verify", "--bound", "4000001", "--workers", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(delay)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # the workers too, should the scan hang
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (1, b"error: interrupted\n")
 
 
 def test_a_direct_stats_range_walks_only_its_first_start_through_the_cli(monkeypatch):

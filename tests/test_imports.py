@@ -1,13 +1,18 @@
 """Start-up import guard: modules a command does not use stay unloaded.
 
-concurrent.futures brings in multiprocessing, logging, pickle, socket and
-subprocess, and loads only when a scan starts a pool.  The result records
-are named tuples, so dataclasses (and with it inspect) is never loaded,
-and json loads only for JSON output.  Each case runs in a fresh
-interpreter so that nothing imported by the test session can hide or
+`import collatzkit` loads no submodule: the package and `cli` import a
+library module when a name from it is first read or a command that uses it
+runs.  concurrent.futures brings in multiprocessing, logging, pickle,
+socket and subprocess, and loads only when a scan starts a pool.  The
+result records are named tuples, so dataclasses (and with it inspect) is
+never loaded, and json loads only for JSON output.  Each case runs in a
+fresh interpreter so that nothing imported by the test session can hide or
 cause a load.  No timing is asserted.
 """
 
+import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -15,10 +20,15 @@ from pathlib import Path
 
 import pytest
 
+import collatzkit
+from collatzkit import cli
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 POOL_STACK = ("concurrent.futures", "multiprocessing", "logging")
 RECORD_STACK = ("dataclasses", "inspect", "json")
+SUBMODULES = ("core", "tables", "trajectory", "tree", "analysis")
+LIBRARY = (*(f"collatzkit.{m}" for m in SUBMODULES), "fractions", "decimal")
 
 # imports nothing, so that it reports the modules exactly as `code` left them
 REPORT = "import sys; print(' '.join(m for m in {mods!r} if m in sys.modules))"
@@ -79,3 +89,100 @@ def test_the_pool_class_stays_a_module_attribute():
     from collatzkit import analysis
 
     assert hasattr(analysis, "ProcessPoolExecutor")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import collatzkit", ("collatzkit.cli", *LIBRARY)) == []
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["classify", "7"], ["collatzkit.core"]),
+        (["locate", "27"], ["collatzkit.core", "collatzkit.tables"]),
+        (["table-export", "--table", "B", "--rows", "3"], ["collatzkit.core", "collatzkit.tables"]),
+        (["tree", "--depth", "3"], ["collatzkit.core", "collatzkit.tables", "collatzkit.tree"]),
+        (["trajectory", "27"], ["collatzkit.core", "collatzkit.trajectory"]),
+    ],
+    ids=["classify", "locate", "table-export", "tree", "trajectory"],
+)
+def test_a_command_loads_only_the_library_modules_it_uses(argv, loaded):
+    assert loaded_after(f"import collatzkit.cli; collatzkit.cli.run({argv!r})", LIBRARY) == loaded
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in collatzkit.__all__:
+        home = importlib.import_module(f"collatzkit.{collatzkit._HOMES[name]}")
+        value = getattr(collatzkit, name)
+        assert value is getattr(home, name), name
+        if callable(value):  # defined there, not imported from elsewhere
+            assert value.__module__ == home.__name__, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from collatzkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(collatzkit.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    for module in (collatzkit, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
+def test_dir_lists_every_public_name_without_loading_it():
+    code = "import collatzkit; assert set(collatzkit.__all__) <= set(dir(collatzkit))"
+    assert loaded_after(code, LIBRARY) == []
+
+
+def test_submodules_resolve_after_a_bare_import():
+    code = "import collatzkit\n" + "".join(
+        f"assert collatzkit.{m}.__name__ == 'collatzkit.{m}'\n" for m in SUBMODULES
+    )
+    assert loaded_after(code, LIBRARY[:5]) == list(LIBRARY[:5])
+
+
+# a spy set on cli before any command runs, so before the name's module is
+# loaded; a benchmark tracer wraps these names the same way
+SPY = """
+import io, json
+from importlib import import_module
+from collatzkit import cli
+from collatzkit.core import DomainError
+
+def spy(*args, **kwargs):
+    raise DomainError("spied")
+
+def run():
+    out, err = io.StringIO(), io.StringIO()
+    return [cli.run({argv!r}, out, err), out.getvalue(), err.getvalue()]
+
+setattr(cli, {name!r}, spy)
+results = [run(), run()]
+setattr(cli, {name!r}, getattr(import_module("collatzkit.{home}"), {name!r}))
+print(json.dumps([*results, run()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name,home,argv",
+    [
+        ("classify", "core", ["classify", "7"]),
+        ("locate", "tables", ["locate", "27"]),
+        ("trajectory_direct", "trajectory", ["trajectory", "27"]),
+        ("build_layers", "tree", ["tree", "--depth", "2"]),
+        ("drift_report", "analysis", ["drift", "--terms", "5"]),
+    ],
+    ids=["classify", "locate", "trajectory_direct", "build_layers", "drift_report"],
+)
+def test_a_name_set_on_cli_before_any_command_is_the_one_it_calls(name, home, argv):
+    script = SPY.format(name=name, home=home, argv=argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=120, check=True
+    )
+    spied, again, restored = json.loads(proc.stdout)
+    out, err = io.StringIO(), io.StringIO()
+    normal = [cli.run(argv, out, err), out.getvalue(), err.getvalue()]
+    assert spied == again == [1, "", "error: spied\n"]
+    assert restored == normal and normal[0] == 0
