@@ -71,6 +71,7 @@ _HOMES = {
     "trajectory_lookup": "trajectory",
     "trajectory_stats": "trajectory",
     "verify_theorems": "analysis",
+    "write_record": "trajectory",
 }
 
 __all__ = list(_HOMES)

@@ -71,6 +71,9 @@ EMPIRICAL_TOLERANCE = 0.05
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
 _TABLE_CHUNKS = 4  # leading theorem-scan chunks whose odd-step counts later walks join
+# drift scans of fewer chunks run in-process whatever the worker count: each
+# chunk takes a few ms, so below this many a pool costs more than it saves
+_DRIFT_POOL_CHUNKS = 32
 
 # the pool class, imported by _run_chunks only when it starts a pool:
 # concurrent.futures loads multiprocessing, logging, pickle, socket and
@@ -330,6 +333,8 @@ def empirical_drift(bound: int, *, workers: int = 1) -> DriftReport:
     _require_count(bound, 3, "bound")
     _require_count(workers, 1, "workers")
     top = _odd_ceiling(bound)
+    if (top - 3) // (2 * _CHUNK_ODDS) + 1 < _DRIFT_POOL_CHUNKS:
+        workers = 1
     # the chunk sums add exactly as Fractions and round once, as math.fsum of them all would
     total = sum(map(Fraction, _run_chunks(_drift_chunk, 3, top, workers)))
     return DriftReport(

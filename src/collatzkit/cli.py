@@ -39,12 +39,13 @@ _LIBRARY = {
     "tables": ("TableId", "column_alpha", "locate", "predecessor_row", "row_iterate", "table_window_csv"),
     "trajectory": (
         "_range_stats",
-        "iterate_strings",
+        # called by no handler; perfbench/tracing.py wraps cli.record_json by name
         "record_json",
         "stats_csv",
         "trajectory_direct",
         "trajectory_lookup",
         "trajectory_stats",
+        "write_record",
     ),
     "tree": ("build_layers", "export_tree"),
 }
@@ -241,11 +242,9 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
     for x in starts:
-        rec = walk(x, max_steps)
-        if args.format == "json":
-            out.write(record_json(rec) + "\n")
-        else:
-            out.write(f"{rec.start} {' '.join(iterate_strings(rec))}\n")
+        # the whole record is built before its first byte is written, so a
+        # walk over budget leaves no partial line
+        write_record(out, walk(x, max_steps), args.format)
 
 
 def _cmd_predecessors(args: argparse.Namespace, out: TextIO) -> None:

@@ -3,9 +3,12 @@
 trajectory_direct repeats the (3x+1)/2**alpha step; trajectory_lookup
 never touches that formula and instead reads each next iterate off the
 predecessor-table layout: strip x -> (x-1)/4 while x == 5 (mod 8), then
-emit 6*floor(x/4)+5 or 6*floor(x/8)+1 depending on the residue.  The two
-routes must agree element for element, alphas included (the lookup route
-recovers alpha from the column it stripped through).
+emit 6*floor(x/4)+5 or 6*floor(x/8)+1 depending on the residue.  It reads
+each residue with a bit test (x & 7, x & 3) and each quotient with a shift
+(x >> 2, x >> 3; on x == 5 mod 8, x >> 2 is (x-1)/4), so no step divides
+the whole bigint.  The two routes must agree element for element, alphas
+included (the lookup route recovers alpha from the column it stripped
+through).
 
 Records hold odd iterates only; even intermediates are never materialised.
 
@@ -22,7 +25,9 @@ range's length.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+import io
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
 
@@ -80,13 +85,13 @@ def trajectory_lookup(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryR
     for _ in range(max_steps):
         # next iterate and alpha read straight off the table layout; no 3x+1 arithmetic
         strips = 0
-        while cur % 8 == 5:
-            cur = (cur - 1) // 4
+        while cur & 7 == 5:
+            cur >>= 2
             strips += 1
-        if cur % 4 == 3:
-            cur, alpha = 6 * (cur // 4) + 5, 2 * strips + 1
+        if cur & 3 == 3:
+            cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
         else:
-            cur, alpha = 6 * (cur // 8) + 1, 2 * strips + 2
+            cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
         append_i(cur)
         append_a(alpha)
         if cur == 1:
@@ -256,17 +261,44 @@ def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
             yield str(d)
 
 
+# iterates per write call of a walk line longer than this, so that no
+# string of the whole line is ever built
+_BLOCK = 256
+
+
+def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
+    """Write record as one text or JSON line, at most _BLOCK iterates per out.write.
+
+    Text is the start and the iterates, space-separated; JSON is the line
+    record_json returns.  A record of at most _BLOCK iterates is one write.
+    """
+    if fmt == "json":
+        head, sep = f'{{"start":{record.start},"iterates":[', ","
+        tail = (
+            f'],"alphas":[{",".join(map(str, record.alphas))}],"odd_length":{record.odd_length},'
+            f'"total_divisions":{record.total_divisions},"peak":{record.peak}}}\n'
+        )
+    else:
+        head, sep, tail = f"{record.start} ", " ", "\n"
+    strings = iter(iterate_strings(record))
+    if record.odd_length <= _BLOCK:
+        out.write(head + sep.join(strings) + tail)
+        return
+    out.write(head + sep.join(islice(strings, _BLOCK)))
+    while block := sep.join(islice(strings, _BLOCK)):
+        out.write(sep + block)
+    out.write(tail)
+
+
 def record_json(record: TrajectoryRecord) -> str:
-    """One JSON line per trajectory, for streaming output.
+    """One JSON line per trajectory, without its newline.
 
     Byte-identical to json.dumps(..., separators=(",", ":")) of the record's
     fields, but built directly: every field is an int or a list of ints.
     """
-    return (
-        f'{{"start":{record.start},"iterates":[{",".join(iterate_strings(record))}],'
-        f'"alphas":[{",".join(map(str, record.alphas))}],"odd_length":{record.odd_length},'
-        f'"total_divisions":{record.total_divisions},"peak":{record.peak}}}'
-    )
+    buf = io.StringIO()
+    write_record(buf, record, "json")
+    return buf.getvalue()[:-1]
 
 
 def stats_csv(stats: TrajectoryStats) -> str:

@@ -506,9 +506,21 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     bound = 7 * 2 * 2**15 - 1  # 7 chunks of the odd integers from 3
-    reference = empirical_drift(bound)
+    reference = list(analysis._run_chunks(analysis._drift_chunk, 3, bound, 1))
     assert RecordingPool.sizes == []
-    assert empirical_drift(bound, workers=10**9) == reference
+    assert list(analysis._run_chunks(analysis._drift_chunk, 3, bound, 10**9)) == reference
+    assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize("chunks,expected", [(1, []), (31, []), (32, [2]), (40, [2])])
+def test_drift_starts_a_pool_from_32_chunks_on(monkeypatch, chunks, expected):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
+    bound = 3 + 2 * 4 * (chunks - 1)  # the first odd of the last chunk
+    reference = empirical_drift(bound)
+    assert empirical_drift(bound, workers=2) == reference
     assert RecordingPool.sizes == expected
 
 

@@ -393,6 +393,54 @@ def test_budget_exhaustion_at_a_huge_bound_exits_3_in_bounded_memory():
     assert proc.stderr == "error: budget of 5 steps exhausted starting from 9\n"
 
 
+# runs argv and prints its exit code, the sha256 of its stdout and its peak
+# RSS in KiB.  A child's ru_maxrss starts from the peak of the process it was
+# forked from, which for pytest itself can be hundreds of MiB, so the walk is
+# measured as the child of this small process
+RSS_DRIVER = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+sha = hashlib.sha256()
+while chunk := proc.stdout.read(1 << 20):
+    sha.update(chunk)
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, sha.hexdigest(), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "options,digest",
+    [
+        ([], "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec"),
+        (["--format", "json"], "648669bece2b2885f00fba2ea787561da539a3a5581e8f7e5d808f06375c217c"),
+        (["--method", "lookup"], "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec"),
+    ],
+    ids=["text", "json", "lookup"],
+)
+def test_a_big_walk_is_written_in_bounded_memory(options, digest):
+    # the 33 MB line of 2**5000 - 1 goes out in blocks of iterates: the
+    # walk holds the record's ints (about 16 MB) but never the whole line,
+    # which took its peak RSS to 125 MiB.  Run under a 1 GiB address-space cap
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        f"sys.argv = ['collatzkit', 'trajectory', str(2**5000 - 1), *{options!r}]\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_DRIVER, sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, sha, max_rss_kib = proc.stdout.split()
+    assert (proc.returncode, proc.stderr, code, sha) == (0, "", "0", digest)
+    assert int(max_rss_kib) < 64 * 1024
+
+
 def test_budget_exhaustion_in_a_pool_worker_exits_3():
     # seven chunks: four build the theorem scan's table in the calling
     # process, three go to the pool; every start below 2**18 takes at most
@@ -431,8 +479,9 @@ class BrokenPool:
         return future
 
 
-# verify pools only the theorem-scan chunks past its table, which ends at 2**18
-@pytest.mark.parametrize("argv", [["verify", "--bound", "458751"], ["drift", "--bound", "70001"]])
+# verify pools only the theorem-scan chunks past its table, which ends at 2**18;
+# drift pools only a scan of 32 chunks or more
+@pytest.mark.parametrize("argv", [["verify", "--bound", "458751"], ["drift", "--bound", "2097151"]])
 def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     from collatzkit import analysis
 

@@ -68,6 +68,12 @@ MATRIX = {
     "trajectory 27": ("db957f8af4e6860cb9a08524933d3e9a6dc17cd50f06cf470ca5a785d3ddbc55", 0),
     "trajectory 27 --format json": ("d3f60b0e8f2f8447f82c841948faf412ba48fb051bca8419633709e80e475942", 0),
     "trajectory 27 --method lookup --format json": ("d3f60b0e8f2f8447f82c841948faf412ba48fb051bca8419633709e80e475942", 0),
+    # 2**1100 - 1: 5108 iterates, so 20 blocks per line, up to 1743 bits, so
+    # rendered by the Decimal route
+    f"trajectory {2**1100 - 1}": ("eb165ed32692d257988be265c6df632283c04029ae532b26f94cbb753665416b", 0),
+    f"trajectory {2**1100 - 1} --method lookup": ("eb165ed32692d257988be265c6df632283c04029ae532b26f94cbb753665416b", 0),
+    f"trajectory {2**1100 - 1} --format json": ("7d6add423086621674433d8474e30c131f075a4ce8a6c2df3dfed1e8660007b3", 0),
+    f"trajectory {2**1100 - 1} --method lookup --format json": ("7d6add423086621674433d8474e30c131f075a4ce8a6c2df3dfed1e8660007b3", 0),
     "trajectory 3 --end 99": ("8d412ec74b8393cecf2d7521a0d0e7ec30e8c896907af5c521b80feb8af09520", 0),
     "trajectory 3 --format csv": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "trajectory 3 --end 99 --stats": ("fb8aa65b2384a9cfd58f1862d62c0b845bf1be575d4b7d638acfb606eaefbaa1", 0),

@@ -76,9 +76,9 @@ def test_json_output_loads_json():
 
 
 def test_a_pooled_scan_gives_the_single_process_output():
-    # two chunks: with two or more CPUs this starts a real pool
+    # 32 chunks, the fewest a drift scan pools: with two or more CPUs this starts a real pool
     def drift(workers):
-        argv = [sys.executable, "-m", "collatzkit", "drift", "--bound", "70001", "--workers", workers]
+        argv = [sys.executable, "-m", "collatzkit", "drift", "--bound", "2097151", "--workers", workers]
         return subprocess.run(argv, capture_output=True, env=ENV, timeout=120, check=True).stdout
 
     assert drift("2") == drift("1")

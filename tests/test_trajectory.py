@@ -1,8 +1,10 @@
 import ast
 import inspect
+import io
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -17,7 +19,9 @@ from collatzkit import (
     trajectory_direct,
     trajectory_lookup,
     trajectory_stats,
+    write_record,
 )
+from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
 from collatzkit.trajectory import DECIMAL_MIN_BITS, _range_stats, iterate_strings
@@ -112,6 +116,17 @@ def test_direct_equals_lookup_and_a_reference_walk_up_to_2000_bits(x):
     fields = (direct.iterates, direct.alphas, direct.odd_length, direct.total_divisions, direct.peak)
     assert direct.start == x
     assert fields == reference_record(x)
+
+
+@given(
+    x=st.integers(min_value=1, max_value=3000)
+    .flatmap(lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
+    .map(lambda n: n | 1)
+)
+@example(x=2**3000 - 1)
+@settings(max_examples=30, deadline=None)
+def test_lookup_equals_direct_up_to_3000_bits(x):
+    assert trajectory_lookup(x) == trajectory_direct(x)
 
 
 def test_no_duplicates_and_no_multiples_of_three():
@@ -238,6 +253,61 @@ def test_iterate_strings_walk_crosses_the_cutover_both_ways():
     big = [v.bit_length() >= DECIMAL_MIN_BITS for v in rec.iterates]
     assert {(False, True), (True, False)} <= set(zip(big, big[1:]))
     assert list(iterate_strings(rec)) == [str(v) for v in rec.iterates]
+
+
+def iterate_offsets(head, sep, strings):
+    # where each iterate's digits begin in the line
+    offsets, pos = [], len(head)
+    for text in strings:
+        offsets.append(pos)
+        pos += len(text) + len(sep)
+    return offsets
+
+
+write_starts = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=1300).flatmap(
+        lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+    ),
+).map(lambda n: 2 * n + 1)
+
+
+@given(x=write_starts)
+@example(x=1)  # one iterate
+@example(x=17)  # three iterates: one patched block, one write
+@example(x=11)  # four iterates: one past the patched block
+@example(x=2**1100 - 1)
+@settings(max_examples=40, deadline=None)
+def test_write_record_equals_the_joined_line_in_bounded_writes(x):
+    # blocks of 3 iterates, and the Decimal route from 64 bits on, so both
+    # boundaries fall inside most walks
+    with patch.object(trajectory_module, "_BLOCK", 3), patch.object(trajectory_module, "DECIMAL_MIN_BITS", 64):
+        for rec in (trajectory_direct(x), trajectory_lookup(x)):
+            digits = [str(v) for v in rec.iterates]
+            for fmt, line, head, sep in (
+                ("text", f"{x} {' '.join(digits)}\n", f"{x} ", " "),
+                ("json", _old_record_json(rec) + "\n", f'{{"start":{x},"iterates":[', ","),
+            ):
+                writes = []  # each write kept apart
+                write_record(SimpleNamespace(write=writes.append), rec, fmt)
+                assert "".join(writes) == line
+                if rec.odd_length <= 3:
+                    assert writes == [line]
+                offsets = iterate_offsets(head, sep, digits)
+                pos = 0
+                for text in writes:
+                    assert sum(pos <= o < pos + len(text) for o in offsets) <= 3
+                    pos += len(text)
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "json"], ["--method", "lookup"]])
+def test_a_walk_over_budget_writes_nothing(monkeypatch, options):
+    # the record is built before any of its bytes are written
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", "100")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["trajectory", str(2**1100 - 1), *options], out, err) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: budget of 100 steps exhausted starting from {2**1100 - 1}\n"
 
 
 def test_stats_csv_layout():
