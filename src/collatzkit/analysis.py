@@ -228,7 +228,13 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
         pending = deque()
         try:
             for task in tasks:
-                pending.append(pool.submit(worker, task))
+                # submit may fork a worker: SIGINT waits until it returns, so
+                # the at-fork hooks cannot swallow it, nor the new worker see it
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pending.append(pool.submit(worker, task))
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
             while pending:

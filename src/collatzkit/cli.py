@@ -16,54 +16,28 @@ import sys
 from importlib import import_module
 from typing import Sequence, TextIO
 
+from . import _HOMES
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count
 
-# the library names the handlers call, by home module.  Each module is
-# imported when a command that uses it runs (_run binds its names here just
-# before dispatch) or when one of its names is read from this module, so a
+# every public name (collatzkit._HOMES) is served here too.  A module's
+# names are bound when a command that uses the module runs (_run binds them
+# just before dispatch) or when the first of them is read from here, so a
 # command loads only what it uses.  A name already set here, by a test or a
-# tracer that wraps it, is never overwritten, and no handler imports one of
-# these names itself, so such a replacement is the function that gets called.
-_LIBRARY = {
-    "analysis": (
-        "alpha_chain",
-        "alpha_chain_length",
-        "alpha_table_entry",
-        "drift_report",
-        "drift_series_decrease_parts",
-        "empirical_alpha_density",
-        "empirical_iterate_class_ratio",
-        "verify_theorems",
-    ),
-    "core": ("alpha_of", "classify", "reverse_to_starter", "syracuse_step"),
-    "tables": ("TableId", "column_alpha", "locate", "predecessor_row", "row_iterate", "table_window_csv"),
-    "trajectory": (
-        "_range_stats",
-        # called by no handler; perfbench/tracing.py wraps cli.record_json by name
-        "record_json",
-        "stats_csv",
-        "trajectory_direct",
-        "trajectory_lookup",
-        "trajectory_stats",
-        "write_record",
-    ),
-    "tree": ("build_layers", "export_tree"),
-}
-
-
+# tracer that wraps it, is never overwritten, and no handler imports a
+# public name itself, so such a replacement is the function that gets called.
 def _bind(module: str) -> None:
     home = import_module(f"{__package__}.{module}")
-    for name in _LIBRARY[module]:
-        globals().setdefault(name, getattr(home, name))
+    for name, where in _HOMES.items():
+        if where == module:
+            globals().setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
     # PEP 562: outside callers (and patchers) read the library names here
-    for module, names in _LIBRARY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOMES[name])
+    return globals()[name]
 
 
 # audit map: library operations reachable through each command (directly
@@ -120,13 +94,21 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _write(out: TextIO, text: str) -> None:
+    # at most 64 KiB per out.write: one large write to a pipe whose reader
+    # has gone can return quietly, while a later one raises BrokenPipeError
+    # and main exits 1
+    for i in range(0, len(text), 1 << 16):
+        out.write(text[i : i + (1 << 16)])
+
+
 def _emit(out: TextIO, fmt: str, payload: dict, text: str) -> None:
     # the one output path of every single-result command
     if fmt == "json":
         import json  # only JSON output needs it; not a module-level import
 
         text = json.dumps(payload) + "\n"
-    out.write(text)
+    _write(out, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +206,8 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         starts = range(first, args.end + 1, 2)
     if args.stats:
         if args.method == "direct" and starts:
+            from .trajectory import _range_stats
+
             # the first start goes through this module's trajectory_direct
             # (perfbench/tracing.py counts direct steps there); the later
             # starts' walks join the earlier ones without records
@@ -273,7 +257,7 @@ def _cmd_locate(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_tree(args: argparse.Namespace, out: TextIO) -> None:
     layers = build_layers(args.depth, args.breadth)
-    out.write(export_tree(layers, args.format).decode("utf-8"))
+    _write(out, export_tree(layers, args.format).decode("utf-8"))
 
 
 def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
@@ -382,7 +366,7 @@ def _cmd_table_export(args: argparse.Namespace, out: TextIO) -> None:
     cols = args.cols
     if cols is None:
         cols = 5 if table is TableId.A else 6
-    out.write(table_window_csv(table, args.rows, cols))
+    _write(out, table_window_csv(table, args.rows, cols))
 
 
 _HANDLERS = {

@@ -60,8 +60,8 @@ class SyracuseResult(NamedTuple):
 def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
-    # iterate: alpha_of, trajectory.trajectory_direct and _range_stats, and
-    # the scan chunk analysis._verify_chunk
+    # iterate: trajectory.trajectory_direct and _range_stats, and the scan
+    # chunk analysis._verify_chunk
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha
@@ -77,8 +77,7 @@ def syracuse_step(x: int) -> SyracuseResult:
 def alpha_of(x: int) -> int:
     """Exact power of 2 dividing 3*x + 1."""
     _require_odd(x)
-    t = 3 * x + 1
-    return (t & -t).bit_length() - 1
+    return _raw_step(x)[1]
 
 
 class Kind(enum.Enum):

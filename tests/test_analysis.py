@@ -556,3 +556,17 @@ def test_pool_workers_ignore_sigint(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     assert set(analysis._run_chunks(_sigint_handler, 1, 97, 2)) == {signal.SIG_IGN}
+
+
+def _sigint_blocked(task):
+    return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+
+def test_sigint_is_held_while_a_task_is_submitted(monkeypatch):
+    # submit may fork a worker: a SIGINT during the fork would be lost in the
+    # at-fork hooks, or reach the worker before it ignores SIGINT
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
+    assert set(analysis._run_chunks(_sigint_blocked, 1, 97, 2)) == {True}
+    assert not _sigint_blocked(None)

@@ -228,13 +228,25 @@ def test_json_record_past_the_digit_limit():
     assert invoke_under_default_limit("trajectory", arg, "--format", "json") == (0, expected, "")
 
 
-def test_closed_pipe_exits_1_without_traceback():
+# a walk range writes line by line; each of the others writes 0.5-2.7 MB as
+# one text, and one write that large to a pipe whose reader has gone can
+# return quietly, so it goes out in blocks
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "1", "--end", "2000001"],
+        ["alpha-table", "--rows", "200", "--cols", "200", "--format", "csv"],
+        ["predecessors", "7", "--count", "3000"],
+        ["table-export", "--table", "A", "--rows", "3000", "--cols", "40"],
+        ["tree", "--depth", "9", "--breadth", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "collatzkit", "trajectory", "1", "--end", "2000001"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        [sys.executable, "-m", "collatzkit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
     )
-    assert proc.stdout.readline() == b"1 1\n"
+    assert len(proc.stdout.read(100)) == 100  # as `| head -c 100` would
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
@@ -494,19 +506,31 @@ def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     )
 
 
-# before, during and after the pool's start-up, which follows the theorem
-# scan's in-process table chunks
-@pytest.mark.parametrize("delay", [0.25, 0.3, 0.35, 0.45, 0.6, 0.8])
+# the command's child: a SIGINT before its ready line would land in
+# interpreter start-up, before any collatzkit handler exists
+INTERRUPTIBLE = """
+import sys
+from collatzkit import cli
+print("ready", flush=True)
+sys.argv = ["collatzkit", "verify", "--bound", "4000001", "--workers", "2"]
+cli.main()
+"""
+
+
+# from the ready line: before, during and after the pool's start-up, which
+# follows the theorem scan's in-process table chunks
+@pytest.mark.parametrize("delay", [0.05, 0.1, 0.15, 0.25, 0.4, 0.6])
 def test_ctrl_c_during_a_pooled_scan_exits_1_with_one_line(delay):
     # a terminal's Ctrl-C sends SIGINT to the whole process group, workers
     # included; only the parent may report it
     proc = subprocess.Popen(
-        [sys.executable, "-m", "collatzkit", "verify", "--bound", "4000001", "--workers", "2"],
-        stdout=subprocess.DEVNULL,
+        [sys.executable, "-c", INTERRUPTIBLE],
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
     )
     try:
+        assert proc.stdout.readline() == b"ready\n"
         time.sleep(delay)
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
@@ -533,6 +557,8 @@ def test_a_direct_stats_range_walks_only_its_first_start_through_the_cli(monkeyp
 
 
 def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
+    from collatzkit import trajectory
+
     calls = []
 
     def counting(x, max_steps):
@@ -541,7 +567,7 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
 
     monkeypatch.setattr(cli, "trajectory_lookup", counting)
     monkeypatch.setattr(cli, "trajectory_direct", None)
-    monkeypatch.setattr(cli, "_range_stats", None)
+    monkeypatch.setattr(trajectory, "_range_stats", None)
     code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
     assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
 

@@ -10,12 +10,15 @@ fresh interpreter so that nothing imported by the test session can hide or
 cause a load.  No timing is asserted.
 """
 
+import builtins
+import dis
 import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,42 @@ def test_unknown_names_raise_attribute_error():
     for module in (collatzkit, cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+
+
+def test_cli_serves_exactly_the_public_names():
+    for name in collatzkit.__all__:
+        assert getattr(cli, name) is getattr(collatzkit, name), name
+    # private library names and submodules are read from their modules
+    for name in ("_range_stats", "_raw_step", "trajectory"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
+
+
+def global_reads(code):
+    # the LOAD_GLOBAL names of code and of the code objects nested in it:
+    # generator expressions, and on 3.11 comprehensions, compile to their own
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= global_reads(const)
+    return names
+
+
+def test_every_global_a_cli_function_reads_exists():
+    # cli's own globals, before any command binds a library name there; a
+    # read of anything else is a NameError when the function runs
+    code = "import json, collatzkit.cli as c; print(json.dumps(sorted(vars(c))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=120, check=True
+    )
+    known = {*json.loads(proc.stdout), *dir(builtins), *collatzkit._HOMES}
+    functions = [
+        f for f in vars(cli).values() if isinstance(f, types.FunctionType) and f.__module__ == cli.__name__
+    ]
+    assert {cli._emit, cli._cmd_classify, cli._cmd_trajectory} <= set(functions)
+    reads = set().union(*(global_reads(f.__code__) for f in functions))
+    assert {"classify", "trajectory_direct", "verify_theorems"} <= reads
+    assert reads - known == set()
 
 
 def test_dir_lists_every_public_name_without_loading_it():
