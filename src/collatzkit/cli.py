@@ -225,6 +225,14 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             )
         _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
+    if args.end is not None and args.method == "direct":
+        if starts:
+            from .trajectory import _write_range
+
+            # as with --stats, only the first start goes through this
+            # module's trajectory_direct; later lines join earlier ones
+            _write_range(out, trajectory_direct(starts[0], max_steps), starts[-1], args.format, max_steps)
+        return
     for x in starts:
         # the whole record is built before its first byte is written, so a
         # walk over budget leaves no partial line

@@ -21,6 +21,14 @@ peak(y), since a peak never counts its own start.  Each walk therefore
 steps only until it falls onto an earlier start of the range.  The table
 of summarised starts holds at most _MEMO_STARTS entries, whatever the
 range's length.
+
+The record lines of a direct range (_write_range) join the same way: past
+y, x's iterates and alphas are y's, so x's line is its own walk up to y
+(y included) followed by y's rendered iterate and alpha strings, with the
+summed odd_length and total_divisions and the larger peak.  Only lines of
+at most _BLOCK iterates are kept, _MEMO_CHARS characters of them in all;
+a walk that joins none of them, or whose joined line would pass _BLOCK
+iterates, is built as a record and written by write_record.
 """
 
 from __future__ import annotations
@@ -266,20 +274,29 @@ def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
 _BLOCK = 256
 
 
+def _frame(
+    fmt: str, start: int, alphas: str, odd_length: int, total_divisions: int, peak: int
+) -> tuple[str, str, str]:
+    # head, iterate separator and tail of a walk line; alphas (the joined
+    # alpha string) is read only by JSON
+    if fmt == "json":
+        return (
+            f'{{"start":{start},"iterates":[',
+            ",",
+            f'],"alphas":[{alphas}],"odd_length":{odd_length},'
+            f'"total_divisions":{total_divisions},"peak":{peak}}}\n',
+        )
+    return f"{start} ", " ", "\n"
+
+
 def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     """Write record as one text or JSON line, at most _BLOCK iterates per out.write.
 
     Text is the start and the iterates, space-separated; JSON is the line
     record_json returns.  A record of at most _BLOCK iterates is one write.
     """
-    if fmt == "json":
-        head, sep = f'{{"start":{record.start},"iterates":[', ","
-        tail = (
-            f'],"alphas":[{",".join(map(str, record.alphas))}],"odd_length":{record.odd_length},'
-            f'"total_divisions":{record.total_divisions},"peak":{record.peak}}}\n'
-        )
-    else:
-        head, sep, tail = f"{record.start} ", " ", "\n"
+    alphas = ",".join(map(str, record.alphas)) if fmt == "json" else ""
+    head, sep, tail = _frame(fmt, record.start, alphas, record.odd_length, record.total_divisions, record.peak)
     strings = iter(iterate_strings(record))
     if record.odd_length <= _BLOCK:
         out.write(head + sep.join(strings) + tail)
@@ -288,6 +305,75 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     while block := sep.join(islice(strings, _BLOCK)):
         out.write(sep + block)
     out.write(tail)
+
+
+# characters of iterate and alpha strings a direct range's line memo holds
+_MEMO_CHARS = 2**20
+
+
+def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_steps: int) -> None:
+    """write_record of the direct records of the odd starts first.start..last.
+
+    first is the range's first record.  Every later start x is walked
+    until it reaches 1 or an earlier start y of the range whose line is in
+    the memo; its line is then the walk's own iterates followed by y's
+    (see the module docstring).  A walk that joins nothing becomes a
+    record and goes through write_record.  A start whose walk passes
+    max_steps odd steps raises MaxStepsExceeded before any byte of its
+    line, so the lines before the first failing start are all written.
+    """
+    lo = first.start
+    as_json = fmt == "json"
+    sep = "," if as_json else " "
+    # start -> (iterate string, alpha string, odd_length, total_divisions,
+    # peak) of lines of at most _BLOCK iterates, until room runs out
+    memo: dict[int, tuple[str, str, int, int, int]] = {}
+    get = memo.get
+    room = _MEMO_CHARS
+    for x in range(lo, last + 1, 2):
+        record = first if x == lo else None
+        if record is None:
+            iterates: list[int] = []
+            alphas: list[int] = []
+            append_i = iterates.append
+            append_a = alphas.append
+            cur = x
+            for steps in range(1, max_steps + 1):
+                # the step, inlined: no call per iterate
+                t = 3 * cur + 1
+                alpha = (t & -t).bit_length() - 1
+                cur = t >> alpha
+                append_i(cur)
+                append_a(alpha)
+                if cur == 1:
+                    record = _record(x, iterates, alphas)
+                    break
+                if lo <= cur < x and (joined := get(cur)) is not None and steps + joined[2] <= _BLOCK:
+                    break
+            else:
+                raise MaxStepsExceeded(x, max_steps)
+        if record is None:
+            # the walk joined y = cur: x's line is its walk up to y, then y's
+            y_its, y_alps, y_len, y_divs, y_peak = joined
+            length = steps + y_len
+            if length > max_steps:
+                raise MaxStepsExceeded(x, max_steps)
+            its = sep.join(map(str, iterates)) + sep + y_its
+            alps = ",".join(map(str, alphas)) + "," + y_alps if as_json else ""
+            divs = sum(alphas) + y_divs
+            peak = max(max(iterates), y_peak)
+            head, _, tail = _frame(fmt, x, alps, length, divs, peak)
+            out.write(head + its + tail)
+        else:
+            write_record(out, record, fmt)
+            if room <= 0 or record.odd_length > _BLOCK:
+                continue
+            its = sep.join(map(str, record.iterates))
+            alps = ",".join(map(str, record.alphas)) if as_json else ""
+            length, divs, peak = record.odd_length, record.total_divisions, record.peak
+        if room > 0:
+            memo[x] = (its, alps, length, divs, peak)
+            room -= len(its) + len(alps)
 
 
 def record_json(record: TrajectoryRecord) -> str:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from collatzkit import cli, trajectory_direct, trajectory_lookup
+from collatzkit import cli, record_json, trajectory_direct, trajectory_lookup
 from collatzkit.cli import OPERATION_COVERAGE, run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -453,6 +453,28 @@ def test_a_big_walk_is_written_in_bounded_memory(options, digest):
     assert int(max_rss_kib) < 64 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_joined_range_is_written_in_bounded_memory():
+    # 32768 lines, 10.7 MB of JSON: the line memo fills its 2**20-character
+    # budget many times over, and later lines still join the kept ones
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        "sys.argv = ['collatzkit', 'trajectory', '1', '--end', '65535', '--format', 'json']\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_DRIVER, sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, sha, max_rss_kib = proc.stdout.split()
+    digest = "1747ccef7409d4bb5324eb107524919d7d93bff913c70b7002f6384548d3fdbf"
+    assert (proc.returncode, proc.stderr, code, sha) == (0, "", "0", digest)
+    assert int(max_rss_kib) < 32 * 1024
+
+
 def test_budget_exhaustion_in_a_pool_worker_exits_3():
     # seven chunks: four build the theorem scan's table in the calling
     # process, three go to the pool; every start below 2**18 takes at most
@@ -570,6 +592,38 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
     monkeypatch.setattr(trajectory, "_range_stats", None)
     code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
     assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
+
+
+def test_a_direct_range_walks_only_its_first_start_through_cli(monkeypatch):
+    # the later lines join earlier ones inside trajectory._write_range
+    calls = []
+
+    def counting(x, max_steps):
+        calls.append(x)
+        return trajectory_direct(x, max_steps)
+
+    monkeypatch.setattr(cli, "trajectory_direct", counting)
+    monkeypatch.setattr(cli, "trajectory_lookup", None)
+    code, out, err = invoke("trajectory", "3", "--end", "99", "--format", "json")
+    assert (code, err, calls) == (0, "", [3])
+    assert out == "".join(record_json(trajectory_direct(x)) + "\n" for x in range(3, 100, 2))
+
+
+def test_a_lookup_range_walks_every_start_by_lookup(monkeypatch):
+    from collatzkit import trajectory
+
+    calls = []
+
+    def counting(x, max_steps):
+        calls.append(x)
+        return trajectory_lookup(x, max_steps)
+
+    monkeypatch.setattr(cli, "trajectory_lookup", counting)
+    monkeypatch.setattr(cli, "trajectory_direct", None)
+    monkeypatch.setattr(trajectory, "_write_range", None)
+    code, out, err = invoke("trajectory", "3", "--end", "99", "--method", "lookup")
+    assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
+    assert out == "".join(f"{x} {' '.join(map(str, trajectory_direct(x).iterates))}\n" for x in range(3, 100, 2))
 
 
 def test_interrupt_exits_1_with_one_line(monkeypatch, capsys):

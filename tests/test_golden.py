@@ -89,6 +89,16 @@ MATRIX = {
     # 2**64 + 1 to 2**64 + 199
     "trajectory 18446744073709551617 --end 18446744073709551815 --stats": ("dd1c141c6465270ebd4b4eb16e76d3b7125a0ce58ca82852befeb3c8299d53b6", 0),
     "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001 --stats": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    # record lines of a range: direct starts past the first join the lines
+    # of earlier starts, lookup walks every start in full; 2**64 + 1 to
+    # 2**64 + 199 joins nothing (every line is longer than a block); an empty
+    # range writes nothing; a range over budget keeps its earlier lines
+    "trajectory 1 --end 2001": ("1338934758b1bf41dba4863c9f09f11483d140502997462e0d61d7567c88baff", 0),
+    "trajectory 899 --end 25899 --format json": ("a4a03a1771892f5cfbd630980665f05296b433bea0d7beddfdb4abe9675db9ed", 0),
+    "trajectory 1 --end 2001 --method lookup --format json": ("328f5c60502d72c0e44d8194fa0dacb072df6a80b693756405eda16edaae7b10", 0),
+    "trajectory 18446744073709551617 --end 18446744073709551815": ("6e63563e540f932d2cc3b3ec0245a282ae8d1c51e5eb351de202360110c60cfb", 0),
+    "trajectory 4 --end 4": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001": ("f55e85669c68ea52fe37db8f2ffd1b193979e75d9bd0aee6f8ccd2bad63d89ce", 3),
     "trajectory 9 --end 7": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "predecessors 41 --count 3": ("39ecf059e48c88f532da9697f75095b472602bfd1a6682236a452e2dfe783ce2", 0),
     "predecessors 41 --count 3 --format json": ("962b814a1d12c90f2977b4fe074db42228acc4d4dfd2422d0962b8ee2b04e266", 0),

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -24,7 +25,7 @@ from collatzkit import (
 from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
-from collatzkit.trajectory import DECIMAL_MIN_BITS, _range_stats, iterate_strings
+from collatzkit.trajectory import DECIMAL_MIN_BITS, _range_stats, _write_range, iterate_strings
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -384,3 +385,110 @@ def test_the_memo_table_stops_at_its_cap(monkeypatch):
         sys.settrace(None)
     assert stats == expected
     assert columns == [8, 8, 8]
+
+
+def write_range(first, last, fmt, max_steps, joined):
+    # the writes of the lines of the odd starts first..last, and the
+    # (start, budget) of the MaxStepsExceeded they raise, if any
+    writes = []
+    out = SimpleNamespace(write=writes.append)
+    try:
+        if joined:
+            _write_range(out, trajectory_direct(first, max_steps), last, fmt, max_steps)
+        else:
+            for x in range(first, last + 1, 2):
+                write_record(out, trajectory_direct(x, max_steps), fmt)
+    except MaxStepsExceeded as exc:
+        return writes, (exc.start, exc.max_steps)
+    return writes, None
+
+
+# (first start, width): small, 64-bit and about 1100-bit starts, the
+# widths kept so that a range walks at most some thousands of iterates
+written_ranges = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=800)),
+    st.tuples(st.integers(min_value=2**62, max_value=2**63), st.integers(min_value=0, max_value=60)),
+    st.tuples(st.integers(min_value=2**1098, max_value=2**1099), st.integers(min_value=0, max_value=4)),
+).map(lambda pair: (2 * pair[0] + 1, 2 * pair[1]))
+
+
+@given(
+    written=written_ranges,
+    fmt=st.sampled_from(["text", "json"]),
+    block=st.sampled_from([3, 256]),
+    room=st.sampled_from([24, trajectory_module._MEMO_CHARS]),
+)
+@example(written=(1, 1600), fmt="text", block=3, room=24)
+@example(written=(1, 1600), fmt="json", block=3, room=trajectory_module._MEMO_CHARS)
+@example(written=(1, 4000), fmt="json", block=256, room=24)
+@example(written=(2**64 + 1, 198), fmt="text", block=256, room=trajectory_module._MEMO_CHARS)
+@example(written=(2**1100 - 1, 0), fmt="json", block=3, room=24)
+@settings(max_examples=60, deadline=None)
+def test_joined_range_lines_equal_the_full_records_in_bounded_writes(written, fmt, block, room):
+    # blocks of 3 iterates: a joined line is at most 3 iterates and most
+    # lines are longer, so written by write_record in several blocks; a
+    # memo of 24 characters fills at once; the Decimal route from 64 bits on
+    first, width = written
+    last = first + width
+    with (
+        patch.object(trajectory_module, "_BLOCK", block),
+        patch.object(trajectory_module, "_MEMO_CHARS", room),
+        patch.object(trajectory_module, "DECIMAL_MIN_BITS", 64),
+    ):
+        writes, error = write_range(first, last, fmt, 10**6, True)
+        assert error is None
+        assert writes == write_range(first, last, fmt, 10**6, False)[0]
+    # where each line and each of its iterates begins in the stream
+    offsets, short_lines, pos = [], [], 0
+    for x in range(first, last + 1, 2):
+        rec = trajectory_direct(x)
+        head, sep = (f"{x} ", " ") if fmt == "text" else (f'{{"start":{x},"iterates":[', ",")
+        line = record_json(rec) + "\n" if fmt == "json" else f"{x} {' '.join(map(str, rec.iterates))}\n"
+        if rec.odd_length <= block:
+            short_lines.append((pos, line))
+        offsets.extend(pos + o for o in iterate_offsets(head, sep, map(str, rec.iterates)))
+        pos += len(line)
+    spans, pos = {}, 0
+    for text in writes:
+        assert bisect_left(offsets, pos + len(text)) - bisect_left(offsets, pos) <= block
+        spans[pos] = text
+        pos += len(text)
+    assert all(spans.get(at) == line for at, line in short_lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("first", [1, 101, 2**64 + 1])
+def test_a_joined_range_over_budget_stops_at_the_full_records_start(first, fmt):
+    for max_steps in range(1, 41):
+        joined = write_range(first, first + 2000, fmt, max_steps, True)
+        assert joined == write_range(first, first + 2000, fmt, max_steps, False)
+        assert joined[1] is not None
+
+
+def test_the_line_memo_stops_at_its_budget(monkeypatch):
+    # the memo as _write_range returns: its strings pass the budget by at
+    # most the last line it took in
+    memos = []
+
+    def trace_calls(frame, event, arg):
+        if frame.f_code is not _write_range.__code__:
+            return None
+
+        def trace_lines(frame, event, arg):
+            if event == "return":
+                memos.append(dict(frame.f_locals["memo"]))
+            return trace_lines
+
+        return trace_lines
+
+    monkeypatch.setattr(trajectory_module, "_MEMO_CHARS", 2000)
+    expected = write_range(1, 4001, "json", 10**6, False)
+    sys.settrace(trace_calls)
+    try:
+        assert write_range(1, 4001, "json", 10**6, True) == expected
+    finally:
+        sys.settrace(None)
+    [memo] = memos
+    sizes = [len(its) + len(alps) for its, alps, *_ in memo.values()]
+    assert 2000 <= sum(sizes) < 2000 + sizes[-1]
+    assert all(entry[2] <= trajectory_module._BLOCK for entry in memo.values())
