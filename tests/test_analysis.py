@@ -271,23 +271,21 @@ def brute_alpha_counts(bound):
     return counts
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @given(bound=st.integers(min_value=1, max_value=3000), max_alpha=st.integers(min_value=1, max_value=11))
 @example(bound=1, max_alpha=1)
 @example(bound=2, max_alpha=1)
 @example(bound=3, max_alpha=1)
 @example(bound=2047, max_alpha=10)
 @settings(max_examples=40, deadline=None)
-def test_alpha_scans_equal_brute_force_counts(bound, max_alpha, workers):
-    # the worker count is accepted and cannot change the counts
+def test_alpha_scans_equal_brute_force_counts(bound, max_alpha):
     counts = brute_alpha_counts(bound)
     odds = (bound + 1) // 2
     c5 = sum(c for a, c in counts.items() if a % 2)
-    assert empirical_iterate_class_ratio(bound, workers=workers) == ((odds - c5) / odds, c5 / odds)
+    assert empirical_iterate_class_ratio(bound) == ((odds - c5) / odds, c5 / odds)
     # the largest max_alpha the bound allows (none below 3)
     max_alpha = min(max_alpha, (bound + 1).bit_length() - 2)
     if max_alpha >= 1:
-        report = empirical_alpha_density(bound, max_alpha, workers=workers)
+        report = empirical_alpha_density(bound, max_alpha)
         assert report.odd_total == odds
         assert [(b.alpha, b.count, b.ratio) for b in report.buckets] == [
             (a, counts.get(a, 0), counts.get(a, 0) / odds) for a in range(1, max_alpha + 1)
@@ -323,25 +321,20 @@ def test_verify_alpha_counts_start_no_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     verify_theorems(100001, workers=2)
-    empirical_alpha_density(100001, 10, workers=2)
-    empirical_iterate_class_ratio(100001, workers=2)
+    empirical_alpha_density(100001, 10)
+    empirical_iterate_class_ratio(100001)
     assert RecordingPool.sizes == []
 
 
 def test_verify_theorems_clean_scan():
     report = verify_theorems(1001)
     assert report.trajectories == 501
-    assert report.multiple_of_three == ()
-    assert report.duplicates == ()
-    assert report.violations == 0
     assert report.iterates_checked > 0
 
 
 def test_scan_results_do_not_depend_on_worker_count():
     bound = 70_000  # spans several fixed chunks
-    assert empirical_alpha_density(bound, 8) == empirical_alpha_density(bound, 8, workers=3)
     assert empirical_drift(bound).empirical_value == empirical_drift(bound, workers=3).empirical_value
-    assert empirical_iterate_class_ratio(bound) == empirical_iterate_class_ratio(bound, workers=3)
     assert verify_theorems(bound) == verify_theorems(bound, workers=3)
 
 
@@ -357,7 +350,8 @@ def test_drift_report_combination():
 
 
 def reference_scan(bound, max_steps=10**6):
-    # the theorem scan as full records and the witness loop over each
+    # the theorem scan as full records, and the witness loop over each: both
+    # lemmas say it finds nothing, so verify_theorems reports no witnesses
     mult3, dups, checked = [], [], 0
     starts = range(1, bound + 1, 2)
     for x in starts:
@@ -370,13 +364,8 @@ def reference_scan(bound, max_steps=10**6):
             if y in seen:
                 dups.append((x, y))
             seen.add(y)
-    return TheoremScanReport(
-        bound=bound,
-        trajectories=len(starts),
-        iterates_checked=checked,
-        multiple_of_three=tuple(mult3),
-        duplicates=tuple(dups),
-    )
+    assert mult3 == [] and dups == []
+    return TheoremScanReport(bound=bound, trajectories=len(starts), iterates_checked=checked)
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -589,7 +589,7 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
 
     monkeypatch.setattr(cli, "trajectory_lookup", counting)
     monkeypatch.setattr(cli, "trajectory_direct", None)
-    monkeypatch.setattr(trajectory, "_range_stats", None)
+    monkeypatch.setattr(trajectory, "_range_rows", None)
     code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
     assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
 

@@ -28,10 +28,8 @@ FIELDS = {
         "series_increase",
         "series_decrease",
         "empirical_value",
-        "target",
-        "tolerance",
     ),
-    "TheoremScanReport": ("bound", "trajectories", "iterates_checked", "multiple_of_three", "duplicates"),
+    "TheoremScanReport": ("bound", "trajectories", "iterates_checked"),
 }
 
 
@@ -72,7 +70,6 @@ def test_repr_of_a_real_result():
 def test_methods_and_properties_survive():
     layer = collatzkit.build_layers(2, 2)[2]
     assert layer.nodes() == tuple(v for seg in layer.segments for v in seg.children)
-    assert collatzkit.verify_theorems(99).violations == 0
     assert collatzkit.trajectory_direct(9)._asdict()["peak"] == 17
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from collatzkit import (
     DomainError,
+    FieldStats,
     MaxStepsExceeded,
     record_json,
     stats_csv,
@@ -25,7 +26,7 @@ from collatzkit import (
 from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
-from collatzkit.trajectory import DECIMAL_MIN_BITS, _range_stats, _write_range, iterate_strings
+from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_rows, _write_range, iterate_strings
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -186,6 +187,31 @@ def test_stats_rejects_empty():
         trajectory_stats(iter(()))
 
 
+fold_counts = st.integers(min_value=1, max_value=10**6)
+# peaks past 2**1024 take the integer mean
+fold_peaks = st.one_of(fold_counts, st.integers(min_value=2**1024, max_value=2**1100))
+
+
+@given(rows=st.lists(st.tuples(fold_counts, fold_counts, fold_peaks), min_size=1, max_size=50))
+@example(rows=[(6, 13, 17)])
+@example(rows=[(2, 3, 2**1100 - 1)])
+@example(rows=[(1, 4, 1), (2, 5, 2**1024), (3, 2, 2**1024 + 1)])
+@settings(max_examples=100, deadline=None)
+def test_fold_equals_builtin_min_max_sum(rows):
+    # both --stats routes go through _fold, so it is checked on its own here
+    stats = _fold(iter(rows))
+    assert stats.count == len(rows)
+    for name, column in zip(("odd_length", "total_divisions", "peak"), zip(*rows)):
+        expected = FieldStats(minimum=min(column), maximum=max(column), mean=_mean(sum(column), len(rows)))
+        # repr tells an int mean from an equal float one
+        assert repr(getattr(stats, name)) == repr(expected)
+
+
+def test_fold_rejects_no_rows():
+    with pytest.raises(DomainError, match="no trajectory records"):
+        _fold(iter(()))
+
+
 def test_stats_streams_one_pass_over_a_generator():
     starts = range(1, 200, 2)
     stats = trajectory_stats(trajectory_direct(x) for x in starts)
@@ -324,7 +350,7 @@ def summarise(first, last, max_steps, engine):
     # MaxStepsExceeded the range raises
     try:
         if engine:
-            return _range_stats(trajectory_direct(first, max_steps), last, max_steps)
+            return _fold(_range_rows(trajectory_direct(first, max_steps), last, max_steps))
         return trajectory_stats(trajectory_direct(x, max_steps) for x in range(first, last + 1, 2))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
@@ -362,16 +388,16 @@ def test_memoised_range_stats_run_out_of_budget_at_the_full_records_start(first,
 
 
 def test_the_memo_table_stops_at_its_cap(monkeypatch):
-    # the table's column lengths as _range_stats returns
+    # the table's column lengths as _range_rows last yields or returns
     columns = []
 
     def trace_calls(frame, event, arg):
-        if frame.f_code is not _range_stats.__code__:
+        if frame.f_code is not _range_rows.__code__:
             return None
 
         def trace_lines(frame, event, arg):
             if event == "return":
-                columns.extend(len(frame.f_locals[n]) for n in ("lengths", "divisions", "peaks"))
+                columns[:] = (len(frame.f_locals[n]) for n in ("lengths", "divisions", "peaks"))
             return trace_lines
 
         return trace_lines
@@ -380,7 +406,7 @@ def test_the_memo_table_stops_at_its_cap(monkeypatch):
     expected = summarise(1, 401, 10**6, False)
     sys.settrace(trace_calls)
     try:
-        stats = _range_stats(trajectory_direct(1), 401, 10**6)
+        stats = _fold(_range_rows(trajectory_direct(1), 401, 10**6))
     finally:
         sys.settrace(None)
     assert stats == expected
