@@ -35,14 +35,11 @@ properties are lemmas:
   the walk stops.
 
 So the scan only walks and counts, and its report holds no witnesses (the
-CLI prints the zero violation counts as constants).  Its first
-_TABLE_CHUNKS chunks run in the calling process and record each start's
-odd-step count; a walk stops at its first iterate within the table's
-reach, 2*len(table) - 1, and adds that iterate's count, so the report is
-that of the full walks.  While the table grows the reach is x - 2,
-strictly below the start x, so a walk that could only come back to x (a
-cycle) never joins: it runs out of budget and raises MaxStepsExceeded at
-x, as its full walk would.
+CLI prints the zero violation counts as constants).  Its kernel,
+trajectory._count_chunk, joins each walk onto a table of the counts of the
+odd starts from 1 on, by the one join rule of the trajectory module's
+docstring, so the report is that of the full walks.  The table fills in
+the calling process; only the chunks past it run in workers.
 """
 
 from __future__ import annotations
@@ -57,12 +54,12 @@ from typing import NamedTuple
 from .core import (
     DEFAULT_MAX_STEPS,
     DomainError,
-    MaxStepsExceeded,
     _raw_step,
     _require_count,
     _require_odd,
     alpha_residue_class,
 )
+from . import trajectory
 # unused here; perfbench/tracing.py wraps analysis.trajectory_direct by name
 from .trajectory import trajectory_direct
 
@@ -72,7 +69,6 @@ EMPIRICAL_TARGET = 0.75  # heuristic per-step factor reported with the measured 
 EMPIRICAL_TOLERANCE = 0.05
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
-_TABLE_CHUNKS = 4  # leading theorem-scan chunks whose odd-step counts later walks join
 # drift scans of fewer chunks run in-process whatever the worker count: each
 # chunk takes a few ms, so below this many a pool costs more than it saves
 _DRIFT_POOL_CHUNKS = 32
@@ -267,31 +263,6 @@ def _drift_chunk(span: tuple[int, int]) -> float:
     return math.fsum(chain.from_iterable(terms))
 
 
-def _verify_chunk(task: tuple[int, int, int, list, bool]) -> int:
-    lo, hi, max_steps, table, grow = task
-    # table[i] is the odd-step count from 2i+1 down to 1 (0 for 1).  Each
-    # walk stops at its first iterate y within the table's reach and adds
-    # y's count; a growing table gains one entry per start
-    iterates_checked = 0
-    for x in range(lo, hi + 1, 2):
-        reach = 2 * len(table) - 1
-        cur = x
-        for steps in range(1, max_steps + 1):
-            t = 3 * cur + 1
-            cur = t >> ((t & -t).bit_length() - 1)
-            if cur <= reach:
-                break
-        else:
-            raise MaxStepsExceeded(x, max_steps)
-        count = steps + table[cur >> 1]
-        if count > max_steps:
-            raise MaxStepsExceeded(x, max_steps)
-        iterates_checked += count
-        if grow and x > 1:
-            table.append(count)
-    return iterates_checked
-
-
 def _odd_ceiling(bound: int) -> int:
     return bound if bound % 2 else bound - 1
 
@@ -372,11 +343,12 @@ def verify_theorems(
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
     top = _odd_ceiling(bound)
-    # the table chunks run here and grow the table; the rest join it, in workers
+    # the table fills here, in one call; the chunks past it join it, in
+    # workers.  Start 1's walk is the one iterate 1, and table[0] = 0
     table = [0]
-    table_top = min(top, 2 * _TABLE_CHUNKS * _CHUNK_ODDS - 1)
-    checked = sum(_run_chunks(_verify_chunk, 1, table_top, 1, max_steps, table, True))
-    checked += sum(_run_chunks(_verify_chunk, table_top + 2, top, workers, max_steps, table, False))
+    fill = min(top, 2 * trajectory._TABLE_STARTS - 1)
+    checked = 1 + trajectory._count_chunk((3, fill, max_steps, table))
+    checked += sum(_run_chunks(trajectory._count_chunk, 2 * len(table) + 1, top, workers, max_steps, table))
     return TheoremScanReport(bound=bound, trajectories=(top + 1) // 2, iterates_checked=checked)
 
 

@@ -12,23 +12,29 @@ through).
 
 Records hold odd iterates only; even intermediates are never materialised.
 
-A direct --stats range (_range_rows, summed up by _fold as
-trajectory_stats is) builds no record past its first start.  All three
-summarised fields add up across a join: if a walk from x first reaches y,
-a start already summarised, then odd_length(x) is the steps to y plus
-odd_length(y), total_divisions adds the same way, and peak(x) is the
-larger of the walk's maximum up to y (y included) and peak(y), since a
-peak never counts its own start.  Each walk therefore steps only until it
-falls onto an earlier start of the range.  The table of summarised starts
-holds at most _MEMO_STARTS entries, whatever the range's length.
+A direct range walk joins a table of earlier starts, by one rule for
+verify's counts (_count_chunk) and for --stats rows (_range_rows, summed
+up by _fold as trajectory_stats is).  The table starts at the scan's first
+start and gains an entry for the start right after its last, while it has
+fewer than _TABLE_STARTS entries; its reach is its last start, read off
+len(table).  A walk steps until it reaches 1 or an iterate y within the
+reach, and then adds y's entry.  While the table grows the reach is x - 2,
+and once it is full it is below x as well, so a walk that could only come
+back to x (a cycle) never joins: it runs out of budget and raises
+MaxStepsExceeded at x, as its full walk would; a joined count over the
+budget raises at x too, so the first failing start is that of the full
+walks.  All three summarised fields add up across a join: odd_length(x) is
+the steps to y plus odd_length(y), total_divisions adds the same way, and
+peak(x) is the larger of the walk's maximum up to y (y included) and
+peak(y), since a peak never counts its own start.
 
 The record lines of a direct range (_write_range) join the same way: past
 y, x's iterates and alphas are y's, so x's line is its own walk up to y
 (y included) followed by y's rendered iterate and alpha strings, with the
-summed odd_length and total_divisions and the larger peak.  Only lines of
-at most _BLOCK iterates are kept, _MEMO_CHARS characters of them in all;
-a walk that joins none of them, or whose joined line would pass _BLOCK
-iterates, is built as a record and written by write_record.
+summed odd_length and total_divisions and the larger peak.  A line of at
+most _BLOCK iterates is rendered once and, but for the last start's, kept
+until _MEMO_CHARS characters are; a longer one joins nothing and is
+written by write_record.
 """
 
 from __future__ import annotations
@@ -172,8 +178,37 @@ def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
     return _fold((rec.odd_length, rec.total_divisions, rec.peak) for rec in records)
 
 
-# starts a direct --stats range keeps summaries of, from its first start on
-_MEMO_STARTS = 2**17
+# starts a range walk's join table holds, from the scan's first start on
+_TABLE_STARTS = 2**17
+
+
+def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
+    """verify's count: the summed odd lengths of the odd starts lo..hi.
+
+    table[i] is the count from 2i+1 down to 1 (0 for 1), joined by the
+    module docstring's rule.  Only the start right after the table's last
+    adds an entry, so each entry is its own start's count even in a worker
+    that reads another _TABLE_STARTS (a spawned one misses a patch).
+    """
+    lo, hi, max_steps, table = task
+    iterates_checked = 0
+    for x in range(lo, hi + 1, 2):
+        reach = 2 * len(table) - 1
+        cur = x
+        for steps in range(1, max_steps + 1):
+            t = 3 * cur + 1
+            cur = t >> ((t & -t).bit_length() - 1)
+            if cur <= reach:
+                break
+        else:
+            raise MaxStepsExceeded(x, max_steps)
+        count = steps + table[cur >> 1]
+        if count > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        iterates_checked += count
+        if x == reach + 2 and len(table) < _TABLE_STARTS:
+            table.append(count)
+    return iterates_checked
 
 
 def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[int, int, int]]:
@@ -186,14 +221,13 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
     first failing start is that of the full walks.
     """
     lo = first.start
+    # entry (y - lo) // 2 summarises start y
     lengths = [first.odd_length]
     divisions = [first.total_divisions]
     peaks = [first.peak]
-    # entry (y - lo) // 2 summarises start y; starts from cap on add none
-    cap = lo + 2 * _MEMO_STARTS
     yield first.odd_length, first.total_divisions, first.peak
     for x in range(lo + 2, last + 1, 2):
-        reach = x if x < cap else cap
+        reach = lo + 2 * len(lengths) - 2
         cur = x
         divs = peak = 0
         for steps in range(1, max_steps + 1):
@@ -206,7 +240,7 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
                 peak = cur
             if cur == 1:
                 break
-            if lo <= cur < reach:
+            if lo <= cur <= reach:
                 i = (cur - lo) >> 1
                 steps += lengths[i]
                 divs += divisions[i]
@@ -217,7 +251,7 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
             raise MaxStepsExceeded(x, max_steps)
         if steps > max_steps:
             raise MaxStepsExceeded(x, max_steps)
-        if x < cap:
+        if len(lengths) < _TABLE_STARTS:
             lengths.append(steps)
             divisions.append(divs)
             peaks.append(peak)
@@ -308,10 +342,12 @@ def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_
     first is the range's first record.  Every later start x is walked
     until it reaches 1 or an earlier start y of the range whose line is in
     the memo; its line is then the walk's own iterates followed by y's
-    (see the module docstring).  A walk that joins nothing becomes a
-    record and goes through write_record.  A start whose walk passes
-    max_steps odd steps raises MaxStepsExceeded before any byte of its
-    line, so the lines before the first failing start are all written.
+    (see the module docstring).  A line of at most _BLOCK iterates is
+    rendered once, written in one write and, but for the last start's,
+    kept in the memo; a longer one goes through write_record.  A start
+    whose walk passes max_steps odd steps raises MaxStepsExceeded before
+    any byte of its line, so the lines before the first failing start are
+    all written.
     """
     lo = first.start
     as_json = fmt == "json"
@@ -322,10 +358,11 @@ def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_
     get = memo.get
     room = _MEMO_CHARS
     for x in range(lo, last + 1, 2):
-        record = first if x == lo else None
-        if record is None:
-            iterates: list[int] = []
-            alphas: list[int] = []
+        if x == lo:
+            iterates, alphas, steps, joined = first.iterates, first.alphas, first.odd_length, None
+        else:
+            iterates = []
+            alphas = []
             append_i = iterates.append
             append_a = alphas.append
             cur = x
@@ -337,32 +374,32 @@ def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_
                 append_i(cur)
                 append_a(alpha)
                 if cur == 1:
-                    record = _record(x, iterates, alphas)
+                    # a candidate that failed the _BLOCK test below is no join
+                    joined = None
                     break
                 if lo <= cur < x and (joined := get(cur)) is not None and steps + joined[2] <= _BLOCK:
                     break
             else:
                 raise MaxStepsExceeded(x, max_steps)
-        if record is None:
+        if joined is None and steps > _BLOCK:
+            write_record(out, first if x == lo else _record(x, iterates, alphas), fmt)
+            continue
+        its = sep.join(map(str, iterates))
+        alps = ",".join(map(str, alphas)) if as_json else ""
+        length, divs, peak = steps, sum(alphas), max(iterates)
+        if joined is not None:
             # the walk joined y = cur: x's line is its walk up to y, then y's
             y_its, y_alps, y_len, y_divs, y_peak = joined
-            length = steps + y_len
+            length += y_len
             if length > max_steps:
                 raise MaxStepsExceeded(x, max_steps)
-            its = sep.join(map(str, iterates)) + sep + y_its
-            alps = ",".join(map(str, alphas)) + "," + y_alps if as_json else ""
-            divs = sum(alphas) + y_divs
-            peak = max(max(iterates), y_peak)
-            head, _, tail = _frame(fmt, x, alps, length, divs, peak)
-            out.write(head + its + tail)
-        else:
-            write_record(out, record, fmt)
-            if room <= 0 or record.odd_length > _BLOCK:
-                continue
-            its = sep.join(map(str, record.iterates))
-            alps = ",".join(map(str, record.alphas)) if as_json else ""
-            length, divs, peak = record.odd_length, record.total_divisions, record.peak
-        if room > 0:
+            its = f"{its}{sep}{y_its}"
+            alps = f"{alps},{y_alps}" if as_json else ""
+            divs += y_divs
+            peak = max(peak, y_peak)
+        head, _, tail = _frame(fmt, x, alps, length, divs, peak)
+        out.write(head + its + tail)
+        if room > 0 and x < last:
             memo[x] = (its, alps, length, divs, peak)
             room -= len(its) + len(alps)
 

@@ -1,12 +1,14 @@
 import contextlib
+import functools
 import itertools
 import math
 import os
 import signal
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
+from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -33,8 +35,9 @@ from collatzkit import (
     trajectory_direct,
     verify_theorems,
 )
-from collatzkit import analysis
+from collatzkit import analysis, trajectory
 from collatzkit.analysis import TheoremScanReport
+from collatzkit.trajectory import _range_rows
 
 run_starts = st.integers(min_value=0, max_value=2**64).map(lambda n: 4 * n + 3)
 
@@ -379,18 +382,18 @@ def test_verify_equals_the_record_reference(bound, workers):
 def test_verify_equals_the_record_reference_across_chunks(monkeypatch):
     expected = reference_scan(70_001)
     assert verify_theorems(70_001, workers=3) == expected
-    # a one-chunk table: the second chunk joins it from a pool worker
-    monkeypatch.setattr(analysis, "_TABLE_CHUNKS", 1)
+    # a table of one chunk's starts: the second chunk joins it
+    monkeypatch.setattr(trajectory, "_TABLE_STARTS", analysis._CHUNK_ODDS)
     assert verify_theorems(70_001, workers=3) == expected
 
 
 @contextlib.contextmanager
 def small_table():
-    # 64 odd starts per chunk and a table of two chunks (starts 1..255), so
+    # 64 odd starts per chunk and a table of 128 starts (1..255), so
     # chunks that join a finished table run at test sizes (in a pool for workers > 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_CHUNK_ODDS", 64)
-        mp.setattr(analysis, "_TABLE_CHUNKS", 2)
+        mp.setattr(trajectory, "_TABLE_STARTS", 128)
         yield
 
 
@@ -402,6 +405,71 @@ def small_table():
 def test_verify_equals_the_record_reference_across_the_table_boundary(bound, workers):
     with small_table():
         assert verify_theorems(bound, workers=workers) == reference_scan(bound)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_small_table_holds_in_workers_that_do_not_inherit_the_patch(monkeypatch, method):
+    # these workers import trajectory afresh and read the real _TABLE_STARTS,
+    # so a pooled chunk may add entries to its copy of the table: each must
+    # still be the count of its own start
+    monkeypatch.setattr(
+        analysis, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with small_table():
+        assert verify_theorems(3001, workers=2) == reference_scan(3001)
+
+
+def verify_or_error(bound, max_steps):
+    try:
+        return verify_theorems(bound, max_steps).iterates_checked
+    except MaxStepsExceeded as exc:
+        return exc.start, exc.max_steps
+
+
+def range_rows_or_error(bound, max_steps):
+    try:
+        return sum(row[0] for row in _range_rows(trajectory_direct(1, max_steps), bound, max_steps))
+    except MaxStepsExceeded as exc:
+        return exc.start, exc.max_steps
+
+
+@given(
+    bound=st.integers(min_value=3, max_value=3000),
+    max_steps=st.integers(min_value=1, max_value=60),
+    size=st.sampled_from([4, 128, trajectory._TABLE_STARTS]),
+)
+@example(bound=3000, max_steps=60, size=4)
+@example(bound=1000, max_steps=46, size=128)  # first failing start 313, past the table
+@settings(max_examples=60, deadline=None)
+def test_the_verify_kernel_equals_the_stats_kernel(bound, max_steps, size):
+    # both range-walk kernels join a table of the same size by the same
+    # rule: the summed odd lengths, or the same first failing start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "_TABLE_STARTS", size)
+        assert verify_or_error(bound, max_steps) == range_rows_or_error(bound, max_steps)
+
+
+def test_pooled_chunks_never_grow_the_table(monkeypatch):
+    # in-process pool tasks share the caller's table: the fill leaves it full
+    # (starts 1..255) and no chunk past it adds an entry
+    lengths = []
+
+    def counting(task):
+        checked = count_chunk(task)
+        lengths.append(len(task[3]))
+        return checked
+
+    count_chunk = trajectory._count_chunk
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(trajectory, "_count_chunk", counting)
+    with small_table():
+        assert verify_theorems(1151, workers=3) == reference_scan(1151)
+    assert RecordingPool.sizes == [3]
+    # the fill, then the seven chunks of 64 starts from 257 to 1151
+    assert lengths == [128] * 8
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -436,11 +504,11 @@ def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, wo
 
 
 def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
-    # seven chunks: the first four build the table in this process, the
-    # other three run in a real pool (with two CPUs) and the error is pickled.
+    # the table (starts 1..2**18-1) fills in this process, the three chunks
+    # past it run in a real pool (with two CPUs) and the error is pickled.
     # Every start below 2**18 takes at most 164 odd steps, so the first start
     # over that budget, 410011, lies in the last chunk
-    assert 2 * analysis._TABLE_CHUNKS * analysis._CHUNK_ODDS < 410_011
+    assert 2 * trajectory._TABLE_STARTS < 410_011
     for workers in (2, 1):
         with pytest.raises(MaxStepsExceeded) as got:
             verify_theorems(7 * 2**16 - 1, 164, workers=workers)
@@ -450,7 +518,7 @@ def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
 @pytest.mark.parametrize("bound", ["10**9", "10**12", "10**30"])
 def test_a_huge_bound_keeps_the_table_bounded(bound):
     # neither the table nor the chunk spans grow with the bound: the table
-    # stops at _TABLE_CHUNKS chunks and spans are made one at a time, so
+    # stops at _TABLE_STARTS starts and spans are made one at a time, so
     # under a 1 GiB address-space cap the first failing start, 9, is reached
     script = (
         "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"

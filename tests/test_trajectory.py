@@ -364,13 +364,13 @@ range_firsts = st.one_of(
 @given(
     first=range_firsts,
     width=st.integers(min_value=0, max_value=600),
-    cap=st.sampled_from([8, trajectory_module._MEMO_STARTS]),
+    cap=st.sampled_from([8, trajectory_module._TABLE_STARTS]),
 )
 @example(first=1, width=600, cap=8)
 @example(first=1, width=0, cap=8)
 @settings(max_examples=60, deadline=None)
 def test_memoised_range_stats_equal_the_full_records(first, width, cap):
-    with patch.object(trajectory_module, "_MEMO_STARTS", cap):
+    with patch.object(trajectory_module, "_TABLE_STARTS", cap):
         assert summarise(first, first + width, 10**6, True) == summarise(first, first + width, 10**6, False)
 
 
@@ -378,12 +378,12 @@ def test_memoised_range_stats_equal_the_full_records(first, width, cap):
     first=range_firsts,
     width=st.integers(min_value=0, max_value=600),
     max_steps=st.integers(min_value=1, max_value=150),
-    cap=st.sampled_from([8, trajectory_module._MEMO_STARTS]),
+    cap=st.sampled_from([8, trajectory_module._TABLE_STARTS]),
 )
-@example(first=101, width=1900, max_steps=20, cap=trajectory_module._MEMO_STARTS)
+@example(first=101, width=1900, max_steps=20, cap=trajectory_module._TABLE_STARTS)
 @settings(max_examples=60, deadline=None)
 def test_memoised_range_stats_run_out_of_budget_at_the_full_records_start(first, width, max_steps, cap):
-    with patch.object(trajectory_module, "_MEMO_STARTS", cap):
+    with patch.object(trajectory_module, "_TABLE_STARTS", cap):
         assert summarise(first, first + width, max_steps, True) == summarise(first, first + width, max_steps, False)
 
 
@@ -402,7 +402,7 @@ def test_the_memo_table_stops_at_its_cap(monkeypatch):
 
         return trace_lines
 
-    monkeypatch.setattr(trajectory_module, "_MEMO_STARTS", 8)
+    monkeypatch.setattr(trajectory_module, "_TABLE_STARTS", 8)
     expected = summarise(1, 401, 10**6, False)
     sys.settrace(trace_calls)
     try:
@@ -493,7 +493,7 @@ def test_a_joined_range_over_budget_stops_at_the_full_records_start(first, fmt):
 
 def test_the_line_memo_stops_at_its_budget(monkeypatch):
     # the memo as _write_range returns: its strings pass the budget by at
-    # most the last line it took in
+    # most the last line it took in, and the last start's line is not kept
     memos = []
 
     def trace_calls(frame, event, arg):
@@ -508,13 +508,38 @@ def test_the_line_memo_stops_at_its_budget(monkeypatch):
         return trace_lines
 
     monkeypatch.setattr(trajectory_module, "_MEMO_CHARS", 2000)
-    expected = write_range(1, 4001, "json", 10**6, False)
+    ranges = [(1, 4001), (1, 41), (27, 27)]
+    expected = [write_range(first, last, "json", 10**6, False) for first, last in ranges]
     sys.settrace(trace_calls)
     try:
-        assert write_range(1, 4001, "json", 10**6, True) == expected
+        assert [write_range(first, last, "json", 10**6, True) for first, last in ranges] == expected
     finally:
         sys.settrace(None)
-    [memo] = memos
-    sizes = [len(its) + len(alps) for its, alps, *_ in memo.values()]
+    budgeted, short, single = memos
+    sizes = [len(its) + len(alps) for its, alps, *_ in budgeted.values()]
     assert 2000 <= sum(sizes) < 2000 + sizes[-1]
-    assert all(entry[2] <= trajectory_module._BLOCK for entry in memo.values())
+    assert all(entry[2] <= trajectory_module._BLOCK for entry in budgeted.values())
+    # every line of 1..41 has at most _BLOCK iterates, and 2000 characters
+    # outlast them: each start is kept but the last
+    assert list(short) == list(range(1, 41, 2))
+    assert single == {}
+
+
+@pytest.mark.parametrize("block", [3, 256])
+def test_only_lines_over_the_block_go_through_write_record(monkeypatch, block):
+    # a line of at most _BLOCK iterates is rendered in _write_range, joined
+    # or not; a longer one is the record write_record writes
+    written = []
+
+    def spy(out, record, fmt):
+        written.append(record.start)
+        write_record(out, record, fmt)
+
+    monkeypatch.setattr(trajectory_module, "_BLOCK", block)
+    monkeypatch.setattr(trajectory_module, "write_record", spy)
+    for fmt in ("text", "json"):
+        for first, last in [(1, 1601), (27, 27), (2**64 + 1, 2**64 + 201)]:
+            written.clear()
+            _write_range(io.StringIO(), trajectory_direct(first), last, fmt, 10**6)
+            long_lines = [x for x in range(first, last + 1, 2) if trajectory_direct(x).odd_length > block]
+            assert written == long_lines
