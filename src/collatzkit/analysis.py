@@ -38,7 +38,9 @@ So the scan only walks and counts, and its report holds no witnesses (the
 CLI prints the zero violation counts as constants).  Its kernel,
 trajectory._count_chunk, joins each walk onto a table of the counts of the
 odd starts from 1 on, by the one join rule of the trajectory module's
-docstring, so the report is that of the full walks.  The table fills in
+docstring, and walks by that docstring's block rule (k Terras steps in
+one multiply-add, with the budget checked per block), so the report and
+the first failing start are those of the full walks.  The table fills in
 the calling process; only the chunks past it run in workers.
 """
 

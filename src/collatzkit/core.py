@@ -60,8 +60,9 @@ class SyracuseResult(NamedTuple):
 def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
-    # iterate, all in trajectory: trajectory_direct, the range-walk kernels
-    # _count_chunk and _range_rows, and _write_range
+    # iterate, all in trajectory: trajectory_direct and _write_range, and
+    # the range-walk kernels _count_chunk and _range_rows for iterates
+    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps)
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha

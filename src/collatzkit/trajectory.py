@@ -28,6 +28,37 @@ the steps to y plus odd_length(y), total_divisions adds the same way, and
 peak(x) is the larger of the walk's maximum up to y (y included) and
 peak(y), since a peak never counts its own start.
 
+Both kernels walk by blocks of k = _JUMP_BITS Terras steps, T(n) = n/2
+for even n and (3n+1)/2 for odd n.  For odd r < 2**k, entry r >> 1 of the
+jump table holds c (the odd steps among the first k of r), 3**c, T^k(r)
+and a front: the pairs (3**c_i * 2**(k-i), T^i(r)) for the 0 < i < k with
+T^i(r) odd, c_i the odd steps among the first i, keeping only the pairs
+that no other pair beats in both coordinates.  An odd iterate cur < 2**k
+takes one step; one at least 2**k, with a = cur >> k and r its low k bits,
+takes a block: t = 3**c * a + T^k(r), the next iterate is t >> z for z
+the trailing zero bits of t, odd_length grows by c, total_divisions by
+k + z, and peak takes the largest of coef * a + off over the front and
+the next iterate.  This holds because:
+
+- T^i(2**k a + r) = 3**c_i * 2**(k-i) * a + T^i(r) for i <= k, by
+  induction on i: while i < k the term in a is even, so both sides have
+  the parity of T^i(r) and the same step applies to each;
+- so the odd values among T^1..T^(k-1) of cur, then t >> z, are cur's
+  next c odd iterates (each odd Terras step begins one odd-to-odd step),
+  reached with k halvings and z more; none of the first is 1, since for
+  i < k, T^i >= 2**(k-i) * a >= 2, so a block never passes the end of a
+  walk;
+- for a >= 0 a pair beaten in both coordinates has the smaller value, so
+  the front's largest value is the largest odd iterate inside the block,
+  for every a >= 1.
+
+Joins and the budget check come at block ends only.  These are odd
+iterates of the walk, so the join rule and its sums hold as above, and a
+cycle still only comes back to x.  Each block adds c >= 1 (cur is odd),
+so a start raises MaxStepsExceeded exactly when its full walk has more
+than max_steps odd steps: the set of failing starts, and so the first
+one, is that of the full walks.
+
 The record lines of a direct range (_write_range) join the same way: past
 y, x's iterates and alphas are y's, so x's line is its own walk up to y
 (y included) followed by y's rendered iterate and alpha strings, with the
@@ -181,27 +212,72 @@ def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
 # starts a range walk's join table holds, from the scan's first start on
 _TABLE_STARTS = 2**17
 
+# k of the block rule: odd iterates of at least 2**k take k Terras steps
+# in one multiply-add.  On a 2-vCPU x86-64 host (Python 3.11) the table
+# builds in 0.6 ms at k = 8 and in 13-16 ms at k = 12, more than a short
+# verify saves by the longer blocks; k = 10 ran no faster than 8
+_JUMP_BITS = 8
+_jump_tables: dict[int, list] = {}
+
+
+def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    # entry r >> 1, for odd r < 2**k: (c, 3**c, T^k(r), front) of the block
+    # rule, built on first use per k (a worker that does not inherit it
+    # builds its own)
+    table = _jump_tables.get(k)
+    if table is None:
+        table = _jump_tables[k] = []
+        for r in range(1, 1 << k, 2):
+            t, c, pairs = r, 0, []
+            for i in range(1, k + 1):
+                if t & 1:
+                    t, c = (3 * t + 1) >> 1, c + 1
+                else:
+                    t >>= 1
+                if t & 1 and i < k:
+                    pairs.append((3**c << (k - i), t))
+            # the coefficients differ, so by falling coefficient a pair is
+            # beaten in both coordinates unless its offset beats all before it
+            front, best = [], -1
+            for coef, off in sorted(pairs, reverse=True):
+                if off > best:
+                    front.append((coef, off))
+                    best = off
+            table.append((c, 3**c, t, tuple(front)))
+    return table
+
 
 def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
     """verify's count: the summed odd lengths of the odd starts lo..hi.
 
     table[i] is the count from 2i+1 down to 1 (0 for 1), joined by the
-    module docstring's rule.  Only the start right after the table's last
-    adds an entry, so each entry is its own start's count even in a worker
-    that reads another _TABLE_STARTS (a spawned one misses a patch).
+    module docstring's rule at block ends.  Only the start right after the
+    table's last adds an entry, so each entry is its own start's count even
+    in a worker that reads another _TABLE_STARTS (a spawned one misses a
+    patch).
     """
     lo, hi, max_steps, table = task
+    k = _JUMP_BITS
+    jumps = _jump_table(k)
+    low = (1 << k) - 1
     iterates_checked = 0
     for x in range(lo, hi + 1, 2):
         reach = 2 * len(table) - 1
         cur = x
-        for steps in range(1, max_steps + 1):
-            t = 3 * cur + 1
+        steps = 0
+        while True:
+            if cur > low:
+                c, power, tail, _ = jumps[(cur & low) >> 1]
+                t = power * (cur >> k) + tail
+                steps += c
+            else:
+                t = 3 * cur + 1
+                steps += 1
             cur = t >> ((t & -t).bit_length() - 1)
             if cur <= reach:
                 break
-        else:
-            raise MaxStepsExceeded(x, max_steps)
+            if steps >= max_steps:
+                raise MaxStepsExceeded(x, max_steps)
         count = steps + table[cur >> 1]
         if count > max_steps:
             raise MaxStepsExceeded(x, max_steps)
@@ -214,13 +290,16 @@ def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
 def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[int, int, int]]:
     """_fold's rows for the direct records of the odd starts first.start..last.
 
-    first is the range's first record; every later start x is walked
-    without a record until it reaches 1 or an earlier start of the range
-    whose summary is in the table (see the module docstring).  A start
-    whose walk passes max_steps odd steps raises MaxStepsExceeded, so the
-    first failing start is that of the full walks.
+    first is the range's first record; every later start x is walked, by
+    the block rule, without a record until it reaches 1 or an earlier start
+    of the range whose summary is in the table (see the module docstring).
+    A start whose walk passes max_steps odd steps raises MaxStepsExceeded,
+    so the first failing start is that of the full walks.
     """
     lo = first.start
+    k = _JUMP_BITS
+    jumps = _jump_table(k)
+    low = (1 << k) - 1
     # entry (y - lo) // 2 summarises start y
     lengths = [first.odd_length]
     divisions = [first.total_divisions]
@@ -229,10 +308,22 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
     for x in range(lo + 2, last + 1, 2):
         reach = lo + 2 * len(lengths) - 2
         cur = x
-        divs = peak = 0
-        for steps in range(1, max_steps + 1):
-            # the step, inlined: no call per iterate
-            t = 3 * cur + 1
+        steps = divs = peak = 0
+        while True:
+            if cur > low:
+                a = cur >> k
+                c, power, tail, front = jumps[(cur & low) >> 1]
+                for coef, off in front:
+                    inside = coef * a + off
+                    if inside > peak:
+                        peak = inside
+                t = power * a + tail
+                steps += c
+                divs += k
+            else:
+                # the step, inlined: no call per iterate
+                t = 3 * cur + 1
+                steps += 1
             alpha = (t & -t).bit_length() - 1
             cur = t >> alpha
             divs += alpha
@@ -247,8 +338,8 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
                 if peaks[i] > peak:
                     peak = peaks[i]
                 break
-        else:
-            raise MaxStepsExceeded(x, max_steps)
+            if steps >= max_steps:
+                raise MaxStepsExceeded(x, max_steps)
         if steps > max_steps:
             raise MaxStepsExceeded(x, max_steps)
         if len(lengths) < _TABLE_STARTS:

@@ -411,11 +411,14 @@ def test_verify_equals_the_record_reference_across_the_table_boundary(bound, wor
 def test_a_small_table_holds_in_workers_that_do_not_inherit_the_patch(monkeypatch, method):
     # these workers import trajectory afresh and read the real _TABLE_STARTS,
     # so a pooled chunk may add entries to its copy of the table: each must
-    # still be the count of its own start
+    # still be the count of its own start.  They also read the real
+    # _JUMP_BITS and build their own jump table, while the fill here jumps
+    # by blocks of 2
     monkeypatch.setattr(
         analysis, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trajectory, "_JUMP_BITS", 2)
     with small_table():
         assert verify_theorems(3001, workers=2) == reference_scan(3001)
 

@@ -89,6 +89,10 @@ MATRIX = {
     # 2**64 + 1 to 2**64 + 199
     "trajectory 18446744073709551617 --end 18446744073709551815 --stats": ("dd1c141c6465270ebd4b4eb16e76d3b7125a0ce58ca82852befeb3c8299d53b6", 0),
     "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001 --stats": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    # 100 starts of 1000 bits, from 2**999 + 3**600: every walk jumps
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats": ("21dbe56ed0b35b3ae9ff2b638408082e2bc14b0c61694c5eeaefeae033034b89", 0),
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format json": ("a26b7e484d71eb4c391ac2172329b101f394cfb355c9406f9c400c9935f5304c", 0),
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format csv": ("d6ff2f9b16f641e403c241421bf6d122098313adfdb5bdc9ab95a91a4df5613a", 0),
     # record lines of a range: direct starts past the first join the lines
     # of earlier starts, lookup walks every start in full; 2**64 + 1 to
     # 2**64 + 199 joins nothing (every line is longer than a block); an empty
@@ -136,6 +140,11 @@ MATRIX = {
     "verify --bound 70001 --workers 2": ("fa238126c6ea06bffc831c997d8f8e50cdfffcbf04d67ff72b660d63c74d0e1f", 0),
     "verify --bound 70001 --workers 2 --format json": ("3b5a84517b4624000a35fe6afc959e30b07e98a27d6e5ac5e55521d898f479a3", 0),
     "verify --bound 70001 --workers 2 --format csv": ("0bf735e522c5d7c71a6083c8369dce3d90044b9c9932e6ae1be457ece2feb761", 0),
+    # past the 2**18 join table, in a pool; and a budget whose first failing
+    # start, 410011, lies past it (every start below 262144 takes at most 164)
+    "verify --bound 1048577 --workers 2": ("728d91f804045709abf36d5c8c5ee3fc6f8a36e0f110bcbcb937d294cd3734d2", 0),
+    "verify --bound 1048577 --workers 2 --format json": ("2d4299e72a21c21544a7829ff91b514328124908052ec2c8566faaf68f80a1fb", 0),
+    "COLLATZ_MAX_STEPS=164 verify --bound 1048577": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
     "verify --bound 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "verify --bound 99 --workers 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "table-export --table A --rows 5": ("591a530180d6e48c256f10c25e54df1c9f889c009775fdf1759ac0fda0c51005", 0),
@@ -162,3 +171,10 @@ def test_a_stats_range_over_budget_names_its_first_failing_start(monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run("trajectory 101 --end 2001 --stats".split(), out, err) == 3
     assert err.getvalue() == "error: budget of 20 steps exhausted starting from 103\n"
+
+
+def test_a_verify_over_budget_past_the_table_names_its_first_failing_start(monkeypatch):
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", "164")
+    out, err = io.StringIO(), io.StringIO()
+    assert run("verify --bound 1048577".split(), out, err) == 3
+    assert err.getvalue() == "error: budget of 164 steps exhausted starting from 410011\n"
