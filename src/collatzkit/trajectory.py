@@ -223,10 +223,11 @@ _jump_tables: dict[int, list] = {}
 def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
     # entry r >> 1, for odd r < 2**k: (c, 3**c, T^k(r), front) of the block
     # rule, built on first use per k (a worker that does not inherit it
-    # builds its own)
+    # builds its own) and published only when whole, so a thread that
+    # comes in meanwhile builds its own too
     table = _jump_tables.get(k)
     if table is None:
-        table = _jump_tables[k] = []
+        table = []
         for r in range(1, 1 << k, 2):
             t, c, pairs = r, 0, []
             for i in range(1, k + 1):
@@ -244,6 +245,7 @@ def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]
                     front.append((coef, off))
                     best = off
             table.append((c, 3**c, t, tuple(front)))
+        _jump_tables[k] = table
     return table
 
 

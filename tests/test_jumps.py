@@ -7,6 +7,8 @@ on both sides of 2**k and of 2**k * 3**k come up at test sizes.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +52,31 @@ def test_the_front_gives_the_largest_odd_iterate_inside_a_block(k):
         for a in [1, 2, 3**k - 1, 3**k, rng.getrandbits(64) + 1, rng.getrandbits(1000) + 1]:
             inside = [v for v in terras(2**k * a + r, k)[1:k] if v % 2]
             assert max((coef * a + off for coef, off in front), default=0) == max(inside, default=0)
+
+
+def test_threads_that_build_the_table_at_once_each_get_it_whole(monkeypatch):
+    # the cache is shared by every thread of a process: a table is published
+    # only once it is whole
+    expected = _jump_table(9)
+    seen = []
+
+    def build():
+        seen.append(_jump_table(9) == expected)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(trajectory, "_jump_tables", {})
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [True] * 80
 
 
 def rows_or_error(first, last, max_steps):
