@@ -205,12 +205,12 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         starts = range(first, args.end + 1, 2)
     if args.stats:
         if args.method == "direct" and starts:
-            from .trajectory import _fold, _range_rows
+            from .trajectory import _fold, _range_columns
 
             # the first start goes through this module's trajectory_direct
             # (perfbench/tracing.py counts direct steps there); the later
             # starts' walks join the earlier ones without records
-            stats = _fold(_range_rows(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
+            stats = _fold(_range_columns(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
         else:
             # the lookup route never evaluates 3x+1, so it walks every start in
             # full (an empty direct range comes here too, for the same error)
@@ -427,6 +427,9 @@ def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> 
         return 3
     except DomainError as exc:
         err.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        err.write("error: out of memory\n")
         return 1
     except _broken_pool() as exc:
         err.write(f"error: a worker process died: {exc}\n")

@@ -13,12 +13,15 @@ through).
 Records hold odd iterates only; even intermediates are never materialised.
 
 A direct range walk joins a table of earlier starts, by one rule for
-verify's counts (_count_chunk) and for --stats rows (_range_rows, summed
-up by _fold as trajectory_stats is).  The table starts at the scan's first
-start and gains an entry for the start right after its last, while it has
-fewer than _TABLE_STARTS entries; its reach is its last start, read off
-len(table).  A walk steps until it reaches 1 or an iterate y within the
-reach, and then adds y's entry.  While the table grows the reach is x - 2,
+verify's counts (_count_chunk) and for --stats columns (_range_columns).
+The table starts at the scan's first start and gains an entry for the
+start right after its last, while it has fewer than _TABLE_STARTS entries;
+its reach is its last start, read off len(table).  For --stats the table
+is the first of the blocks of (odd_length, total_divisions, peak) columns
+that _fold sums up, as it sums up trajectory_stats's; later rows go into
+fresh blocks of _BLOCK rows, so the table stops growing once it is full.
+A walk steps until it reaches 1 or an iterate y within the reach, and
+then adds y's entry.  While the table grows the reach is x - 2,
 and once it is full it is below x as well, so a walk that could only come
 back to x (a cycle) never joins: it runs out of budget and raises
 MaxStepsExceeded at x, as its full walk would; a joined count over the
@@ -71,8 +74,10 @@ written by write_record.
 from __future__ import annotations
 
 import io
+from functools import cache
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
 
@@ -166,47 +171,41 @@ def _mean(total: int, count: int) -> float | int:
         return round(Fraction(total, count))
 
 
-def _fold(rows: Iterable[tuple[int, int, int]]) -> TrajectoryStats:
+def _fold(blocks: Iterable[Sequence[Sequence[int]]]) -> TrajectoryStats:
     # the one --stats summariser: count, and min, max and total of each
-    # column, over (odd_length, total_divisions, peak) rows in one pass
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    # column, over blocks of (odd_length, total_divisions, peak) columns;
+    # each block is summed up by the builtins, and the block summaries merge
+    # as the min of the mins, the max of the maxes and the total of the totals
+    count = 0
+    for block in blocks:
+        if block[0]:
+            summary = [(min(column), max(column), sum(column)) for column in block]
+            if count:
+                summary = [
+                    (min(low, a), max(high, b), total + c) for (low, high, total), (a, b, c) in zip(merged, summary)
+                ]
+            merged = summary
+            count += len(block[0])
+    if not count:
         raise DomainError("no trajectory records to summarise")
-    low_len, low_div, low_peak = high_len, high_div, high_peak = total_len, total_div, total_peak = first
-    count = 1
-    for steps, divs, peak in rows:
-        count += 1
-        if steps < low_len:
-            low_len = steps
-        elif steps > high_len:
-            high_len = steps
-        if divs < low_div:
-            low_div = divs
-        elif divs > high_div:
-            high_div = divs
-        if peak < low_peak:
-            low_peak = peak
-        elif peak > high_peak:
-            high_peak = peak
-        total_len += steps
-        total_div += divs
-        total_peak += peak
-    return TrajectoryStats(
-        count=count,
-        odd_length=FieldStats(minimum=low_len, maximum=high_len, mean=_mean(total_len, count)),
-        total_divisions=FieldStats(minimum=low_div, maximum=high_div, mean=_mean(total_div, count)),
-        peak=FieldStats(minimum=low_peak, maximum=high_peak, mean=_mean(total_peak, count)),
-    )
+    return TrajectoryStats(count, *(FieldStats(low, high, _mean(total, count)) for low, high, total in merged))
+
+
+# rows of a --stats block past a range walk's join table, and iterates per
+# write call of a walk line longer than this, so that no string of the
+# whole line is ever built
+_BLOCK = 256
 
 
 def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
     """Aggregate min/max/mean over records in one pass; order-independent.
 
-    Keeps no record.  A mean is total / count as a float, or the nearest
-    integer (ties to even) when that float would overflow.
+    Keeps no record, and at most _BLOCK rows of summary fields.  A mean is
+    total / count as a float, or the nearest integer (ties to even) when
+    that float would overflow.
     """
-    return _fold((rec.odd_length, rec.total_divisions, rec.peak) for rec in records)
+    rows = map(attrgetter("odd_length", "total_divisions", "peak"), records)
+    return _fold(iter(lambda: tuple(zip(*islice(rows, _BLOCK))), ()))
 
 
 # starts a range walk's join table holds, from the scan's first start on
@@ -217,35 +216,32 @@ _TABLE_STARTS = 2**17
 # builds in 0.6 ms at k = 8 and in 13-16 ms at k = 12, more than a short
 # verify saves by the longer blocks; k = 10 ran no faster than 8
 _JUMP_BITS = 8
-_jump_tables: dict[int, list] = {}
 
 
+@cache
 def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
     # entry r >> 1, for odd r < 2**k: (c, 3**c, T^k(r), front) of the block
     # rule, built on first use per k (a worker that does not inherit it
-    # builds its own) and published only when whole, so a thread that
-    # comes in meanwhile builds its own too
-    table = _jump_tables.get(k)
-    if table is None:
-        table = []
-        for r in range(1, 1 << k, 2):
-            t, c, pairs = r, 0, []
-            for i in range(1, k + 1):
-                if t & 1:
-                    t, c = (3 * t + 1) >> 1, c + 1
-                else:
-                    t >>= 1
-                if t & 1 and i < k:
-                    pairs.append((3**c << (k - i), t))
-            # the coefficients differ, so by falling coefficient a pair is
-            # beaten in both coordinates unless its offset beats all before it
-            front, best = [], -1
-            for coef, off in sorted(pairs, reverse=True):
-                if off > best:
-                    front.append((coef, off))
-                    best = off
-            table.append((c, 3**c, t, tuple(front)))
-        _jump_tables[k] = table
+    # builds its own); the cache keeps a table only once the call returns
+    # it whole, so a thread that comes in meanwhile builds its own too
+    table = []
+    for r in range(1, 1 << k, 2):
+        t, c, pairs = r, 0, []
+        for i in range(1, k + 1):
+            if t & 1:
+                t, c = (3 * t + 1) >> 1, c + 1
+            else:
+                t >>= 1
+            if t & 1 and i < k:
+                pairs.append((3**c << (k - i), t))
+        # the coefficients differ, so by falling coefficient a pair is
+        # beaten in both coordinates unless its offset beats all before it
+        front, best = [], -1
+        for coef, off in sorted(pairs, reverse=True):
+            if off > best:
+                front.append((coef, off))
+                best = off
+        table.append((c, 3**c, t, tuple(front)))
     return table
 
 
@@ -289,24 +285,24 @@ def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
     return iterates_checked
 
 
-def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[int, int, int]]:
-    """_fold's rows for the direct records of the odd starts first.start..last.
+def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[list[int], ...]]:
+    """_fold's column blocks for the direct records of the odd starts first.start..last.
 
     first is the range's first record; every later start x is walked, by
     the block rule, without a record until it reaches 1 or an earlier start
     of the range whose summary is in the table (see the module docstring).
-    A start whose walk passes max_steps odd steps raises MaxStepsExceeded,
-    so the first failing start is that of the full walks.
+    The table is the first block, yielded once it holds _TABLE_STARTS rows
+    or at the end; later rows go into fresh blocks of _BLOCK rows.  A start
+    whose walk passes max_steps odd steps raises MaxStepsExceeded, so the
+    first failing start is that of the full walks.
     """
     lo = first.start
     k = _JUMP_BITS
     jumps = _jump_table(k)
     low = (1 << k) - 1
-    # entry (y - lo) // 2 summarises start y
-    lengths = [first.odd_length]
-    divisions = [first.total_divisions]
-    peaks = [first.peak]
-    yield first.odd_length, first.total_divisions, first.peak
+    # entry (y - lo) // 2 summarises start y; the table is the first block
+    lengths, divisions, peaks = block = [first.odd_length], [first.total_divisions], [first.peak]
+    size = _TABLE_STARTS
     for x in range(lo + 2, last + 1, 2):
         reach = lo + 2 * len(lengths) - 2
         cur = x
@@ -344,11 +340,13 @@ def _range_rows(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[
                 raise MaxStepsExceeded(x, max_steps)
         if steps > max_steps:
             raise MaxStepsExceeded(x, max_steps)
-        if len(lengths) < _TABLE_STARTS:
-            lengths.append(steps)
-            divisions.append(divs)
-            peaks.append(peak)
-        yield steps, divs, peak
+        if len(block[0]) == size:
+            yield block
+            block, size = ([], [], []), _BLOCK
+        block[0].append(steps)
+        block[1].append(divs)
+        block[2].append(peak)
+    yield block
 
 
 # Iterates of at least this many bits are rendered from the previous one's
@@ -385,11 +383,6 @@ def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
         else:
             d = decimal.Decimal(value) if d is None else divide_int(fma(d, 3, 1), 1 << alpha)
             yield str(d)
-
-
-# iterates per write call of a walk line longer than this, so that no
-# string of the whole line is ever built
-_BLOCK = 256
 
 
 def _frame(

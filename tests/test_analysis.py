@@ -37,7 +37,7 @@ from collatzkit import (
 )
 from collatzkit import analysis, trajectory
 from collatzkit.analysis import TheoremScanReport
-from collatzkit.trajectory import _range_rows
+from collatzkit.trajectory import _range_columns
 
 run_starts = st.integers(min_value=0, max_value=2**64).map(lambda n: 4 * n + 3)
 
@@ -432,7 +432,7 @@ def verify_or_error(bound, max_steps):
 
 def range_rows_or_error(bound, max_steps):
     try:
-        return sum(row[0] for row in _range_rows(trajectory_direct(1, max_steps), bound, max_steps))
+        return sum(sum(block[0]) for block in _range_columns(trajectory_direct(1, max_steps), bound, max_steps))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
 

@@ -405,6 +405,20 @@ def test_budget_exhaustion_at_a_huge_bound_exits_3_in_bounded_memory():
     assert proc.stderr == "error: budget of 5 steps exhausted starting from 9\n"
 
 
+def test_running_out_of_memory_exits_1_without_a_traceback():
+    # 200000 predecessors of 7 grow by 2 bits each, about 5 GB of ints in
+    # all: under a 1 GiB address-space cap the command runs out of memory
+    # before any output
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        "sys.argv = ['collatzkit', 'predecessors', '7', '--count', '200000']\n"
+        "main()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
 # runs argv and prints its exit code, the sha256 of its stdout and its peak
 # RSS in KiB.  A child's ru_maxrss starts from the peak of the process it was
 # forked from, which for pytest itself can be hundreds of MiB, so the walk is
@@ -589,7 +603,7 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
 
     monkeypatch.setattr(cli, "trajectory_lookup", counting)
     monkeypatch.setattr(cli, "trajectory_direct", None)
-    monkeypatch.setattr(trajectory, "_range_rows", None)
+    monkeypatch.setattr(trajectory, "_range_columns", None)
     code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
     assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
 

@@ -93,6 +93,11 @@ MATRIX = {
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats": ("21dbe56ed0b35b3ae9ff2b638408082e2bc14b0c61694c5eeaefeae033034b89", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format json": ("a26b7e484d71eb4c391ac2172329b101f394cfb355c9406f9c400c9935f5304c", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format csv": ("d6ff2f9b16f641e403c241421bf6d122098313adfdb5bdc9ab95a91a4df5613a", 0),
+    # 150001 starts: the direct route fills the whole 2**17-start join table
+    # and goes on past it
+    "trajectory 1 --end 300001 --stats": ("9b688a3d77771764f819e2ffacebb77f367b97057a1f85adbc6e614af136c0aa", 0),
+    "trajectory 1 --end 300001 --stats --format json": ("e4cb7d7973d7a0c0caf5cbc3818069422296f56c535cd6a48c91a7d6750bd153", 0),
+    "trajectory 1 --end 300001 --stats --format csv": ("6e964bb5c624a0e11d652a662f1d62b47e19078e335e2de184581a9e986abe62", 0),
     # record lines of a range: direct starts past the first join the lines
     # of earlier starts, lookup walks every start in full; 2**64 + 1 to
     # 2**64 + 199 joins nothing (every line is longer than a block); an empty

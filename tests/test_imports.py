@@ -138,7 +138,7 @@ def test_cli_serves_exactly_the_public_names():
     for name in collatzkit.__all__:
         assert getattr(cli, name) is getattr(collatzkit, name), name
     # private library names and submodules are read from their modules
-    for name in ("_range_rows", "_raw_step", "trajectory"):
+    for name in ("_range_columns", "_raw_step", "trajectory"):
         with pytest.raises(AttributeError, match=name):
             getattr(cli, name)
 

@@ -1,7 +1,7 @@
 """The block rule of the direct range-walk kernels, against explicit steps.
 
 The jump table is checked entry by entry against k explicit Terras steps,
-and both kernels (_count_chunk for verify, _range_rows for --stats) against
+and both kernels (_count_chunk for verify, _range_columns for --stats) against
 per-start trajectory_direct records, with k patched small so that starts
 on both sides of 2**k and of 2**k * 3**k come up at test sizes.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import collatzkit.trajectory as trajectory
 from collatzkit import MaxStepsExceeded, trajectory_direct
-from collatzkit.trajectory import _count_chunk, _jump_table, _range_rows
+from collatzkit.trajectory import _count_chunk, _jump_table, _range_columns
 
 KS = [2, 3, trajectory._JUMP_BITS]
 
@@ -54,7 +54,7 @@ def test_the_front_gives_the_largest_odd_iterate_inside_a_block(k):
             assert max((coef * a + off for coef, off in front), default=0) == max(inside, default=0)
 
 
-def test_threads_that_build_the_table_at_once_each_get_it_whole(monkeypatch):
+def test_threads_that_build_the_table_at_once_each_get_it_whole():
     # the cache is shared by every thread of a process: a table is published
     # only once it is whole
     expected = _jump_table(9)
@@ -67,7 +67,7 @@ def test_threads_that_build_the_table_at_once_each_get_it_whole(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            monkeypatch.setattr(trajectory, "_jump_tables", {})
+            _jump_table.cache_clear()
             threads = [threading.Thread(target=build) for _ in range(4)]
             for thread in threads:
                 thread.start()
@@ -80,11 +80,12 @@ def test_threads_that_build_the_table_at_once_each_get_it_whole(monkeypatch):
 
 
 def rows_or_error(first, last, max_steps):
-    # _range_rows's rows for the odd starts first..last, or the (start,
-    # budget) of the MaxStepsExceeded it raises
+    # the rows of _range_columns's blocks for the odd starts first..last, or
+    # the (start, budget) of the MaxStepsExceeded it raises
     rows = []
     try:
-        rows.extend(_range_rows(trajectory_direct(first, max_steps), last, max_steps))
+        for block in _range_columns(trajectory_direct(first, max_steps), last, max_steps):
+            rows.extend(zip(*block))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
     return rows

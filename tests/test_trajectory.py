@@ -26,7 +26,7 @@ from collatzkit import (
 from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
-from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_rows, _write_range, iterate_strings
+from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_columns, _write_range, iterate_strings
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -192,14 +192,20 @@ fold_counts = st.integers(min_value=1, max_value=10**6)
 fold_peaks = st.one_of(fold_counts, st.integers(min_value=2**1024, max_value=2**1100))
 
 
-@given(rows=st.lists(st.tuples(fold_counts, fold_counts, fold_peaks), min_size=1, max_size=50))
-@example(rows=[(6, 13, 17)])
-@example(rows=[(2, 3, 2**1100 - 1)])
-@example(rows=[(1, 4, 1), (2, 5, 2**1024), (3, 2, 2**1024 + 1)])
+@given(
+    rows=st.lists(st.tuples(fold_counts, fold_counts, fold_peaks), min_size=1, max_size=50),
+    cuts=st.lists(st.integers(min_value=0, max_value=50), max_size=8),
+)
+@example(rows=[(6, 13, 17)], cuts=[])
+@example(rows=[(2, 3, 2**1100 - 1)], cuts=[0, 0, 1])
+@example(rows=[(1, 4, 1), (2, 5, 2**1024), (3, 2, 2**1024 + 1)], cuts=[1, 1, 2])
 @settings(max_examples=100, deadline=None)
-def test_fold_equals_builtin_min_max_sum(rows):
-    # both --stats routes go through _fold, so it is checked on its own here
-    stats = _fold(iter(rows))
+def test_fold_equals_builtin_min_max_sum(rows, cuts):
+    # both --stats routes go through _fold, so it is checked on its own here,
+    # over the rows cut at random into column blocks, empty blocks included
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    blocks = [tuple(map(list, zip(*rows[a:b]))) or ([], [], []) for a, b in zip(bounds, bounds[1:])]
+    stats = _fold(iter(blocks))
     assert stats.count == len(rows)
     for name, column in zip(("odd_length", "total_divisions", "peak"), zip(*rows)):
         expected = FieldStats(minimum=min(column), maximum=max(column), mean=_mean(sum(column), len(rows)))
@@ -210,12 +216,34 @@ def test_fold_equals_builtin_min_max_sum(rows):
 def test_fold_rejects_no_rows():
     with pytest.raises(DomainError, match="no trajectory records"):
         _fold(iter(()))
+    with pytest.raises(DomainError, match="no trajectory records"):
+        _fold(iter([([], [], []), ((), (), ())]))
 
 
 def test_stats_streams_one_pass_over_a_generator():
     starts = range(1, 200, 2)
     stats = trajectory_stats(trajectory_direct(x) for x in starts)
     assert stats == trajectory_stats([trajectory_direct(x) for x in starts])
+
+
+def test_stats_over_more_than_a_block_folds_blocks_of_at_most_block_rows(monkeypatch):
+    # 601 records: two whole blocks of _BLOCK rows, then the rest
+    records = [trajectory_direct(x) for x in range(1, 1203, 2)]
+    sizes = []
+
+    def spy(blocks):
+        blocks = list(blocks)
+        sizes.extend(len(column) for block in blocks for column in block)
+        return _fold(blocks)
+
+    monkeypatch.setattr(trajectory_module, "_fold", spy)
+    stats = trajectory_stats(iter(records))
+    block = trajectory_module._BLOCK
+    assert sizes == [block] * 6 + [601 - 2 * block] * 3
+    assert stats.count == 601
+    for name in ("odd_length", "total_divisions", "peak"):
+        column = [getattr(rec, name) for rec in records]
+        assert getattr(stats, name) == FieldStats(min(column), max(column), _mean(sum(column), 601))
 
 
 def test_stats_mean_beyond_float_range_is_the_nearest_integer():
@@ -350,7 +378,7 @@ def summarise(first, last, max_steps, engine):
     # MaxStepsExceeded the range raises
     try:
         if engine:
-            return _fold(_range_rows(trajectory_direct(first, max_steps), last, max_steps))
+            return _fold(_range_columns(trajectory_direct(first, max_steps), last, max_steps))
         return trajectory_stats(trajectory_direct(x, max_steps) for x in range(first, last + 1, 2))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
@@ -388,29 +416,12 @@ def test_memoised_range_stats_run_out_of_budget_at_the_full_records_start(first,
 
 
 def test_the_memo_table_stops_at_its_cap(monkeypatch):
-    # the table's column lengths as _range_rows last yields or returns
-    columns = []
-
-    def trace_calls(frame, event, arg):
-        if frame.f_code is not _range_rows.__code__:
-            return None
-
-        def trace_lines(frame, event, arg):
-            if event == "return":
-                columns[:] = (len(frame.f_locals[n]) for n in ("lengths", "divisions", "peaks"))
-            return trace_lines
-
-        return trace_lines
-
+    # the table is the first block: once the range is consumed it still
+    # holds 8 rows, and the other 193 starts went into a block of their own
     monkeypatch.setattr(trajectory_module, "_TABLE_STARTS", 8)
-    expected = summarise(1, 401, 10**6, False)
-    sys.settrace(trace_calls)
-    try:
-        stats = _fold(_range_rows(trajectory_direct(1), 401, 10**6))
-    finally:
-        sys.settrace(None)
-    assert stats == expected
-    assert columns == [8, 8, 8]
+    blocks = list(_range_columns(trajectory_direct(1), 401, 10**6))
+    assert [[len(column) for column in block] for block in blocks] == [[8, 8, 8], [193, 193, 193]]
+    assert _fold(blocks) == summarise(1, 401, 10**6, False)
 
 
 def write_range(first, last, fmt, max_steps, joined):
