@@ -225,6 +225,17 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             )
         _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
+    from .trajectory import DECIMAL_MIN_BITS, _write_walk
+
+    if args.end is None and args.start.bit_length() >= DECIMAL_MIN_BITS:
+        # a big start's line is streamed by a count pass and a write pass,
+        # with no record.  A smaller start keeps its record (2**1000-1's
+        # holds 0.7 MB): perfbench/tracing.py counts steps through this
+        # module's trajectory_direct and trajectory_lookup and divides by
+        # those counts unguarded, and its probe's one lookup walk, of a
+        # 1000-bit start, is the only one on some workloads
+        _write_walk(out, args.start, args.format, max_steps, args.method)
+        return
     if args.method == "direct":
         if starts:
             from .trajectory import _write_range
@@ -288,14 +299,21 @@ def _cmd_alpha_table(args: argparse.Namespace, out: TextIO) -> None:
         return
     _require_count(args.rows, 1, "rows")
     _require_count(args.cols, 1, "cols")
-    rows = [
-        [n, *(alpha_table_entry(h, n) for h in range(1, args.cols + 1))]
-        for n in range(1, args.rows + 1)
-    ]
+    # written row by row, so a window holds one row at a time
+    heights = range(1, args.cols + 1)
+    rows = ([n] + [alpha_table_entry(h, n) for h in heights] for n in range(1, args.rows + 1))
+    if args.format == "json":
+        # the bytes of json.dumps({"rows": ..., "cols": ..., "values": rows}),
+        # with its ", " and ": " separators
+        _write(out, f'{{"rows": {args.rows}, "cols": {args.cols}, "values": [')
+        for i, row in enumerate(rows):
+            _write(out, (", [" if i else "[") + ", ".join(map(str, row)) + "]")
+        _write(out, "]}\n")
+        return
     sep = "," if args.format == "csv" else " "
-    lines = [["n", *(f"h={h}" for h in range(1, args.cols + 1))], *rows]
-    text = "".join(sep.join(map(str, line)) + "\n" for line in lines)
-    _emit(out, args.format, {"rows": args.rows, "cols": args.cols, "values": rows}, text)
+    _write(out, sep.join(["n", *(f"h={h}" for h in heights)]) + "\n")
+    for row in rows:
+        _write(out, sep.join(map(str, row)) + "\n")
 
 
 def _cmd_drift(args: argparse.Namespace, out: TextIO) -> None:

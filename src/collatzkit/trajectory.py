@@ -69,13 +69,23 @@ summed odd_length and total_divisions and the larger peak.  A line of at
 most _BLOCK iterates is rendered once and, but for the last start's, kept
 until _MEMO_CHARS characters are; a longer one joins nothing and is
 written by write_record.
+
+A single start's line can be streamed instead (_write_walk), holding no
+record.  A count pass walks the start and keeps nothing: _count_chunk with
+a one-entry table for the direct route, lookup steps for the lookup one.
+It raises MaxStepsExceeded exactly when the walk is over budget, so such a
+walk writes no byte.  A write pass then walks the start again, by the same
+route, and _write_line renders and writes each block of _BLOCK iterates as
+it is made; write_record feeds _write_line a record's pairs instead.  The
+CLI streams only starts of at least DECIMAL_MIN_BITS bits, and smaller
+ones keep their records (cli._cmd_trajectory says why).
 """
 
 from __future__ import annotations
 
 import io
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -353,18 +363,114 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
 # Decimal as (3d+1) // 2**alpha, which is linear in the digit count; str(int)
 # is quadratic, but faster below this size.  Per iterate, str vs Decimal,
 # Python 3.11 on a 2-vCPU x86-64 host: 2.2-2.5 vs 2.8-3.0 us at 896 bits,
-# about equal at 1024-1088, 4.4-5.4 vs 2.6-3.7 us at 1536.
+# about equal at 1024-1088, 4.4-5.4 vs 2.6-3.7 us at 1536.  The CLI also
+# streams the line of a single start this big (_write_walk)
 DECIMAL_MIN_BITS = 1024
 
-
-def iterate_strings(record: TrajectoryRecord) -> Iterable[str]:
-    """The decimal strings of record.iterates, equal to map(str, record.iterates)."""
-    if record.peak.bit_length() < DECIMAL_MIN_BITS:
-        return map(str, record.iterates)
-    return _tracked_decimals(record)
+# trailing zero bits of each byte but 0: _TZ[t & 255] is the alpha of a t
+# whose low byte is not 0, read without copying t as t & -t does
+_TZ = [0] + [(b & -b).bit_length() - 1 for b in range(1, 256)]
 
 
-def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
+def _direct_steps(x: int) -> Iterator[tuple[int, int]]:
+    # (iterate, alpha) of each (3x+1)/2**alpha step from x down to 1
+    cur = x
+    while True:
+        t = 3 * cur + 1
+        alpha = _TZ[t & 255] or (t & -t).bit_length() - 1
+        cur = t >> alpha
+        yield cur, alpha
+        if cur == 1:
+            return
+
+
+def _lookup_steps(x: int) -> Iterator[tuple[int, int]]:
+    # the same pairs, read off the table layout as trajectory_lookup does
+    cur = x
+    while True:
+        strips = 0
+        while cur & 7 == 5:
+            cur >>= 2
+            strips += 1
+        if cur & 3 == 3:
+            cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
+        else:
+            cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
+        yield cur, alpha
+        if cur == 1:
+            return
+
+
+def _head(fmt: str, start: int) -> str:
+    # a walk line up to its first iterate
+    return f'{{"start":{start},"iterates":[' if fmt == "json" else f"{start} "
+
+
+def _tail(fmt: str, alphas: str, odd_length: int, total_divisions: int, peak: int) -> str:
+    # a walk line after its last iterate; alphas (the joined alpha string)
+    # is read only by JSON
+    if fmt == "json":
+        return (
+            f'],"alphas":[{alphas}],"odd_length":{odd_length},'
+            f'"total_divisions":{total_divisions},"peak":{peak}}}\n'
+        )
+    return "\n"
+
+
+def _write_line(out: TextIO, start: int, steps: Iterable[tuple[int, int]], fmt: str) -> None:
+    """Write the text or JSON line of start's walk, whose (iterate, alpha) pairs steps yields.
+
+    Each out.write holds at most _BLOCK iterates, and a line of at most
+    _BLOCK iterates is one write.  One block of pairs and of their strings
+    is held at a time, and for JSON the alphas; odd_length,
+    total_divisions and peak are summed up block by block.  Iterates of at
+    least DECIMAL_MIN_BITS bits are rendered from the previous iterate's
+    Decimal, exactly: the bytes are those of str.
+    """
+    as_json = fmt == "json"
+    sep = "," if as_json else " "
+    steps = iter(steps)
+    alphas: list[int] = []
+    length = divisions = peak = 0
+    exact = None  # Decimal, fma and divide_int, from the first big iterate on
+    d = None  # the previous iterate as a Decimal, while it is big
+    text = _head(fmt, start)  # written with the first block
+    while block := list(islice(steps, _BLOCK)):
+        values, block_alphas = zip(*block)
+        first = not length
+        length += len(values)
+        divisions += sum(block_alphas)
+        top = max(values)
+        peak = max(peak, top)
+        if as_json:
+            alphas += block_alphas
+        strings = [] if first else [""]  # so a later block's text begins with sep
+        if top.bit_length() < DECIMAL_MIN_BITS:
+            d = None
+            strings += map(str, values)
+        else:
+            Decimal, fma, divide_int = exact = exact or _exact_decimal()
+            for value, alpha in block:
+                if value.bit_length() < DECIMAL_MIN_BITS:
+                    d = None
+                    strings.append(str(value))
+                else:
+                    d = Decimal(value) if d is None else divide_int(fma(d, 3, 1), 1 << alpha)
+                    strings.append(str(d))
+        text += sep.join(strings)
+        del strings  # not held while the text is written
+        if first:
+            # the tail goes out with the first block when that is the whole line
+            more = next(steps, None) if len(values) == _BLOCK else None
+            if more is None:
+                break
+            steps = chain((more,), steps)
+        out.write(text)
+        text = ""
+    out.write(text + _tail(fmt, ",".join(map(str, alphas)), length, divisions, peak))
+
+
+def _exact_decimal() -> tuple:
     import decimal  # loaded only for walks this big; not a module-level import
 
     # any loss of exactness raises instead of printing a wrong digit
@@ -374,30 +480,7 @@ def _tracked_decimals(record: TrajectoryRecord) -> Iterator[str]:
         Emin=decimal.MIN_EMIN,
         traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
     )
-    fma, divide_int = exact.fma, exact.divide_int
-    d = None  # the previous iterate as a Decimal, while it is big
-    for value, alpha in zip(record.iterates, record.alphas):
-        if value.bit_length() < DECIMAL_MIN_BITS:
-            d = None
-            yield str(value)
-        else:
-            d = decimal.Decimal(value) if d is None else divide_int(fma(d, 3, 1), 1 << alpha)
-            yield str(d)
-
-
-def _frame(
-    fmt: str, start: int, alphas: str, odd_length: int, total_divisions: int, peak: int
-) -> tuple[str, str, str]:
-    # head, iterate separator and tail of a walk line; alphas (the joined
-    # alpha string) is read only by JSON
-    if fmt == "json":
-        return (
-            f'{{"start":{start},"iterates":[',
-            ",",
-            f'],"alphas":[{alphas}],"odd_length":{odd_length},'
-            f'"total_divisions":{total_divisions},"peak":{peak}}}\n',
-        )
-    return f"{start} ", " ", "\n"
+    return decimal.Decimal, exact.fma, exact.divide_int
 
 
 def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
@@ -406,16 +489,30 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     Text is the start and the iterates, space-separated; JSON is the line
     record_json returns.  A record of at most _BLOCK iterates is one write.
     """
-    alphas = ",".join(map(str, record.alphas)) if fmt == "json" else ""
-    head, sep, tail = _frame(fmt, record.start, alphas, record.odd_length, record.total_divisions, record.peak)
-    strings = iter(iterate_strings(record))
-    if record.odd_length <= _BLOCK:
-        out.write(head + sep.join(strings) + tail)
-        return
-    out.write(head + sep.join(islice(strings, _BLOCK)))
-    while block := sep.join(islice(strings, _BLOCK)):
-        out.write(sep + block)
-    out.write(tail)
+    _write_line(out, record.start, zip(record.iterates, record.alphas), fmt)
+
+
+def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> None:
+    """write_record of x's record by method ("direct" or "lookup"), without building it.
+
+    A count pass walks x and keeps no iterate; it raises MaxStepsExceeded,
+    before any byte is written, exactly when the walk has more than
+    max_steps odd steps.  The write pass then walks x again by the same
+    method and writes each block of the line as it is made, so the
+    memory held is a block, not the record.
+    """
+    _require_odd(x)
+    if method == "lookup":
+        # counted by lookup steps too: the reference route never evaluates 3x+1
+        for last, _ in islice(_lookup_steps(x), max_steps):
+            pass
+        if last != 1:
+            raise MaxStepsExceeded(x, max_steps)
+        steps = _lookup_steps(x)
+    else:
+        _count_chunk((x, x, max_steps, [0]))
+        steps = _direct_steps(x)
+    _write_line(out, x, steps, fmt)
 
 
 # characters of iterate and alpha strings a direct range's line memo holds
@@ -483,8 +580,7 @@ def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_
             alps = f"{alps},{y_alps}" if as_json else ""
             divs += y_divs
             peak = max(peak, y_peak)
-        head, _, tail = _frame(fmt, x, alps, length, divs, peak)
-        out.write(head + its + tail)
+        out.write(_head(fmt, x) + its + _tail(fmt, alps, length, divs, peak))
         if room > 0 and x < last:
             memo[x] = (its, alps, length, divs, peak)
             room -= len(its) + len(alps)

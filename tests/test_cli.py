@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -239,6 +240,10 @@ def test_json_record_past_the_digit_limit():
         ["predecessors", "7", "--count", "3000"],
         ["table-export", "--table", "A", "--rows", "3000", "--cols", "40"],
         ["tree", "--depth", "9", "--breadth", "4"],
+        # streamed: the count pass writes nothing, then the line goes out in blocks
+        pytest.param(
+            ["trajectory", str(2**5000 - 1), "--method", "lookup", "--format", "json"], id="trajectory-stream"
+        ),
     ],
     ids=lambda argv: argv[0],
 )
@@ -447,9 +452,11 @@ print(proc.returncode, sha.hexdigest(), usage.ru_maxrss)
     ids=["text", "json", "lookup"],
 )
 def test_a_big_walk_is_written_in_bounded_memory(options, digest):
-    # the 33 MB line of 2**5000 - 1 goes out in blocks of iterates: the
-    # walk holds the record's ints (about 16 MB) but never the whole line,
-    # which took its peak RSS to 125 MiB.  Run under a 1 GiB address-space cap
+    # the 33 MB line of 2**5000 - 1 goes out in blocks of iterates, each
+    # rendered as the walk makes it: neither the whole line (125 MiB peak
+    # RSS as one string) nor the record's ints (about 16 MB, 32 MiB peak)
+    # are held, so the peak is about 18 MiB.  Run under a 1 GiB
+    # address-space cap
     script = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
         "from collatzkit.cli import main\n"
@@ -464,7 +471,44 @@ def test_a_big_walk_is_written_in_bounded_memory(options, digest):
     )
     code, sha, max_rss_kib = proc.stdout.split()
     assert (proc.returncode, proc.stderr, code, sha) == (0, "", "0", digest)
-    assert int(max_rss_kib) < 64 * 1024
+    assert int(max_rss_kib) < 24 * 1024
+
+
+# the length of 2**5000 - 1's walk is 24131: one step less is over budget
+BIG_WALK_DIGESTS = {
+    "text": "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec",
+    "json": "648669bece2b2885f00fba2ea787561da539a3a5581e8f7e5d808f06375c217c",
+}
+
+
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_big_walk_over_budget_writes_no_byte(monkeypatch, fmt, method):
+    start = str(2**5000 - 1)
+    argv = ["trajectory", start, "--format", fmt, "--method", method]
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", "24130")
+    assert invoke(*argv) == (3, "", f"error: budget of 24130 steps exhausted starting from {start}\n")
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", "24131")
+    code, out, err = invoke(*argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, BIG_WALK_DIGESTS[fmt], "")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_huge_alpha_table_window_is_written_row_by_row(fmt):
+    # 9 million entries of up to 3001 bits: built whole they outgrow a 1 GiB
+    # address-space cap; row by row, a reader that closes early gets exit 1
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        f"sys.argv = ['collatzkit', 'alpha-table', '--rows', '3000', '--cols', '3000', '--format', {fmt!r}]\n"
+        "main()\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -74,6 +74,16 @@ MATRIX = {
     f"trajectory {2**1100 - 1} --method lookup": ("eb165ed32692d257988be265c6df632283c04029ae532b26f94cbb753665416b", 0),
     f"trajectory {2**1100 - 1} --format json": ("7d6add423086621674433d8474e30c131f075a4ce8a6c2df3dfed1e8660007b3", 0),
     f"trajectory {2**1100 - 1} --method lookup --format json": ("7d6add423086621674433d8474e30c131f075a4ce8a6c2df3dfed1e8660007b3", 0),
+    # 2**1026 + 3**640: 2494 iterates, falling below 1024 bits and climbing
+    # back above twice, so the Decimal route restarts; one step under its
+    # budget it writes nothing
+    f"trajectory {2**1026 + 3**640}": ("6718bbcfc6f2885aaaf7a3a03f0e2b6a0b2bf4c6481bbd5f5b1b2f442a08c5fe", 0),
+    f"trajectory {2**1026 + 3**640} --format json": ("40440ad33800608c8345f4cc96b5669aba692d84d44b1f76e5a9f3e1b05a038a", 0),
+    f"trajectory {2**1026 + 3**640} --method lookup": ("6718bbcfc6f2885aaaf7a3a03f0e2b6a0b2bf4c6481bbd5f5b1b2f442a08c5fe", 0),
+    f"trajectory {2**1026 + 3**640} --method lookup --format json": ("40440ad33800608c8345f4cc96b5669aba692d84d44b1f76e5a9f3e1b05a038a", 0),
+    f"COLLATZ_MAX_STEPS=2494 trajectory {2**1026 + 3**640} --format json": ("40440ad33800608c8345f4cc96b5669aba692d84d44b1f76e5a9f3e1b05a038a", 0),
+    f"COLLATZ_MAX_STEPS=2493 trajectory {2**1026 + 3**640}": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    f"COLLATZ_MAX_STEPS=2493 trajectory {2**1026 + 3**640} --method lookup --format json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
     "trajectory 3 --end 99": ("8d412ec74b8393cecf2d7521a0d0e7ec30e8c896907af5c521b80feb8af09520", 0),
     "trajectory 3 --format csv": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "trajectory 3 --end 99 --stats": ("fb8aa65b2384a9cfd58f1862d62c0b845bf1be575d4b7d638acfb606eaefbaa1", 0),

@@ -26,7 +26,7 @@ from collatzkit import (
 from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
-from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_columns, _write_range, iterate_strings
+from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_columns, _write_range, _write_walk
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -290,6 +290,12 @@ def test_record_json_equals_json_dumps_payload():
         assert record_json(rec) == _old_record_json(rec), x
 
 
+def text_line(rec):
+    buf = io.StringIO()
+    write_record(buf, rec, "text")
+    return buf.getvalue()
+
+
 big_starts = st.integers(min_value=900, max_value=1300).flatmap(
     lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
 ).map(lambda n: n | 1)
@@ -297,17 +303,17 @@ big_starts = st.integers(min_value=900, max_value=1300).flatmap(
 
 @given(x=big_starts)
 @settings(max_examples=25, deadline=None)
-def test_iterate_strings_equal_str_across_the_cutover(x):
+def test_written_iterates_equal_str_across_the_cutover(x):
     for rec in (trajectory_direct(x), trajectory_lookup(x)):
-        assert list(iterate_strings(rec)) == [str(v) for v in rec.iterates]
+        assert text_line(rec) == f"{x} {' '.join(map(str, rec.iterates))}\n"
 
 
-def test_iterate_strings_walk_crosses_the_cutover_both_ways():
+def test_a_line_crossing_the_cutover_both_ways_is_written_as_str():
     # 2**1000 - 1 climbs from below the cut-over to above it, then falls back
     rec = trajectory_direct(2**1000 - 1)
     big = [v.bit_length() >= DECIMAL_MIN_BITS for v in rec.iterates]
     assert {(False, True), (True, False)} <= set(zip(big, big[1:]))
-    assert list(iterate_strings(rec)) == [str(v) for v in rec.iterates]
+    assert text_line(rec) == f"{rec.start} {' '.join(map(str, rec.iterates))}\n"
 
 
 def iterate_offsets(head, sep, strings):
@@ -355,9 +361,48 @@ def test_write_record_equals_the_joined_line_in_bounded_writes(x):
                     pos += len(text)
 
 
+# starts of 1020 to 1100 bits: the walks of the bigger ones are streamed by
+# the CLI, and some fall below DECIMAL_MIN_BITS and climb back above it
+stream_starts = st.one_of(
+    st.integers(min_value=1020, max_value=1100).map(lambda bits: 2**bits - 1),
+    st.integers(min_value=1020, max_value=1100).flatmap(
+        lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1).map(lambda n: n | 1)
+    ),
+)
+
+
+@given(x=stream_starts, block=st.sampled_from([3, 256]))
+@example(x=2**1026 + 3**640, block=3)  # below the cut-over and back above it, twice
+@example(x=2**1100 - 1, block=256)
+@settings(max_examples=20, deadline=None)
+def test_a_streamed_walk_equals_its_record_line(x, block):
+    with patch.object(trajectory_module, "_BLOCK", block):
+        for method, build in (("direct", trajectory_direct), ("lookup", trajectory_lookup)):
+            rec = build(x)
+            for fmt in ("text", "json"):
+                expected, writes = io.StringIO(), []
+                write_record(expected, rec, fmt)
+                _write_walk(SimpleNamespace(write=writes.append), x, fmt, rec.odd_length, method)
+                assert "".join(writes) == expected.getvalue()
+                # one write per block of iterates, then the tail
+                assert len(writes) == -(-rec.odd_length // block) + 1
+
+
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+def test_a_streamed_walk_one_step_over_budget_raises_at_its_start(method):
+    x = 2**1100 - 1
+    length = trajectory_direct(x).odd_length
+    writes = []
+    with pytest.raises(MaxStepsExceeded) as exc:
+        _write_walk(SimpleNamespace(write=writes.append), x, "json", length - 1, method)
+    assert (exc.value.start, exc.value.max_steps, writes) == (x, length - 1, [])
+    with pytest.raises(DomainError, match="x must be odd"):
+        _write_walk(io.StringIO(), x + 1, "text", length, method)
+
+
 @pytest.mark.parametrize("options", [[], ["--format", "json"], ["--method", "lookup"]])
 def test_a_walk_over_budget_writes_nothing(monkeypatch, options):
-    # the record is built before any of its bytes are written
+    # the count pass comes before any byte of the line
     monkeypatch.setenv("COLLATZ_MAX_STEPS", "100")
     out, err = io.StringIO(), io.StringIO()
     assert run(["trajectory", str(2**1100 - 1), *options], out, err) == 3
