@@ -314,6 +314,15 @@ def test_alpha_table_window_and_chain():
     assert json.loads(out)["exit_iterate"] == 91
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 1), (1, 9), (36, 10)])
+def test_alpha_table_window_json_is_json_dumps(rows, cols):
+    from collatzkit import alpha_table_entry
+
+    values = [[n, *(alpha_table_entry(h, n) for h in range(1, cols + 1))] for n in range(1, rows + 1)]
+    expected = json.dumps({"rows": rows, "cols": cols, "values": values}) + "\n"
+    assert invoke("alpha-table", "--rows", str(rows), "--cols", str(cols), "--format", "json") == (0, expected, "")
+
+
 @pytest.mark.parametrize(
     "argv,line",
     [
