@@ -207,9 +207,11 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         if args.method == "direct" and starts:
             from .trajectory import _fold, _range_columns
 
-            # the first start goes through this module's trajectory_direct
-            # (perfbench/tracing.py counts direct steps there); the later
-            # starts' walks join the earlier ones without records
+            # the first start goes through this module's trajectory_direct:
+            # perfbench/tracing.py counts direct steps there and divides by
+            # them unguarded, and its probe's --stats range runs on every
+            # workload.  The later starts' walks join the earlier ones
+            # without records
             stats = _fold(_range_columns(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
         else:
             # the lookup route never evaluates 3x+1, so it walks every start in
@@ -225,29 +227,23 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             )
         _emit(out, args.format, {"count": stats.count, **fields}, text)
         return
-    from .trajectory import DECIMAL_MIN_BITS, _write_walk
+    from .trajectory import DECIMAL_MIN_BITS, _write_range, _write_walk
 
-    if args.end is None and args.start.bit_length() >= DECIMAL_MIN_BITS:
-        # a big start's line is streamed by a count pass and a write pass,
-        # with no record.  A smaller start keeps its record (2**1000-1's
-        # holds 0.7 MB): perfbench/tracing.py counts steps through this
-        # module's trajectory_direct and trajectory_lookup and divides by
-        # those counts unguarded, and its probe's one lookup walk, of a
-        # 1000-bit start, is the only one on some workloads
-        _write_walk(out, args.start, args.format, max_steps, args.method)
-        return
     if args.method == "direct":
         if starts:
-            from .trajectory import _write_range
-
-            # as with --stats, only the first start goes through this
-            # module's trajectory_direct; later lines join earlier ones
-            _write_range(out, trajectory_direct(starts[0], max_steps), starts[-1], args.format, max_steps)
+            # every direct line, of one start or of a range, at any size
+            _write_range(out, starts[0], starts[-1], args.format, max_steps)
         return
     for x in starts:
-        # the whole record is built before its first byte is written, so a
-        # walk over budget leaves no partial line
-        write_record(out, trajectory_lookup(x, max_steps), args.format)
+        if x.bit_length() >= DECIMAL_MIN_BITS:
+            _write_walk(out, x, args.format, max_steps, "lookup")
+        else:
+            # a smaller start keeps its record, built before its first byte
+            # is written: perfbench/tracing.py counts lookup steps through
+            # this module's trajectory_lookup and divides by those counts
+            # unguarded, and its probe's one 1000-bit walk is the only
+            # lookup walk on some workloads
+            write_record(out, trajectory_lookup(x, max_steps), args.format)
 
 
 def _cmd_predecessors(args: argparse.Namespace, out: TextIO) -> None:

@@ -62,23 +62,24 @@ so a start raises MaxStepsExceeded exactly when its full walk has more
 than max_steps odd steps: the set of failing starts, and so the first
 one, is that of the full walks.
 
-The record lines of a direct range (_write_range) join the same way: past
-y, x's iterates and alphas are y's, so x's line is its own walk up to y
-(y included) followed by y's rendered iterate and alpha strings, with the
+The lines of a direct range (_write_range) join the same way: past y,
+x's iterates and alphas are y's, so x's line is its own walk up to y (y
+included) followed by y's rendered iterate and alpha strings, with the
 summed odd_length and total_divisions and the larger peak.  A line of at
 most _BLOCK iterates is rendered once and, but for the last start's, kept
-until _MEMO_CHARS characters are; a longer one joins nothing and is
-written by write_record.
+until _MEMO_CHARS characters are; a walk that passes _BLOCK steps joins
+nothing and is streamed.
 
-A single start's line can be streamed instead (_write_walk), holding no
-record.  A count pass walks the start and keeps nothing: _count_chunk with
-a one-entry table for the direct route, lookup steps for the lookup one.
-It raises MaxStepsExceeded exactly when the walk is over budget, so such a
-walk writes no byte.  A write pass then walks the start again, by the same
-route, and _write_line renders and writes each block of _BLOCK iterates as
-it is made; write_record feeds _write_line a record's pairs instead.  The
-CLI streams only starts of at least DECIMAL_MIN_BITS bits, and smaller
-ones keep their records (cli._cmd_trajectory says why).
+A streamed line (_write_walk) holds no record.  A count pass walks the
+start and keeps nothing: _count_chunk with a one-entry table for the
+direct route, lookup steps for the lookup one.  It raises MaxStepsExceeded
+exactly when the walk is over budget, so such a walk writes no byte.  A
+write pass then walks the start again, by the same route, and _write_line
+renders and writes each block of _BLOCK iterates as it is made;
+write_record feeds _write_line a record's pairs instead.  So no direct
+line, of one start or of a range, is built as a record; the CLI's lookup
+route streams starts of at least DECIMAL_MIN_BITS bits, and smaller ones
+keep their records (cli._cmd_trajectory says why).
 """
 
 from __future__ import annotations
@@ -363,8 +364,8 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
 # Decimal as (3d+1) // 2**alpha, which is linear in the digit count; str(int)
 # is quadratic, but faster below this size.  Per iterate, str vs Decimal,
 # Python 3.11 on a 2-vCPU x86-64 host: 2.2-2.5 vs 2.8-3.0 us at 896 bits,
-# about equal at 1024-1088, 4.4-5.4 vs 2.6-3.7 us at 1536.  The CLI also
-# streams the line of a single start this big (_write_walk)
+# about equal at 1024-1088, 4.4-5.4 vs 2.6-3.7 us at 1536.  The CLI's
+# lookup route also streams the line of a start this big (_write_walk)
 DECIMAL_MIN_BITS = 1024
 
 # trailing zero bits of each byte but 0: _TZ[t & 255] is the alpha of a t
@@ -499,7 +500,9 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> N
     before any byte is written, exactly when the walk has more than
     max_steps odd steps.  The write pass then walks x again by the same
     method and writes each block of the line as it is made, so the
-    memory held is a block, not the record.
+    memory held is a block, not the record.  _write_range streams each
+    direct line longer than _BLOCK iterates through here; the CLI's lookup
+    route, each start of at least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
     if method == "lookup":
@@ -519,20 +522,19 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> N
 _MEMO_CHARS = 2**20
 
 
-def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_steps: int) -> None:
-    """write_record of the direct records of the odd starts first.start..last.
+def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int) -> None:
+    """write_record of the direct records of the odd starts lo..last, without building them.
 
-    first is the range's first record.  Every later start x is walked
-    until it reaches 1 or an earlier start y of the range whose line is in
-    the memo; its line is then the walk's own iterates followed by y's
-    (see the module docstring).  A line of at most _BLOCK iterates is
-    rendered once, written in one write and, but for the last start's,
-    kept in the memo; a longer one goes through write_record.  A start
-    whose walk passes max_steps odd steps raises MaxStepsExceeded before
-    any byte of its line, so the lines before the first failing start are
-    all written.
+    Each start x is walked until it reaches 1 or an earlier start y of the
+    range whose line is in the memo; its line is then the walk's own
+    iterates followed by y's (see the module docstring).  A line of at most
+    _BLOCK iterates is rendered once, written in one write and, but for the
+    last start's, kept in the memo; a walk that passes _BLOCK steps is
+    streamed by _write_walk.  A start whose walk passes max_steps odd steps
+    raises MaxStepsExceeded before any byte of its line, so the lines
+    before the first failing start are all written.
     """
-    lo = first.start
+    _require_odd(lo)
     as_json = fmt == "json"
     sep = "," if as_json else " "
     # start -> (iterate string, alpha string, odd_length, total_divisions,
@@ -541,31 +543,31 @@ def _write_range(out: TextIO, first: TrajectoryRecord, last: int, fmt: str, max_
     get = memo.get
     room = _MEMO_CHARS
     for x in range(lo, last + 1, 2):
-        if x == lo:
-            iterates, alphas, steps, joined = first.iterates, first.alphas, first.odd_length, None
+        iterates = []
+        alphas = []
+        append_i = iterates.append
+        append_a = alphas.append
+        cur = x
+        for steps in range(1, min(max_steps, _BLOCK) + 1):
+            # the step, inlined: no call per iterate
+            t = 3 * cur + 1
+            alpha = (t & -t).bit_length() - 1
+            cur = t >> alpha
+            append_i(cur)
+            append_a(alpha)
+            if cur == 1:
+                # a candidate that failed the _BLOCK test below is no join
+                joined = None
+                break
+            if lo <= cur < x and (joined := get(cur)) is not None and steps + joined[2] <= _BLOCK:
+                break
         else:
-            iterates = []
-            alphas = []
-            append_i = iterates.append
-            append_a = alphas.append
-            cur = x
-            for steps in range(1, max_steps + 1):
-                # the step, inlined: no call per iterate
-                t = 3 * cur + 1
-                alpha = (t & -t).bit_length() - 1
-                cur = t >> alpha
-                append_i(cur)
-                append_a(alpha)
-                if cur == 1:
-                    # a candidate that failed the _BLOCK test below is no join
-                    joined = None
-                    break
-                if lo <= cur < x and (joined := get(cur)) is not None and steps + joined[2] <= _BLOCK:
-                    break
-            else:
+            if max_steps <= _BLOCK:
                 raise MaxStepsExceeded(x, max_steps)
-        if joined is None and steps > _BLOCK:
-            write_record(out, first if x == lo else _record(x, iterates, alphas), fmt)
+            # the bound appends keep the lists alive: empty them, so the
+            # partial walk is not held while the line streams
+            del iterates[:], alphas[:]
+            _write_walk(out, x, fmt, max_steps, "direct")
             continue
         its = sep.join(map(str, iterates))
         alps = ",".join(map(str, alphas)) if as_json else ""

@@ -483,6 +483,38 @@ def test_a_big_walk_is_written_in_bounded_memory(options, digest):
     assert int(max_rss_kib) < 24 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "options,digest",
+    [
+        ([], "7e520fd0547dc8afced76c307553b799aefdf64e010f2d73debd1d761f265171"),
+        (["--format", "json"], "15f5c5319eb74f789a0f18f4d984deb400724f3b253aea7c9b7837809c977da2"),
+        (["--method", "lookup"], "7e520fd0547dc8afced76c307553b799aefdf64e010f2d73debd1d761f265171"),
+    ],
+    ids=["text", "json", "lookup"],
+)
+def test_a_range_of_big_starts_is_written_in_bounded_memory(options, digest):
+    # three lines of 5000-bit starts, each streamed as a single walk is:
+    # no record of any of them is held (36 MiB peak when the records were
+    # built), so the peak is that of one walk.  Run under a 1 GiB
+    # address-space cap
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        f"sys.argv = ['collatzkit', 'trajectory', str(2**5000 - 1), '--end', str(2**5000 + 3), *{options!r}]\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_DRIVER, sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, sha, max_rss_kib = proc.stdout.split()
+    assert (proc.returncode, proc.stderr, code, sha) == (0, "", "0", digest)
+    assert int(max_rss_kib) < 24 * 1024
+
+
 # the length of 2**5000 - 1's walk is 24131: one step less is over budget
 BIG_WALK_DIGESTS = {
     "text": "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec",
@@ -662,7 +694,8 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
 
 
 def test_a_direct_range_walks_only_its_first_start_through_cli(monkeypatch):
-    # the later lines join earlier ones inside trajectory._write_range
+    # every start, the first too, is walked inside trajectory._write_range,
+    # and later lines join earlier ones there
     calls = []
 
     def counting(x, max_steps):
@@ -672,7 +705,7 @@ def test_a_direct_range_walks_only_its_first_start_through_cli(monkeypatch):
     monkeypatch.setattr(cli, "trajectory_direct", counting)
     monkeypatch.setattr(cli, "trajectory_lookup", None)
     code, out, err = invoke("trajectory", "3", "--end", "99", "--format", "json")
-    assert (code, err, calls) == (0, "", [3])
+    assert (code, err, calls) == (0, "", [])
     assert out == "".join(record_json(trajectory_direct(x)) + "\n" for x in range(3, 100, 2))
 
 

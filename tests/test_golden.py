@@ -116,6 +116,12 @@ MATRIX = {
     "trajectory 899 --end 25899 --format json": ("a4a03a1771892f5cfbd630980665f05296b433bea0d7beddfdb4abe9675db9ed", 0),
     "trajectory 1 --end 2001 --method lookup --format json": ("328f5c60502d72c0e44d8194fa0dacb072df6a80b693756405eda16edaae7b10", 0),
     "trajectory 18446744073709551617 --end 18446744073709551815": ("6e63563e540f932d2cc3b3ec0245a282ae8d1c51e5eb351de202360110c60cfb", 0),
+    # 2**1100 - 1 to 2**1100 + 3: lines of 5108, 2716 and 2448 iterates,
+    # each streamed inside the range
+    f"trajectory {2**1100 - 1} --end {2**1100 + 3}": ("3b2bfe90c7c608a012753b59c3d63a72e084bc5cd4879bd66cad3efa0586da87", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 3} --format json": ("cc78e4429041e75331bcedde6ded8e9bd47ed2da7506d5d6c3a9cec40069db95", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 3} --method lookup": ("3b2bfe90c7c608a012753b59c3d63a72e084bc5cd4879bd66cad3efa0586da87", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 3} --method lookup --format json": ("cc78e4429041e75331bcedde6ded8e9bd47ed2da7506d5d6c3a9cec40069db95", 0),
     "trajectory 4 --end 4": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001": ("f55e85669c68ea52fe37db8f2ffd1b193979e75d9bd0aee6f8ccd2bad63d89ce", 3),
     "trajectory 9 --end 7": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
@@ -179,6 +185,23 @@ def test_command_matrix_stdout_and_exit_code_are_unchanged(command, monkeypatch)
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
     assert (hashlib.sha256(out.getvalue().encode()).hexdigest(), code) == MATRIX[command]
+
+
+def direct_lines(command):
+    # a direct trajectory command that writes lines, not --stats
+    words = command.split()
+    return words[sum("=" in w for w in words)] == "trajectory" and not {"--stats", "lookup"} & set(words)
+
+
+@pytest.mark.parametrize("command", [c for c in MATRIX if direct_lines(c)])
+def test_direct_lines_build_no_record(command, monkeypatch):
+    from collatzkit import trajectory
+
+    def no_record(*args):
+        raise AssertionError("a direct line built a record")
+
+    monkeypatch.setattr(trajectory, "_record", no_record)
+    test_command_matrix_stdout_and_exit_code_are_unchanged(command, monkeypatch)
 
 
 def test_a_stats_range_over_budget_names_its_first_failing_start(monkeypatch):

@@ -209,7 +209,7 @@ print(json.dumps([*results, run()]))
     [
         ("classify", "core", ["classify", "7"]),
         ("locate", "tables", ["locate", "27"]),
-        ("trajectory_direct", "trajectory", ["trajectory", "27"]),
+        ("trajectory_direct", "trajectory", ["trajectory", "27", "--end", "29", "--stats"]),
         ("build_layers", "tree", ["tree", "--depth", "2"]),
         ("drift_report", "analysis", ["drift", "--terms", "5"]),
     ],

@@ -357,7 +357,7 @@ def test_write_record_equals_the_joined_line_in_bounded_writes(x):
                 offsets = iterate_offsets(head, sep, digits)
                 pos = 0
                 for text in writes:
-                    assert sum(pos <= o < pos + len(text) for o in offsets) <= 3
+                    assert bisect_left(offsets, pos + len(text)) - bisect_left(offsets, pos) <= 3
                     pos += len(text)
 
 
@@ -476,7 +476,7 @@ def write_range(first, last, fmt, max_steps, joined):
     out = SimpleNamespace(write=writes.append)
     try:
         if joined:
-            _write_range(out, trajectory_direct(first, max_steps), last, fmt, max_steps)
+            _write_range(out, first, last, fmt, max_steps)
         else:
             for x in range(first, last + 1, 2):
                 write_record(out, trajectory_direct(x, max_steps), fmt)
@@ -541,10 +541,14 @@ def test_joined_range_lines_equal_the_full_records_in_bounded_writes(written, fm
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("first", [1, 101, 2**64 + 1])
 def test_a_joined_range_over_budget_stops_at_the_full_records_start(first, fmt):
-    for max_steps in range(1, 41):
-        joined = write_range(first, first + 2000, fmt, max_steps, True)
-        assert joined == write_range(first, first + 2000, fmt, max_steps, False)
-        assert joined[1] is not None
+    # with blocks of 3 iterates, budgets 4 to 40 let a walk pass its block
+    # inside the range, so its line is streamed
+    for block in (256, 3):
+        with patch.object(trajectory_module, "_BLOCK", block):
+            for max_steps in range(1, 41):
+                joined = write_range(first, first + 2000, fmt, max_steps, True)
+                assert joined == write_range(first, first + 2000, fmt, max_steps, False)
+                assert joined[1] is not None
 
 
 def test_the_line_memo_stops_at_its_budget(monkeypatch):
@@ -584,18 +588,19 @@ def test_the_line_memo_stops_at_its_budget(monkeypatch):
 @pytest.mark.parametrize("block", [3, 256])
 def test_only_lines_over_the_block_go_through_write_record(monkeypatch, block):
     # a line of at most _BLOCK iterates is rendered in _write_range, joined
-    # or not; a longer one is the record write_record writes
+    # or not; a longer one is streamed by _write_walk
     written = []
 
-    def spy(out, record, fmt):
-        written.append(record.start)
-        write_record(out, record, fmt)
+    def spy(out, x, fmt, max_steps, method):
+        assert method == "direct"
+        written.append(x)
+        _write_walk(out, x, fmt, max_steps, method)
 
     monkeypatch.setattr(trajectory_module, "_BLOCK", block)
-    monkeypatch.setattr(trajectory_module, "write_record", spy)
+    monkeypatch.setattr(trajectory_module, "_write_walk", spy)
     for fmt in ("text", "json"):
         for first, last in [(1, 1601), (27, 27), (2**64 + 1, 2**64 + 201)]:
             written.clear()
-            _write_range(io.StringIO(), trajectory_direct(first), last, fmt, 10**6)
+            _write_range(io.StringIO(), first, last, fmt, 10**6)
             long_lines = [x for x in range(first, last + 1, 2) if trajectory_direct(x).odd_length > block]
             assert written == long_lines
