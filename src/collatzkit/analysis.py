@@ -21,8 +21,11 @@ steps an odd, because alpha = a holds on exactly one odd class mod
 2**(a+1).  The alpha density and the iterate-class ratio are no scan: they
 read one closed-form class size per alpha, in the calling process whatever
 the worker count.  The drift kernel uses that a class's iterates run in
-steps of 6 (the 6m+1 / 6m+5 sets), so it maps log over the class's starts
-and its iterates as two ranges.
+steps of 6 (the 6m+1 / 6m+5 sets), so it takes log of the class's starts
+and of its iterates as two ranges, through starmap(log, zip(r)): math.log
+takes an optional base, so each call gets its arguments as a tuple, which
+map would build afresh per call, while starmap passes zip's 1-tuple on and
+zip reuses it.  The floats are the same, and so is their fsum.
 
 The theorem scan needs no per-iterate test, because both of its
 properties are lemmas:
@@ -35,13 +38,17 @@ properties are lemmas:
   the walk stops.
 
 So the scan only walks and counts, and its report holds no witnesses (the
-CLI prints the zero violation counts as constants).  Its kernel,
-trajectory._count_chunk, joins each walk onto a table of the counts of the
-odd starts from 1 on, by the one join rule of the trajectory module's
-docstring, and walks by that docstring's block rule (k Terras steps in
-one multiply-add, with the budget checked per block), so the report and
-the first failing start are those of the full walks.  The table fills in
-the calling process; only the chunks past it run in workers.
+CLI prints the zero violation counts as constants).  Its kernels, in
+trajectory, join each walk onto a table of the counts of the odd starts
+from 1 on, by the one join rule of the trajectory module's docstring, and
+walk by that docstring's block rule (k Terras steps in one multiply-add,
+with the budget checked per block), so the report and the first failing
+start are those of the full walks.  The table fills in the calling
+process (trajectory._fill_table): its x == 1 (mod 4) half, whose iterates
+decrease at once, is read off the table by alpha class and not walked.
+Only the chunks past it (trajectory._count_chunk) run in workers.  This
+module imports trajectory only when verify_theorems runs, so drift and
+alpha-table never load it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 from operator import sub
 from typing import NamedTuple
 
@@ -61,9 +68,6 @@ from .core import (
     _require_odd,
     alpha_residue_class,
 )
-from . import trajectory
-# unused here; perfbench/tracing.py wraps analysis.trajectory_direct by name
-from .trajectory import trajectory_direct
 
 INCREASE_SERIES_LIMIT = Fraction(3)
 DECREASE_SERIES_LIMIT = Fraction(1, 4)
@@ -80,6 +84,16 @@ _DRIFT_POOL_CHUNKS = 32
 # subprocess, which no single-process command needs at start-up.  A value
 # set from outside (a test double, a traced pool) is used as it is.
 ProcessPoolExecutor = None
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py wraps analysis.trajectory_direct by name; nothing
+    # here calls it, and ROADMAP item 1 deletes this
+    if name == "trajectory_direct":
+        from .trajectory import trajectory_direct
+
+        return trajectory_direct
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_run_start(x: int) -> None:
@@ -261,7 +275,7 @@ def _drift_chunk(span: tuple[int, int]) -> float:
         xs = range(lo + (r - lo) % m, hi + 1, m)
         if xs:
             y = (3 * xs[0] + 1) >> a
-            terms.append(map(sub, map(log, range(y, y + 6 * len(xs), 6)), map(log, xs)))
+            terms.append(map(sub, starmap(log, zip(range(y, y + 6 * len(xs), 6))), starmap(log, zip(xs))))
     return math.fsum(chain.from_iterable(terms))
 
 
@@ -345,11 +359,12 @@ def verify_theorems(
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
     top = _odd_ceiling(bound)
-    # the table fills here, in one call; the chunks past it join it, in
-    # workers.  Start 1's walk is the one iterate 1, and table[0] = 0
-    table = [0]
-    fill = min(top, 2 * trajectory._TABLE_STARTS - 1)
-    checked = 1 + trajectory._count_chunk((3, fill, max_steps, table))
+    from . import trajectory
+
+    # the table fills here; the chunks past it join it, in workers.  Start
+    # 1's walk is the one iterate 1, and table[0] = 0
+    table = trajectory._fill_table(min(top, 2 * trajectory._TABLE_STARTS - 1), max_steps)
+    checked = 1 + sum(table)
     checked += sum(_run_chunks(trajectory._count_chunk, 2 * len(table) + 1, top, workers, max_steps, table))
     return TheoremScanReport(bound=bound, trajectories=(top + 1) // 2, iterates_checked=checked)
 

@@ -61,8 +61,10 @@ def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
     # iterate, all in trajectory: trajectory_direct and _write_range, and
-    # the range-walk kernels _count_chunk and _range_columns for iterates
-    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps)
+    # the range-walk kernels _count_walks and _range_columns for iterates
+    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps).
+    # verify's fill steps none of its x == 1 (mod 4) starts: it reads
+    # them off its table by alpha class (trajectory._fill_table)
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha

@@ -13,23 +13,38 @@ through).
 Records hold odd iterates only; even intermediates are never materialised.
 
 A direct range walk joins a table of earlier starts, by one rule for
-verify's counts (_count_chunk) and for --stats columns (_range_columns).
-The table starts at the scan's first start and gains an entry for the
-start right after its last, while it has fewer than _TABLE_STARTS entries;
-its reach is its last start, read off len(table).  For --stats the table
-is the first of the blocks of (odd_length, total_divisions, peak) columns
-that _fold sums up, as it sums up trajectory_stats's; later rows go into
-fresh blocks of _BLOCK rows, so the table stops growing once it is full.
-A walk steps until it reaches 1 or an iterate y within the reach, and
-then adds y's entry.  While the table grows the reach is x - 2,
-and once it is full it is below x as well, so a walk that could only come
-back to x (a cycle) never joins: it runs out of budget and raises
-MaxStepsExceeded at x, as its full walk would; a joined count over the
-budget raises at x too, so the first failing start is that of the full
-walks.  All three summarised fields add up across a join: odd_length(x) is
-the steps to y plus odd_length(y), total_divisions adds the same way, and
-peak(x) is the larger of the walk's maximum up to y (y included) and
-peak(y), since a peak never counts its own start.
+verify's counts (_count_walks) and for --stats columns (_range_columns).
+The table holds at most _TABLE_STARTS starts, from the scan's first start
+on.  A walk from x steps until it reaches 1 or an iterate y within the
+reach, min(x - 2, the table's last start), and then adds y's entry.  For
+--stats the table gains an entry for each start right after its last,
+until it is full; it is the first of the blocks of (odd_length,
+total_divisions, peak) columns that _fold sums up, as it sums up
+trajectory_stats's, and later rows go into fresh blocks of _BLOCK rows.
+The reach is below x, so a walk that could only come back to x (a cycle)
+never joins: it runs out of budget and raises MaxStepsExceeded at x, as
+its full walk would; a joined count over the budget raises at x too, so
+the first failing start is that of the full walks.  All three summarised
+fields add up across a join: odd_length(x) is the steps to y plus
+odd_length(y), total_divisions adds the same way, and peak(x) is the
+larger of the walk's maximum up to y (y included) and peak(y), since a
+peak never counts its own start.
+
+verify's table (_fill_table) holds the counts of the odd starts from 1 on
+and is filled by blocks lo..hi, in order, with 3*hi + 1 < 4*lo.  Half of
+a block is read off the table, not walked.  Each x == 1 (mod 4) has
+3x+1 == 0 (mod 4), so alpha >= 2 and its iterate y = (3x+1) >> alpha is
+at most (3x+1)/4 < lo: y's count is already in the table, and x's is
+that plus 1.  Alpha = a holds on the one odd class x == r (mod m =
+2**(a+1)); as x steps by m, 3x+1 steps by 3m and y by 3m >> a = 6, so y's
+table index y >> 1 steps by 3, and the class's counts in the block are
+one slice of the table, table[i : i + 3n : 3], plus 1.  The block's
+x == 3 (mod 4) are then walked in order by _count_walks, whose reach is
+x - 2: every odd start below x is in the table by then.  No entry
+exceeds max_steps, so a sliced count is over budget exactly when its
+table[y] is max_steps; the walks below the block's first such start go
+first, and the fill raises at that start only if none of them fails, so
+the first failing start is again that of the full walks.
 
 Both kernels walk by blocks of k = _JUMP_BITS Terras steps, T(n) = n/2
 for even n and (3n+1)/2 for odd n.  For odd r < 2**k, entry r >> 1 of the
@@ -90,7 +105,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd
+from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd, alpha_residue_class
 
 
 class TrajectoryRecord(NamedTuple):
@@ -256,22 +271,22 @@ def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]
     return table
 
 
-def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
-    """verify's count: the summed odd lengths of the odd starts lo..hi.
+def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
+    """The summed odd lengths of starts, each walked by the block rule until it joins table.
 
-    table[i] is the count from 2i+1 down to 1 (0 for 1), joined by the
-    module docstring's rule at block ends.  Only the start right after the
-    table's last adds an entry, so each entry is its own start's count even
-    in a worker that reads another _TABLE_STARTS (a spawned one misses a
-    patch).
+    table[i] is the count from 2i+1 down to 1 (0 for 1).  A start x walks
+    until an iterate y <= min(x - 2, the table's last start) and counts
+    its steps plus table[y >> 1], by the module docstring's join rule.  A
+    start inside the table writes its count to its own slot, so the caller
+    fills every slot below x first; a start past the table only reads it.
     """
-    lo, hi, max_steps, table = task
     k = _JUMP_BITS
     jumps = _jump_table(k)
     low = (1 << k) - 1
+    last = 2 * len(table) - 1
     iterates_checked = 0
-    for x in range(lo, hi + 1, 2):
-        reach = 2 * len(table) - 1
+    for x in starts:
+        reach = x - 2 if x <= last else last
         cur = x
         steps = 0
         while True:
@@ -291,9 +306,54 @@ def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
         if count > max_steps:
             raise MaxStepsExceeded(x, max_steps)
         iterates_checked += count
-        if x == reach + 2 and len(table) < _TABLE_STARTS:
-            table.append(count)
+        if x <= last:
+            table[x >> 1] = count
     return iterates_checked
+
+
+def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
+    """verify's count: the summed odd lengths of the odd starts lo..hi past table's last start.
+
+    A chunk only reads the table, so each entry is its own start's count
+    in any worker, whatever _TABLE_STARTS it reads.
+    """
+    lo, hi, max_steps, table = task
+    return _count_walks(range(lo, hi + 1, 2), max_steps, table)
+
+
+def _fill_table(top: int, max_steps: int) -> list[int]:
+    """verify's join table: entry i is the count of the odd start 2i+1, for 1..top.
+
+    The starts go by blocks lo..hi with 3*hi + 1 < 4*lo.  Each alpha
+    class of the block's x == 1 (mod 4) is one slice of the table, read
+    off the slice of its iterates, which lie below lo; the block's other
+    starts are then walked in order (see the module docstring).  The first
+    start over max_steps raises MaxStepsExceeded, as in a walk of them all.
+    """
+    table = [0] * (top // 2 + 1)
+    over = max_steps + 1
+    classes = [(a, *alpha_residue_class(a)) for a in range(2, (3 * top + 1).bit_length())]
+    lo = 3
+    while lo <= top:
+        # the largest odd hi with 3*hi + 1 < 4*lo, so no block is empty
+        hi = min(top, ((4 * lo - 2) // 3 - 1) | 1)
+        for a, r, m in classes:
+            x = lo + (r - lo) % m
+            if x <= hi:
+                # y = (3x+1) >> a steps by 6 as x steps by m: indices by 3
+                i = (3 * x + 1) >> (a + 1)
+                n = (hi - x) // m + 1
+                table[x >> 1 : (hi >> 1) + 1 : m >> 1] = map((1).__add__, table[i : i + 3 * n : 3])
+        # a sliced count is over budget only as table[y] + 1: the walks
+        # below the first such start come first
+        end = hi + 2
+        if over in table[lo >> 1 : end >> 1]:
+            end = 2 * table.index(over, lo >> 1) + 1
+        _count_walks(range(lo | 2, end, 4), max_steps, table)
+        if end <= hi:
+            raise MaxStepsExceeded(end, max_steps)
+        lo = hi + 2
+    return table
 
 
 def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[list[int], ...]]:

@@ -253,6 +253,7 @@ drift_spans = st.tuples(
 @example(span=(3, 2 * 2**15 + 1))
 @example(span=(2**64 + 1, 2**64 + 1))
 @example(span=(2**64 - 1, 2**64 + 4001))
+@example(span=(2**64 + 1, 2**64 + 1 + 2 * (2**15 - 1)))  # one whole _CHUNK_ODDS span
 @settings(max_examples=80, deadline=None)
 def test_drift_chunk_equals_the_per_odd_kernel(span):
     assert analysis._drift_chunk(span) == per_odd_drift_chunk(span)
@@ -409,11 +410,10 @@ def test_verify_equals_the_record_reference_across_the_table_boundary(bound, wor
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_a_small_table_holds_in_workers_that_do_not_inherit_the_patch(monkeypatch, method):
-    # these workers import trajectory afresh and read the real _TABLE_STARTS,
-    # so a pooled chunk may add entries to its copy of the table: each must
-    # still be the count of its own start.  They also read the real
-    # _JUMP_BITS and build their own jump table, while the fill here jumps
-    # by blocks of 2
+    # these workers import trajectory afresh and read the real _TABLE_STARTS
+    # (a pooled chunk only reads its copy of the table, so that must not
+    # matter) and the real _JUMP_BITS, and build their own jump table,
+    # while the fill here jumps by blocks of 2
     monkeypatch.setattr(
         analysis, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
     )
@@ -453,14 +453,45 @@ def test_the_verify_kernel_equals_the_stats_kernel(bound, max_steps, size):
         assert verify_or_error(bound, max_steps) == range_rows_or_error(bound, max_steps)
 
 
+@pytest.mark.parametrize("k", [2, trajectory._JUMP_BITS])
+def test_the_fill_equals_the_per_start_records_across_many_blocks(monkeypatch, k):
+    # 3..20001 is 30 of the fill's blocks; with k = 2 its walkers jump by
+    # blocks of 2 Terras steps
+    monkeypatch.setattr(trajectory, "_JUMP_BITS", k)
+    assert trajectory._fill_table(20001, 10**6) == [0] + [trajectory_direct(x).odd_length for x in range(3, 20002, 2)]
+    assert verify_theorems(20001) == reference_scan(20001)
+
+
+@given(bound=st.integers(min_value=3, max_value=5000), max_steps=st.integers(min_value=1, max_value=80))
+# found by walking every start: the first failing start is a sliced
+# x == 1 (mod 4), before a failing walker of its block
+@example(bound=1001, max_steps=46)  # 313, before 327 and 411
+@example(bound=2001, max_steps=65)  # 1161
+@example(bound=30001, max_steps=102)  # 23529, before 26623
+# or a walker x == 3 (mod 4), before a failing sliced start of its block
+@example(bound=1001, max_steps=62)  # 871, before 937
+@example(bound=4001, max_steps=66)  # 2463, before 3097
+@example(bound=20001, max_steps=101)  # 17647, before 17673
+@settings(max_examples=40, deadline=None)
+def test_the_fills_first_failing_start_is_that_of_the_full_walks(bound, max_steps):
+    assert 2 * trajectory._TABLE_STARTS > 30001  # every example is inside the fill
+    try:
+        expected = reference_scan(bound, max_steps).iterates_checked
+    except MaxStepsExceeded as exc:
+        expected = exc.start, max_steps
+    assert verify_or_error(bound, max_steps) == expected
+
+
 def test_pooled_chunks_never_grow_the_table(monkeypatch):
     # in-process pool tasks share the caller's table: the fill leaves it full
-    # (starts 1..255) and no chunk past it adds an entry
+    # (starts 1..255) and no chunk past it adds or changes an entry
     lengths = []
 
     def counting(task):
+        before = list(task[3])
         checked = count_chunk(task)
-        lengths.append(len(task[3]))
+        assert task[3] == before
+        lengths.append(len(before))
         return checked
 
     count_chunk = trajectory._count_chunk
@@ -471,8 +502,9 @@ def test_pooled_chunks_never_grow_the_table(monkeypatch):
     with small_table():
         assert verify_theorems(1151, workers=3) == reference_scan(1151)
     assert RecordingPool.sizes == [3]
-    # the fill, then the seven chunks of 64 starts from 257 to 1151
-    assert lengths == [128] * 8
+    # the seven chunks of 64 starts from 257 to 1151; the fill goes by
+    # _fill_table, not through _count_chunk
+    assert lengths == [128] * 7
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -106,8 +106,14 @@ def test_importing_the_package_loads_no_submodule():
         (["table-export", "--table", "B", "--rows", "3"], ["collatzkit.core", "collatzkit.tables"]),
         (["tree", "--depth", "3"], ["collatzkit.core", "collatzkit.tables", "collatzkit.tree"]),
         (["trajectory", "27"], ["collatzkit.core", "collatzkit.trajectory"]),
+        # analysis imports trajectory only when verify runs; fractions loads decimal
+        (["drift", "--terms", "5"], ["collatzkit.core", "collatzkit.analysis", "fractions", "decimal"]),
+        (
+            ["alpha-table", "--rows", "3", "--cols", "2"],
+            ["collatzkit.core", "collatzkit.analysis", "fractions", "decimal"],
+        ),
     ],
-    ids=["classify", "locate", "table-export", "tree", "trajectory"],
+    ids=["classify", "locate", "table-export", "tree", "trajectory", "drift", "alpha-table"],
 )
 def test_a_command_loads_only_the_library_modules_it_uses(argv, loaded):
     assert loaded_after(f"import collatzkit.cli; collatzkit.cli.run({argv!r})", LIBRARY) == loaded
@@ -128,8 +134,17 @@ def test_star_import_binds_every_public_name():
     assert set(namespace) - {"__builtins__"} == set(collatzkit.__all__)
 
 
+def test_analysis_serves_the_tracers_trajectory_direct():
+    # the benchmark's tracer wraps analysis.trajectory_direct by name
+    from collatzkit import analysis, trajectory
+
+    assert analysis.trajectory_direct is trajectory.trajectory_direct
+
+
 def test_unknown_names_raise_attribute_error():
-    for module in (collatzkit, cli):
+    from collatzkit import analysis
+
+    for module in (collatzkit, cli, analysis):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
 

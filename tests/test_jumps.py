@@ -157,7 +157,7 @@ def full_count_or_error(lo, hi, max_steps):
 @settings(max_examples=150, deadline=None)
 def test_count_chunk_equals_the_summed_odd_lengths(walk, max_steps, entries):
     # a table of the counts of the odd starts 1..2*entries - 1, as verify's
-    # fill leaves it; a chunk that starts right after it grows it
+    # fill leaves it; a chunk only reads it, even one right after its last start
     k, lo, hi = walk
     lo = max(lo, 3)
     table = [trajectory_direct(2 * i + 1).odd_length if i else 0 for i in range(max(1, min(entries, (lo - 1) // 2)))]
