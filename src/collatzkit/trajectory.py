@@ -274,11 +274,12 @@ def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]
 def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
     """The summed odd lengths of starts, each walked by the block rule until it joins table.
 
-    table[i] is the count from 2i+1 down to 1 (0 for 1).  A start x walks
-    until an iterate y <= min(x - 2, the table's last start) and counts
-    its steps plus table[y >> 1], by the module docstring's join rule.  A
-    start inside the table writes its count to its own slot, so the caller
-    fills every slot below x first; a start past the table only reads it.
+    table[i] is the count from 2i+1 down to 1 (0 for 1).  A start x >= 3
+    walks until an iterate y <= min(x - 2, the table's last start) and
+    counts its steps plus table[y >> 1], by the module docstring's join
+    rule.  A start inside the table writes its count to its own slot, so
+    the caller fills every slot below x first; a start past the table only
+    reads it.
     """
     k = _JUMP_BITS
     jumps = _jump_table(k)

@@ -502,8 +502,7 @@ def test_pooled_chunks_never_grow_the_table(monkeypatch):
     with small_table():
         assert verify_theorems(1151, workers=3) == reference_scan(1151)
     assert RecordingPool.sizes == [3]
-    # the seven chunks of 64 starts from 257 to 1151; the fill goes by
-    # _fill_table, not through _count_chunk
+    # the seven chunks of 64 starts from 257 to 1151
     assert lengths == [128] * 7
 
 
