@@ -10,14 +10,17 @@ results identical for any worker count).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from importlib import import_module
-from typing import Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from . import _HOMES
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count
+
+if TYPE_CHECKING:
+    import argparse
 
 # every public name (collatzkit._HOMES) is served here too.  A module's
 # names are bound when a command that uses the module runs (_run binds them
@@ -111,68 +114,123 @@ def _emit(out: TextIO, fmt: str, payload: dict, text: str) -> None:
     _write(out, text)
 
 
+# the one grammar: each command's help text and its arguments as
+# (flag, add_argument keywords).  build_parser builds the argparse parser
+# from it, and _fast_parse reads canonical command lines straight from it
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
+    "classify": ("classify an odd integer and show its single step", (
+        ("value", {"type": int}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "trajectory": ("odd-iterate walk down to 1", (
+        ("start", {"type": int}),
+        ("--end", {"type": int, "default": None, "help": "scan odd starts up to END inclusive"}),
+        ("--method", {"choices": ("direct", "lookup"), "default": "direct"}),
+        ("--stats", {"action": "store_true", "help": "aggregate the scanned records"}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "predecessors": ("odd integers stepping onto a given iterate", (
+        ("iterate", {"type": int}),
+        ("--count", {"type": int, "default": 5}),
+        ("--to-starter", {"action": "store_true", "help": "walk least predecessors upward until an odd multiple of 3"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "locate": ("table coordinate of an odd integer", (
+        ("value", {"type": int}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "tree": ("layered tree rooted at 1", (
+        ("--depth", {"type": int, "default": 3}),
+        ("--breadth", {"type": int, "default": 4}),
+        ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
+    )),
+    "alpha-table": ("alpha=1 run lengths: table window or one run", (
+        ("--rows", {"type": int, "default": 36}),
+        ("--cols", {"type": int, "default": 10}),
+        ("--chain", {"type": int, "default": None, "metavar": "X", "help": "show the run from X"}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "drift": ("average-drift series and measured per-step factor", (
+        ("--terms", {"type": int, "default": None}),
+        ("--bound", {"type": int, "default": None}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "verify": ("bounded scans: theorem properties, alpha density, class ratio", (
+        ("--bound", {"type": int, "required": True}),
+        ("--max-alpha", {"type": int, "default": None}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "table-export": ("CSV window of a predecessor table", (
+        ("--table", {"choices": ("A", "B"), "required": True}),
+        ("--rows", {"type": int, "default": 36}),
+        ("--cols", {"type": int, "default": None, "help": "defaults to 5 for A, 6 for B"}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, usage errors and non-canonical lines need it
+
     parser = argparse.ArgumentParser(
         prog="collatzkit",
         description="Odd-iterate Collatz toolkit: classification, predecessor tables, "
         "trajectories, tree layers, drift statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify an odd integer and show its single step")
-    p.add_argument("value", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("trajectory", help="odd-iterate walk down to 1")
-    p.add_argument("start", type=int)
-    p.add_argument("--end", type=int, default=None, help="scan odd starts up to END inclusive")
-    p.add_argument("--method", choices=("direct", "lookup"), default="direct")
-    p.add_argument("--stats", action="store_true", help="aggregate the scanned records")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("predecessors", help="odd integers stepping onto a given iterate")
-    p.add_argument("iterate", type=int)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument(
-        "--to-starter",
-        action="store_true",
-        help="walk least predecessors upward until an odd multiple of 3",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("locate", help="table coordinate of an odd integer")
-    p.add_argument("value", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("tree", help="layered tree rooted at 1")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--breadth", type=int, default=4)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-
-    p = sub.add_parser("alpha-table", help="alpha=1 run lengths: table window or one run")
-    p.add_argument("--rows", type=int, default=36)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--chain", type=int, default=None, metavar="X", help="show the run from X")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("drift", help="average-drift series and measured per-step factor")
-    p.add_argument("--terms", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("verify", help="bounded scans: theorem properties, alpha density, class ratio")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--max-alpha", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("table-export", help="CSV window of a predecessor table")
-    p.add_argument("--table", choices=("A", "B"), required=True)
-    p.add_argument("--rows", type=int, default=36)
-    p.add_argument("--cols", type=int, default=None, help="defaults to 5 for A, 6 for B")
-
+    for name, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() would give for a canonical line, or None.
+
+    Canonical: a known command, then its options spelled in full, each at
+    most once and each but a flag followed by one value token, and at most
+    its one positional; no token but a flag starts with "-", and every
+    required argument is present.  Any other line (help, abbreviations,
+    --opt=value, repeats, negative numbers, usage errors) gets None, and
+    argparse parses it as it always has.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values: dict = {"command": argv[0]}
+    options, positional, required, seen = {}, None, set(), set()
+    for flag, kwargs in _COMMANDS[argv[0]][1]:
+        dest = flag.lstrip("-").replace("-", "_")
+        values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        if kwargs.get("required", not flag.startswith("-")):  # argparse's default
+            required.add(dest)
+        if flag.startswith("-"):
+            options[flag] = dest, kwargs
+        else:
+            positional = dest, kwargs
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, kwargs = options[token]
+            # a store_true flag takes no value; any other option takes the next token
+            value = True if "action" in kwargs else next(tokens, "-")
+        elif positional is not None:
+            (dest, kwargs), value = positional, token
+        else:
+            return None
+        if dest in seen or value is not True and value.startswith("-"):
+            return None
+        seen.add(dest)
+        if kwargs.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values) if required <= seen else None
 
 
 def _cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
@@ -426,11 +484,13 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextI
 def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    # parsed here, under run's lifted digit limit: a start may be any length
+    args = _fast_parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         for module in dict.fromkeys(op.partition(".")[0] for op in OPERATION_COVERAGE[args.command]):
             _bind(module)

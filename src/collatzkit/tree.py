@@ -94,18 +94,25 @@ def _export_dot(layers: list[TreeLayer]) -> bytes:
 
 
 def _export_json(layers: list[TreeLayer]) -> bytes:
-    import json  # only JSON output needs it; not a module-level import
+    # the bytes of json.dumps(payload, indent=2) for the payload
+    # [{"depth": d, "segments": [{"parent": p, "children": [c, ...]}, ...]}, ...],
+    # built layer by layer: the indenting encoder is pure Python and 3-5x slower
+    def block(items: list[str], indent: str) -> str:
+        # a JSON list whose items each take a line at `indent`
+        if not items:
+            return "[]"
+        return "[\n" + indent + (",\n" + indent).join(items) + "\n" + indent[:-2] + "]"
 
-    payload = [
-        {
-            "depth": layer.depth,
-            "segments": [
-                {"parent": seg.parent, "children": list(seg.children)} for seg in layer.segments
-            ],
-        }
-        for layer in layers
-    ]
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    segment = '{\n        "parent": %s,\n        "children": %s\n      }'
+    layer = '{\n    "depth": %s,\n    "segments": %s\n  }'
+    texts = []
+    for depth, segments in layers:
+        rendered = [
+            segment % ("null" if parent is None else parent, block(list(map(str, children)), " " * 10))
+            for parent, children in segments
+        ]
+        texts.append(layer % (depth, block(rendered, " " * 6)))
+    return (block(texts, "  ") + "\n").encode("utf-8")
 
 
 def _export_text(layers: list[TreeLayer]) -> bytes:

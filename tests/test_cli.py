@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -7,8 +8,11 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collatzkit import cli, record_json, trajectory_direct, trajectory_lookup
 from collatzkit.cli import OPERATION_COVERAGE, run
@@ -764,6 +768,110 @@ def test_usage_errors_exit_2():
 def test_help_exits_0():
     code, _, _ = invoke("--help")
     assert code == 0
+
+
+def argparse_namespace(argv):
+    # vars() of build_parser()'s parse, or None where it exits (help, usage errors)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def good_value(kwargs):
+    # a value token the argument accepts
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    return st.integers(min_value=0, max_value=2**70).map(str)
+
+
+@st.composite
+def canonical_lines(draw):
+    # a known command, then its required and some optional arguments in any
+    # order, options spelled in full with one valid value each
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for flag, kwargs in draw(st.permutations(cli._COMMANDS[command][1])):
+        if kwargs.get("required", not flag.startswith("-")) or draw(st.booleans()):
+            value = [] if "action" in kwargs else [draw(good_value(kwargs))]
+            argv += value if not flag.startswith("-") else [flag, *value]
+    return argv
+
+
+def odd_tokens(command):
+    # tokens that make a line non-canonical, or wrong, drawn from the table
+    arguments = cli._COMMANDS.get(command, ("", ()))[1]
+    flags = [flag for flag, _ in arguments if flag.startswith("-")] or ["--format"]
+    return st.one_of(
+        st.sampled_from(["-h", "--help", "-7", "-0", "-1_000", "--", "-", "", "x", "7.5", "1_000", " 9", "xml", "C", "nosuch"]),
+        st.sampled_from(flags).flatmap(lambda f: st.integers(3, max(3, len(f) - 1)).map(lambda k: f[:k])),
+        st.sampled_from(flags).map(lambda f: f + "=json"),
+        st.sampled_from(flags),
+        st.sampled_from([flag for args in cli._COMMANDS.values() for flag, _ in args[1]]),
+        st.integers(min_value=-(2**40), max_value=2**40).map(str),
+    )
+
+
+@st.composite
+def mixed_lines(draw):
+    # a canonical line with tokens inserted and removed: abbreviations,
+    # --opt=value, repeats, negative and non-numeric values, bad choices,
+    # missing required options, extra positionals and -h
+    argv = draw(canonical_lines())
+    for _ in range(draw(st.integers(0, 3))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(odd_tokens(argv[0])))
+    if len(argv) > 1 and draw(st.booleans()):
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+with digit_limit(0):
+    BIG_START = str(2**20000 - 1)  # 6021 digits
+
+
+@given(argv=canonical_lines())
+@example(argv=["trajectory", BIG_START])
+@settings(max_examples=300, deadline=None)
+def test_canonical_lines_take_the_table_parser(argv):
+    # under run's lifted digit limit, as the parse runs in the CLI
+    with digit_limit(0):
+        fast = cli._fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == argparse_namespace(argv)
+
+
+@given(argv=mixed_lines())
+@example(argv=["tree", "--form", "json"])
+@example(argv=["classify", "-7"])
+@example(argv=["trajectory", "27", "--end", "-1_000"])  # int() reads it; argparse takes it for an option
+@example(argv=["verify", "--bound", "9", "--bound", "9"])
+@settings(max_examples=400, deadline=None)
+def test_the_table_parser_gives_argparses_namespace_or_none(argv):
+    with digit_limit(0):
+        fast = cli._fast_parse(argv)
+        if fast is not None:
+            assert vars(fast) == argparse_namespace(argv)
+
+
+def test_every_benchmark_command_line_takes_the_table_parser(monkeypatch):
+    # the benchmark's commands (timed lists, probes and the traced layer
+    # probe) never build the argparse parser
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    for size in (workloads.FULL, workloads.TINY):
+        for seed in range(3):
+            commands = [c for w in ("scan", "walk", "interactive") for c in workloads.build(w, seed, size, 2).commands]
+            commands += workloads.build("walk", seed, size, 2).probes + workloads.layer_probe(seed, size, 2)
+            with digit_limit(0):
+                for command in commands:
+                    fast = cli._fast_parse(command.argv)
+                    assert fast is not None, command.argv
+                    assert vars(fast) == vars(parser.parse_args(command.argv))
 
 
 def test_output_is_deterministic():

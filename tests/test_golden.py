@@ -173,6 +173,14 @@ MATRIX = {
     "table-export --table A --rows 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
     "classify": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "nosuch": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    # lines argparse parses: an abbreviation, --opt=value, a negative
+    # number, a repeated option, and two missing or invalid required options
+    "tree --form json --depth 2": ("2d0892c1c7b065a9a3800a766d319d79ece78d34b7d6e570463fad2fa6a99220", 0),
+    "classify --format=json 7": ("e2ab99312622dd735f245fa45c54a2630179825a95de17ef15db2cbec26838f0", 0),
+    "classify -7": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "trajectory 27 --format text --format json": ("d3f60b0e8f2f8447f82c841948faf412ba48fb051bca8419633709e80e475942", 0),
+    "verify": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "table-export --table C": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
 }
 
 

@@ -5,7 +5,9 @@ library module when a name from it is first read or a command that uses it
 runs.  concurrent.futures brings in multiprocessing, logging, pickle,
 socket and subprocess, and loads only when a scan starts a pool.  The
 result records are named tuples, so dataclasses (and with it inspect) is
-never loaded, and json loads only for JSON output.  Each case runs in a
+never loaded, and json loads only for JSON output.  argparse (with gettext
+and locale) loads only for help and for lines the table parser hands on:
+abbreviations, --opt=value, repeats and usage errors.  Each case runs in a
 fresh interpreter so that nothing imported by the test session can hide or
 cause a load.  No timing is asserted.
 """
@@ -70,6 +72,31 @@ def test_single_process_commands_do_not_load_the_pool_stack(code):
 )
 def test_text_commands_do_not_load_dataclasses_or_json(code):
     assert loaded_after(code, RECORD_STACK) == []
+
+
+ARGPARSE_STACK = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "7"],
+        ["trajectory", "27"],
+        ["tree", "--depth", "2", "--format", "json"],
+        # one chunk, so no pool
+        ["verify", "--bound", "1001", "--workers", "2"],
+    ],
+    ids=["classify", "trajectory", "tree-json", "verify-one-chunk"],
+)
+def test_canonical_command_lines_do_not_load_argparse(argv):
+    code = f"import collatzkit.cli; collatzkit.cli.run({argv!r})"
+    assert loaded_after(code, ARGPARSE_STACK) == []
+
+
+def test_help_loads_argparse():
+    # the guard above would pass vacuously if the report could not see argparse
+    code = "import collatzkit.cli; collatzkit.cli.run(['--help'])"
+    assert "argparse" in loaded_after(code, ARGPARSE_STACK)
 
 
 def test_json_output_loads_json():

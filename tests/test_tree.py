@@ -132,6 +132,19 @@ def test_export_json():
     assert node_13 and node_13[0]["parent"] == 5
 
 
+@pytest.mark.parametrize("depth", range(1, 8))
+@pytest.mark.parametrize("breadth", range(1, 5))
+def test_export_json_is_the_indenting_encoders_bytes(depth, breadth):
+    # export_tree writes this text itself; layers whose parents are all
+    # starters have no segments, so an empty list appears too
+    layers = build_layers(depth, breadth)
+    payload = [
+        {"depth": layer.depth, "segments": [{"parent": s.parent, "children": list(s.children)} for s in layer.segments]}
+        for layer in layers
+    ]
+    assert export_tree(layers, "json") == (json.dumps(payload, indent=2) + "\n").encode()
+
+
 def test_export_text():
     lines = export_tree(build_layers(1, 3), "text").decode().splitlines()
     assert lines == ["1", "  5", "  21", "  85"]
