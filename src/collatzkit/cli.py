@@ -5,7 +5,9 @@ process), 2 usage error, 3 step budget exceeded.  Output for a fixed
 command line is byte-identical across runs.  COLLATZ_MAX_STEPS overrides
 the default odd-step budget for walks, and range-scan commands accept
 --workers for parallel partitioning (fixed chunk boundaries keep the
-results identical for any worker count).
+results identical for any worker count).  Canonical command lines are
+parsed straight from the command table (_fast_parse); argparse, built from
+the same table, parses help requests and every other line.
 """
 
 from __future__ import annotations
