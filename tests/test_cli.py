@@ -770,6 +770,15 @@ def test_help_exits_0():
     assert code == 0
 
 
+def test_the_table_uses_only_keywords_the_table_parser_reads():
+    # _fast_parse converts int values, checks choices and sets store_true
+    # flags; any other add_argument keyword would need it taught first
+    for _, arguments in cli._COMMANDS.values():
+        for flag, kwargs in arguments:
+            assert set(kwargs) <= {"type", "choices", "default", "action", "required", "help", "metavar"}, flag
+            assert kwargs.get("type", int) is int and kwargs.get("action", "store_true") == "store_true", flag
+
+
 def argparse_namespace(argv):
     # vars() of build_parser()'s parse, or None where it exits (help, usage errors)
     try:
