@@ -215,7 +215,8 @@ def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
     for token in tokens:
         if token in options:
             dest, kwargs = options[token]
-            # a store_true flag takes no value; any other option takes the next token
+            # a store_true flag takes no value; any other option takes the
+            # next token, and a missing one reads as "-", which is refused
             value = True if "action" in kwargs else next(tokens, "-")
         elif positional is not None:
             (dest, kwargs), value = positional, token
