@@ -319,14 +319,15 @@ def empirical_drift(bound: int, *, workers: int = 1) -> DriftReport:
     top = _odd_ceiling(bound)
     if (top - 3) // (2 * _CHUNK_ODDS) + 1 < _DRIFT_POOL_CHUNKS:
         workers = 1
-    # the chunk sums add exactly as Fractions and round once, as math.fsum of them all would
-    total = sum(map(Fraction, _run_chunks(_drift_chunk, 3, top, workers)))
+    # fsum adds the chunk sums exactly and rounds once, half to even, as
+    # float(sum(map(Fraction, ...))) does: the same float for any chunking
+    total = math.fsum(_run_chunks(_drift_chunk, 3, top, workers))
     return DriftReport(
         n_terms=None,
         scan_bound=bound,
         series_increase=None,
         series_decrease=None,
-        empirical_value=math.exp(float(total) / ((top - 1) // 2)),
+        empirical_value=math.exp(total / ((top - 1) // 2)),
     )
 
 

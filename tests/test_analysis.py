@@ -259,6 +259,19 @@ def test_drift_chunk_equals_the_per_odd_kernel(span):
     assert analysis._drift_chunk(span) == per_odd_drift_chunk(span)
 
 
+# empirical_drift adds its chunk sums by math.fsum; the exact Fraction sum,
+# rounded once by float(), is the reference.  Both round half to even, so
+# the ties of the examples land on the same float
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40))
+@example([1.0, 2.0**-53])
+@example([1.0 + 2.0**-52, 2.0**-53])
+@example([1.0, 2.0**-53, 2.0**-106])
+@example([1e300, -1e300, 2.0**-1074])
+@settings(max_examples=300, deadline=None)
+def test_fsum_of_chunk_sums_equals_their_exact_sum_rounded_once(values):
+    assert math.fsum(values) == float(sum(map(Fraction, values)))
+
+
 def test_iterate_class_ratio():
     r1, r5 = empirical_iterate_class_ratio(10_000)
     assert r1 + r5 == pytest.approx(1.0)

@@ -730,19 +730,128 @@ def test_a_lookup_range_walks_every_start_by_lookup(monkeypatch):
     assert out == "".join(f"{x} {' '.join(map(str, trajectory_direct(x).iterates))}\n" for x in range(3, 100, 2))
 
 
-def test_interrupt_exits_1_with_one_line(monkeypatch, capsys):
-    def interrupted(args, out):
-        raise KeyboardInterrupt
+# main() ends the process, so each test of it runs the command as a child
+# with PYTHONUNBUFFERED set as given (None: unset), returning its
+# (exit code, stdout, stderr)
+def run_main(script, unbuffered=None, **kwargs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run([sys.executable, *script], capture_output=True, env=env, timeout=120, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
 
-    monkeypatch.setitem(cli._HANDLERS, "classify", interrupted)
-    monkeypatch.setattr(sys, "argv", ["collatzkit", "classify", "7"])
-    with pytest.raises(SystemExit) as exc:
-        try:
-            cli.main()
-        except KeyboardInterrupt:  # would otherwise stop the whole test session
-            pytest.fail("KeyboardInterrupt escaped cli.main")
-    assert exc.value.code == 1
-    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+def interrupted(partial):
+    # a child whose classify handler writes partial, then meets a Ctrl-C
+    return (
+        "import sys\n"
+        "from collatzkit import cli\n"
+        "def interrupted(args, out):\n"
+        f"    out.write({partial!r})\n"
+        "    raise KeyboardInterrupt\n"
+        "cli._HANDLERS['classify'] = interrupted\n"
+        "sys.argv = ['collatzkit', 'classify', '7']\n"
+        "cli.main()\n"
+    )
+
+
+def test_interrupt_exits_1_with_one_line():
+    assert run_main(["-c", interrupted("")]) == (1, b"", b"error: interrupted\n")
+
+
+def test_interrupt_with_output_for_a_closed_pipe_exits_1_with_one_line():
+    # the handler's output is still buffered when the interrupt ends it, and
+    # its flush at exit meets a pipe whose reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-c", interrupted("partial")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"error: interrupted\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_streamed_walk_reaches_a_pipe_whole(unbuffered):
+    from test_golden import MATRIX
+
+    command = f"trajectory {2**1100 - 1}"  # 20 writes of 256 iterates
+    code, out, err = run_main(["-m", "collatzkit", *command.split()], unbuffered)
+    assert (hashlib.sha256(out).hexdigest(), code, err) == (*MATRIX[command], b"")
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, last_line",
+    [
+        (["verify", "--bound", "5", "--max-alpha", "9"], {}, 1,
+         "error: bound must be >= 2**(max_alpha+1) - 1 = 1023, got 5"),
+        (["classify"], {}, 2, "collatzkit classify: error: the following arguments are required: value"),
+        (["trajectory", "27"], {"COLLATZ_MAX_STEPS": "2"}, 3, "error: budget of 2 steps exhausted starting from 27"),
+    ],
+    ids=["exit-1", "exit-2", "exit-3"],
+)
+def test_an_error_exit_keeps_its_code_and_stderr_line(argv, env, code, last_line):
+    proc = subprocess.run(
+        [sys.executable, "-m", "collatzkit", *argv], capture_output=True, text=True, env={**os.environ, **env}, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (code, "", last_line)
+    assert proc.stderr.endswith("\n")
+
+
+def test_an_atexit_callback_runs_after_the_command_output():
+    script = (
+        "import atexit, sys\n"
+        "from collatzkit import cli\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "sys.argv = ['collatzkit', 'classify', '7']\n"
+        "cli.main()\n"
+    )
+    classified = b"value=7 kind=intermediary-6m+1 terminal=no end=no iterate=11 alpha=1\n"
+    assert run_main(["-c", script]) == (0, classified + b"atexit ran\n", b"")
+
+
+def test_a_live_thread_still_ends_its_work():
+    # the interpreter's exit waits for a non-daemon thread; so does main's
+    script = (
+        "import sys, threading, time\n"
+        "from collatzkit import cli\n"
+        "threading.Thread(target=lambda: (time.sleep(0.2), print('thread done'))).start()\n"
+        "sys.argv = ['collatzkit', 'classify', '7']\n"
+        "cli.main()\n"
+    )
+    classified = b"value=7 kind=intermediary-6m+1 terminal=no end=no iterate=11 alpha=1\n"
+    assert run_main(["-c", script]) == (0, classified + b"thread done\n", b"")
+
+
+def test_a_profiled_command_still_prints_its_stats():
+    # cProfile sets a profile function up to 3.11 and a sys.monitoring tool
+    # from 3.12 on; either way main exits by sys.exit and cProfile prints
+    code, out, err = run_main(["-m", "cProfile", "-m", "collatzkit", "classify", "7"], text=True)
+    first, _, stats = out.partition("\n")
+    assert (code, err, first) == (0, "", "value=7 kind=intermediary-6m+1 terminal=no end=no iterate=11 alpha=1")
+    assert "function calls" in stats
+
+
+def test_no_process_outlives_a_pooled_verify():
+    # the command runs in a session of its own: once it has exited, no
+    # process of that group (a pool worker) may be left
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzkit", "verify", "--bound", "400001", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out.startswith(b"theorem scan: bound=400001 trajectories=200001 ")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
 
 def test_table_export():
