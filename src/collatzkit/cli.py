@@ -527,8 +527,8 @@ def _broken_pool() -> type | tuple:
 
 def _watched() -> bool:
     # a trace or profile function (debuggers, coverage, cProfile up to 3.11),
-    # a sys.monitoring tool (cProfile from 3.12 on) or a thread other than the
-    # main one: each may still act at the interpreter's exit
+    # a sys.monitoring tool, ids 0-5 (cProfile from 3.12 on), or a thread
+    # other than the main one: each may still act at the interpreter's exit
     monitoring = getattr(sys, "monitoring", None)
     threading = sys.modules.get("threading")
     return (
