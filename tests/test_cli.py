@@ -785,17 +785,20 @@ def test_a_streamed_walk_reaches_a_pipe_whole(unbuffered):
 @pytest.mark.parametrize(
     "argv, env, code, last_line",
     [
-        (["verify", "--bound", "5", "--max-alpha", "9"], {}, 1,
-         "error: bound must be >= 2**(max_alpha+1) - 1 = 1023, got 5"),
+        (
+            ["verify", "--bound", "5", "--max-alpha", "9"],
+            {},
+            1,
+            "error: bound must be >= 2**(max_alpha+1) - 1 = 1023, got 5",
+        ),
         (["classify"], {}, 2, "collatzkit classify: error: the following arguments are required: value"),
         (["trajectory", "27"], {"COLLATZ_MAX_STEPS": "2"}, 3, "error: budget of 2 steps exhausted starting from 27"),
     ],
     ids=["exit-1", "exit-2", "exit-3"],
 )
 def test_an_error_exit_keeps_its_code_and_stderr_line(argv, env, code, last_line):
-    proc = subprocess.run(
-        [sys.executable, "-m", "collatzkit", *argv], capture_output=True, text=True, env={**os.environ, **env}, timeout=60
-    )
+    argv = [sys.executable, "-m", "collatzkit", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, **env}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (code, "", last_line)
     assert proc.stderr.endswith("\n")
 
@@ -817,12 +820,13 @@ def test_a_live_thread_still_ends_its_work():
     script = (
         "import sys, threading, time\n"
         "from collatzkit import cli\n"
-        "threading.Thread(target=lambda: (time.sleep(0.2), print('thread done'))).start()\n"
+        "threading.Thread(target=lambda: (time.sleep(0.5), print('thread done'))).start()\n"
         "sys.argv = ['collatzkit', 'classify', '7']\n"
         "cli.main()\n"
     )
-    classified = b"value=7 kind=intermediary-6m+1 terminal=no end=no iterate=11 alpha=1\n"
-    assert run_main(["-c", script]) == (0, classified + b"thread done\n", b"")
+    code, out, err = run_main(["-c", script])
+    classified = b"value=7 kind=intermediary-6m+1 terminal=no end=no iterate=11 alpha=1"
+    assert (code, sorted(out.splitlines()), err) == (0, sorted([classified, b"thread done"]), b"")
 
 
 def test_a_profiled_command_still_prints_its_stats():
