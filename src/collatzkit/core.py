@@ -60,7 +60,7 @@ class SyracuseResult(NamedTuple):
 def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
-    # iterate, all in trajectory: trajectory_direct and _write_range, and
+    # iterate, all in trajectory: _direct_blocks and _write_range, and
     # the range-walk kernels _count_walks and _range_columns for iterates
     # below 2**_JUMP_BITS (larger ones jump a block of Terras steps).
     # verify's fill steps none of its x == 1 (mod 4) starts: it reads

@@ -85,23 +85,28 @@ most _BLOCK iterates is rendered once and, but for the last start's, kept
 until _MEMO_CHARS characters are; a walk that passes _BLOCK steps joins
 nothing and is streamed.
 
-A streamed line (_write_walk) holds no record.  A count pass walks the
-start and keeps nothing: _count_chunk with a one-entry table for the
-direct route, lookup steps for the lookup one.  It raises MaxStepsExceeded
-exactly when the walk is over budget, so such a walk writes no byte.  A
-write pass then walks the start again, by the same route, and _write_line
-renders and writes each block of _BLOCK iterates as it is made;
-write_record feeds _write_line a record's pairs instead.  So no direct
-line, of one start or of a range, is built as a record; the CLI's lookup
-route streams starts of at least DECIMAL_MIN_BITS bits, and smaller ones
-keep their records (cli._cmd_trajectory says why).
+Each route walks one start in blocks: _direct_blocks and _lookup_blocks
+yield the (iterates, alphas) of at most _BLOCK steps at a time, the last
+block being the one that reaches 1.  A record (_record) joins the blocks,
+and _budgeted raises MaxStepsExceeded once their summed length passes
+max_steps.  A streamed line (_write_walk) holds no record.  A count pass
+walks the start and keeps nothing: _count_chunk with a one-entry table
+for the direct route, budgeted lookup blocks for the lookup one.  It
+raises MaxStepsExceeded exactly when the walk is over budget, so such a
+walk writes no byte.  A write pass then walks the start again, by the
+same route, and _write_line renders and writes each block as it is made;
+write_record feeds _write_line a record's tuples in slices of _BLOCK
+instead.  So no direct line, of one start or of a range, is built as a
+record; the CLI's lookup route streams starts of at least
+DECIMAL_MIN_BITS bits, and smaller ones keep their records
+(cli._cmd_trajectory says why).
 """
 
 from __future__ import annotations
 
 import io
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -117,7 +122,26 @@ class TrajectoryRecord(NamedTuple):
     peak: int  # maximum iterate (start is held separately and not included)
 
 
-def _record(start: int, iterates: list[int], alphas: list[int]) -> TrajectoryRecord:
+# (iterates, alphas) of at most _BLOCK consecutive steps of a walk
+_Block = tuple[Sequence[int], Sequence[int]]
+
+
+def _budgeted(start: int, blocks: Iterable[_Block], max_steps: int) -> Iterator[_Block]:
+    # blocks, until their summed length passes max_steps
+    steps = 0
+    for block in blocks:
+        steps += len(block[0])
+        if steps > max_steps:
+            raise MaxStepsExceeded(start, max_steps)
+        yield block
+
+
+def _record(start: int, blocks: Iterable[_Block], max_steps: int) -> TrajectoryRecord:
+    # the record of the walk whose (iterates, alphas) blocks are given
+    iterates, alphas = [], []
+    for block_iterates, block_alphas in _budgeted(start, blocks, max_steps):
+        iterates += block_iterates
+        alphas += block_alphas
     return TrajectoryRecord(
         start=start,
         iterates=tuple(iterates),
@@ -132,47 +156,14 @@ def trajectory_direct(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryR
     """Record of repeated (3x+1)/2**alpha steps from x down to 1."""
     _require_odd(x)
     _require_count(max_steps, 1, "max_steps")
-    iterates: list[int] = []
-    alphas: list[int] = []
-    append_i = iterates.append
-    append_a = alphas.append
-    cur = x
-    for _ in range(max_steps):
-        # the step, inlined: no call per iterate
-        t = 3 * cur + 1
-        alpha = (t & -t).bit_length() - 1
-        cur = t >> alpha
-        append_i(cur)
-        append_a(alpha)
-        if cur == 1:
-            return _record(x, iterates, alphas)
-    raise MaxStepsExceeded(x, max_steps)
+    return _record(x, _direct_blocks(x), max_steps)
 
 
 def trajectory_lookup(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     """Same record as trajectory_direct, built by table lookup alone."""
     _require_odd(x)
     _require_count(max_steps, 1, "max_steps")
-    iterates: list[int] = []
-    alphas: list[int] = []
-    append_i = iterates.append
-    append_a = alphas.append
-    cur = x
-    for _ in range(max_steps):
-        # next iterate and alpha read straight off the table layout; no 3x+1 arithmetic
-        strips = 0
-        while cur & 7 == 5:
-            cur >>= 2
-            strips += 1
-        if cur & 3 == 3:
-            cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
-        else:
-            cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
-        append_i(cur)
-        append_a(alpha)
-        if cur == 1:
-            return _record(x, iterates, alphas)
-    raise MaxStepsExceeded(x, max_steps)
+    return _record(x, _lookup_blocks(x), max_steps)
 
 
 class FieldStats(NamedTuple):
@@ -217,9 +208,9 @@ def _fold(blocks: Iterable[Sequence[Sequence[int]]]) -> TrajectoryStats:
     return TrajectoryStats(count, *(FieldStats(low, high, _mean(total, count)) for low, high, total in merged))
 
 
-# rows of a --stats block past a range walk's join table, and iterates per
-# write call of a walk line longer than this, so that no string of the
-# whole line is ever built
+# rows of a --stats block past a range walk's join table, and steps per
+# block of a walk (_direct_blocks, _lookup_blocks): a line longer than this
+# goes out one block per write call, so no string of the whole line is built
 _BLOCK = 256
 
 
@@ -434,33 +425,47 @@ DECIMAL_MIN_BITS = 1024
 _TZ = [0] + [(b & -b).bit_length() - 1 for b in range(1, 256)]
 
 
-def _direct_steps(x: int) -> Iterator[tuple[int, int]]:
-    # (iterate, alpha) of each (3x+1)/2**alpha step from x down to 1
+def _direct_blocks(x: int) -> Iterator[_Block]:
+    # (iterates, alphas) of the (3x+1)/2**alpha steps from x down to 1, at
+    # most _BLOCK steps a block; the last block is the one that reaches 1
     cur = x
     while True:
-        t = 3 * cur + 1
-        alpha = _TZ[t & 255] or (t & -t).bit_length() - 1
-        cur = t >> alpha
-        yield cur, alpha
-        if cur == 1:
-            return
+        iterates, alphas = [], []
+        append_i, append_a = iterates.append, alphas.append
+        for _ in range(_BLOCK):
+            # the step, inlined: no call per iterate
+            t = 3 * cur + 1
+            alpha = _TZ[t & 255] or (t & -t).bit_length() - 1
+            cur = t >> alpha
+            append_i(cur)
+            append_a(alpha)
+            if cur == 1:
+                yield iterates, alphas
+                return
+        yield iterates, alphas
 
 
-def _lookup_steps(x: int) -> Iterator[tuple[int, int]]:
-    # the same pairs, read off the table layout as trajectory_lookup does
+def _lookup_blocks(x: int) -> Iterator[_Block]:
+    # the same blocks, read off the table layout: no 3x+1 arithmetic
     cur = x
     while True:
-        strips = 0
-        while cur & 7 == 5:
-            cur >>= 2
-            strips += 1
-        if cur & 3 == 3:
-            cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
-        else:
-            cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
-        yield cur, alpha
-        if cur == 1:
-            return
+        iterates, alphas = [], []
+        append_i, append_a = iterates.append, alphas.append
+        for _ in range(_BLOCK):
+            strips = 0
+            while cur & 7 == 5:
+                cur >>= 2
+                strips += 1
+            if cur & 3 == 3:
+                cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
+            else:
+                cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
+            append_i(cur)
+            append_a(alpha)
+            if cur == 1:
+                yield iterates, alphas
+                return
+        yield iterates, alphas
 
 
 def _head(fmt: str, start: int) -> str:
@@ -479,26 +484,24 @@ def _tail(fmt: str, alphas: str, odd_length: int, total_divisions: int, peak: in
     return "\n"
 
 
-def _write_line(out: TextIO, start: int, steps: Iterable[tuple[int, int]], fmt: str) -> None:
-    """Write the text or JSON line of start's walk, whose (iterate, alpha) pairs steps yields.
+def _write_line(out: TextIO, start: int, blocks: Iterable[_Block], fmt: str) -> None:
+    """Write the text or JSON line of start's walk, whose (iterates, alphas) blocks are given.
 
-    Each out.write holds at most _BLOCK iterates, and a line of at most
-    _BLOCK iterates is one write.  One block of pairs and of their strings
-    is held at a time, and for JSON the alphas; odd_length,
-    total_divisions and peak are summed up block by block.  Iterates of at
-    least DECIMAL_MIN_BITS bits are rendered from the previous iterate's
-    Decimal, exactly: the bytes are those of str.
+    Each block is one out.write, and the tail goes out with the first block
+    when that ends at 1 (the whole line), or else in a write of its own.
+    One block and its strings are held at a time, and for JSON the alphas;
+    odd_length, total_divisions and peak are summed up block by block.
+    Iterates of at least DECIMAL_MIN_BITS bits are rendered from the
+    previous iterate's Decimal, exactly: the bytes are those of str.
     """
     as_json = fmt == "json"
     sep = "," if as_json else " "
-    steps = iter(steps)
     alphas: list[int] = []
     length = divisions = peak = 0
     exact = None  # Decimal, fma and divide_int, from the first big iterate on
     d = None  # the previous iterate as a Decimal, while it is big
     text = _head(fmt, start)  # written with the first block
-    while block := list(islice(steps, _BLOCK)):
-        values, block_alphas = zip(*block)
+    for values, block_alphas in blocks:
         first = not length
         length += len(values)
         divisions += sum(block_alphas)
@@ -512,7 +515,7 @@ def _write_line(out: TextIO, start: int, steps: Iterable[tuple[int, int]], fmt: 
             strings += map(str, values)
         else:
             Decimal, fma, divide_int = exact = exact or _exact_decimal()
-            for value, alpha in block:
+            for value, alpha in zip(values, block_alphas):
                 if value.bit_length() < DECIMAL_MIN_BITS:
                     d = None
                     strings.append(str(value))
@@ -521,12 +524,8 @@ def _write_line(out: TextIO, start: int, steps: Iterable[tuple[int, int]], fmt: 
                     strings.append(str(d))
         text += sep.join(strings)
         del strings  # not held while the text is written
-        if first:
-            # the tail goes out with the first block when that is the whole line
-            more = next(steps, None) if len(values) == _BLOCK else None
-            if more is None:
-                break
-            steps = chain((more,), steps)
+        if first and values[-1] == 1:
+            break
         out.write(text)
         text = ""
     out.write(text + _tail(fmt, ",".join(map(str, alphas)), length, divisions, peak))
@@ -551,13 +550,15 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     Text is the start and the iterates, space-separated; JSON is the line
     record_json returns.  A record of at most _BLOCK iterates is one write.
     """
-    _write_line(out, record.start, zip(record.iterates, record.alphas), fmt)
+    its, alps = record.iterates, record.alphas
+    blocks = ((its[i : i + _BLOCK], alps[i : i + _BLOCK]) for i in range(0, len(its), _BLOCK))
+    _write_line(out, record.start, blocks, fmt)
 
 
 def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> None:
     """write_record of x's record by method ("direct" or "lookup"), without building it.
 
-    A count pass walks x and keeps no iterate; it raises MaxStepsExceeded,
+    A count pass walks x and keeps at most a block; it raises MaxStepsExceeded,
     before any byte is written, exactly when the walk has more than
     max_steps odd steps.  The write pass then walks x again by the same
     method and writes each block of the line as it is made, so the
@@ -567,16 +568,14 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> N
     """
     _require_odd(x)
     if method == "lookup":
-        # counted by lookup steps too: the reference route never evaluates 3x+1
-        for last, _ in islice(_lookup_steps(x), max_steps):
+        # counted by lookup blocks too: the reference route never evaluates 3x+1
+        for _ in _budgeted(x, _lookup_blocks(x), max_steps):
             pass
-        if last != 1:
-            raise MaxStepsExceeded(x, max_steps)
-        steps = _lookup_steps(x)
+        blocks = _lookup_blocks(x)
     else:
         _count_chunk((x, x, max_steps, [0]))
-        steps = _direct_steps(x)
-    _write_line(out, x, steps, fmt)
+        blocks = _direct_blocks(x)
+    _write_line(out, x, blocks, fmt)
 
 
 # characters of iterate and alpha strings a direct range's line memo holds

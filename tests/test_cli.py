@@ -386,6 +386,42 @@ def test_verify_with_workers():
     assert baseline == parallel
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--bound", "2"], "error: bound must be >= 3, got 2\n"),
+        (["--bound", "99", "--workers", "0"], "error: workers must be >= 1, got 0\n"),
+        (["--bound", "5", "--max-alpha", "9"], "error: bound must be >= 2**(max_alpha+1) - 1 = 1023, got 5\n"),
+    ],
+)
+def test_verify_reports_its_single_error(argv, line):
+    assert invoke("verify", *argv) == (1, "", line)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["--bound", "4194305", "--max-alpha", "30"],
+            "error: bound must be >= 2**(max_alpha+1) - 1 = 2147483647, got 4194305\n",
+        ),
+        (["--bound", "99", "--max-alpha", "0", "--workers", "2"], "error: max_alpha must be >= 1, got 0\n"),
+        # doubly wrong: the --max-alpha error comes first
+        (
+            ["--bound", "5", "--max-alpha", "9", "--workers", "0"],
+            "error: bound must be >= 2**(max_alpha+1) - 1 = 1023, got 5\n",
+        ),
+    ],
+)
+def test_verify_refuses_max_alpha_before_the_scan(monkeypatch, argv, line):
+    # the density check is closed form, so no range is walked and no pool started
+    def scan(*args, **kwargs):
+        raise AssertionError("verify scanned before its density check")
+
+    monkeypatch.setattr(cli, "verify_theorems", scan)
+    assert invoke("verify", *argv) == (1, "", line)
+
+
 def test_verify_at_the_least_bound():
     # odd starts 1 and 3: walks 1 and 3 -> 5 -> 1, alphas 2 and 1
     code, out, err = invoke("verify", "--bound", "3")

@@ -75,16 +75,25 @@ def test_lookup_equals_direct_below_bound():
 
 def test_lookup_never_evaluates_the_step_formula():
     # the lookup route stays independent of (3x+1)/2**alpha: no product by 3
-    # and no call into the direct step anywhere in its body
-    tree = ast.parse(inspect.getsource(trajectory_lookup))
-    products = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
-        and 3 in (getattr(n.left, "value", None), getattr(n.right, "value", None))
-    ]
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert products == []
-    assert not names & {"_raw_step", "syracuse_step", "alpha_of", "trajectory_direct"}
+    # and no call into the direct step in any function of the route, found
+    # by following the module's functions that each body names
+    route, todo = {}, [trajectory_lookup]
+    while todo:
+        fn = todo.pop()
+        if fn.__name__ in route:
+            continue
+        tree = route[fn.__name__] = ast.parse(inspect.getsource(fn))
+        products = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and 3 in (getattr(n.left, "value", None), getattr(n.right, "value", None))
+        ]
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert products == [], fn.__name__
+        assert not names & {"_raw_step", "syracuse_step", "alpha_of", "trajectory_direct"}, fn.__name__
+        todo += [f for f in map(vars(trajectory_module).get, names) if inspect.isfunction(f)]
+    assert {"trajectory_lookup", "_record", "_budgeted", "_lookup_blocks"} <= set(route)
 
 
 @given(x=odd_starts)
@@ -162,6 +171,22 @@ def test_budget_exhaustion():
         trajectory_lookup(27, max_steps=3)
     with pytest.raises(DomainError):
         trajectory_direct(27, max_steps=0)
+
+
+@pytest.mark.parametrize("block", [3, 256])
+@pytest.mark.parametrize("build", [trajectory_direct, trajectory_lookup])
+def test_record_budget_at_block_boundaries(build, block):
+    # the budget is summed block by block: a walk of exactly max_steps
+    # steps passes, one step more raises at its start, also when the budget
+    # ends on a block boundary inside the walk
+    x = 2**1100 - 1
+    with patch.object(trajectory_module, "_BLOCK", block):
+        length = build(x).odd_length
+        assert build(x, max_steps=length) == trajectory_direct(x)
+        for max_steps in (length - 1, (length - 1) // block * block):
+            with pytest.raises(MaxStepsExceeded) as exc:
+                build(x, max_steps=max_steps)
+            assert (exc.value.start, exc.value.max_steps) == (x, max_steps)
 
 
 def test_stats_examples():
