@@ -419,12 +419,11 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> None:
     max_alpha = args.max_alpha
     if max_alpha is None:
         max_alpha = max(1, min(10, bound.bit_length() - 2))
-    max_steps = _max_steps_from_env()
     # the density check is closed form: a max_alpha the bound cannot hold
     # is refused before the scan, after the scan's own bound check
     _require_count(bound, 3, "bound")
     density = empirical_alpha_density(bound, max_alpha)
-    theorem = verify_theorems(bound, max_steps, workers=args.workers)
+    theorem = verify_theorems(bound, _max_steps_from_env(), workers=args.workers)
     ratio_6m1, ratio_6m5 = empirical_iterate_class_ratio(bound)
     buckets = [
         {"alpha": b.alpha, "count": b.count, "ratio": b.ratio, "expected": 2.0**-b.alpha}

@@ -90,7 +90,7 @@ yield the (iterates, alphas) of at most _BLOCK steps at a time, the last
 block being the one that reaches 1.  A record (_record) joins the blocks,
 and _budgeted raises MaxStepsExceeded once their summed length passes
 max_steps.  A streamed line (_write_walk) holds no record.  A count pass
-walks the start and keeps nothing: _count_chunk with a one-entry table
+walks the start and keeps no record: _count_chunk with a one-entry table
 for the direct route, budgeted lookup blocks for the lookup one.  It
 raises MaxStepsExceeded exactly when the walk is over budget, so such a
 walk writes no byte.  A write pass then walks the start again, by the
@@ -127,7 +127,7 @@ _Block = tuple[Sequence[int], Sequence[int]]
 
 
 def _budgeted(start: int, blocks: Iterable[_Block], max_steps: int) -> Iterator[_Block]:
-    # blocks, until their summed length passes max_steps
+    # blocks as they come, raising at start once their summed length passes max_steps
     steps = 0
     for block in blocks:
         steps += len(block[0])
@@ -571,11 +571,10 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> N
         # counted by lookup blocks too: the reference route never evaluates 3x+1
         for _ in _budgeted(x, _lookup_blocks(x), max_steps):
             pass
-        blocks = _lookup_blocks(x)
+        _write_line(out, x, _lookup_blocks(x), fmt)
     else:
         _count_chunk((x, x, max_steps, [0]))
-        blocks = _direct_blocks(x)
-    _write_line(out, x, blocks, fmt)
+        _write_line(out, x, _direct_blocks(x), fmt)
 
 
 # characters of iterate and alpha strings a direct range's line memo holds
