@@ -11,7 +11,9 @@ the same table, parses help requests and every other line.  main(), the
 entry point of the console script and of python -m collatzkit, ends the
 process at its last byte: it flushes stdout and stderr, runs the atexit
 callbacks and skips the interpreter's teardown, unless a tracer, profiler
-or second thread is watching the process.  run() is the in-process API.
+or second thread is watching the process; it alone may fork, to render a
+long walk line in two processes.  run() is the in-process API and never
+forks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ if TYPE_CHECKING:
     import argparse
 
 # every public name (collatzkit._HOMES) is served here too.  A module's
-# names are bound when a command that uses the module runs (_run binds them
+# names are bound when a command that uses the module runs (_dispatch binds them
 # just before dispatch) or when the first of them is read from here, so a
 # command loads only what it uses.  A name already set here, by a test or a
 # tracer that wraps it, is never overwritten, and no handler imports a
@@ -52,7 +54,7 @@ def __getattr__(name: str):
 
 # audit map: library operations reachable through each command (directly
 # or through the command's library calls); tests assert it is exhaustive.
-# Its modules are the ones _run binds before the command runs
+# Its modules are the ones _dispatch binds before the command runs
 OPERATION_COVERAGE = {
     "classify": ("core.classify", "core.syracuse_step", "core.alpha_of", "core.is_terminal"),
     "trajectory": (
@@ -295,14 +297,18 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         return
     from .trajectory import DECIMAL_MIN_BITS, _write_range, _write_walk
 
+    # a long line may be rendered by two processes: only under main(), whose
+    # process ends after the command, and never under a tracer, a profiler
+    # or a second thread
+    fork = args.fork and not _watched()
     if args.method == "direct":
         if starts:
             # every direct line, of one start or of a range, at any size
-            _write_range(out, starts[0], starts[-1], args.format, max_steps)
+            _write_range(out, starts[0], starts[-1], args.format, max_steps, fork)
         return
     for x in starts:
         if x.bit_length() >= DECIMAL_MIN_BITS:
-            _write_walk(out, x, args.format, max_steps, "lookup")
+            _write_walk(out, x, args.format, max_steps, "lookup", fork)
         else:
             # a smaller start keeps its record, built before its first byte
             # is written: perfbench/tracing.py counts lookup steps through
@@ -480,19 +486,26 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextI
     """Parse argv, dispatch, and return the process exit code.
 
     Numbers of any length are parsed and printed: CPython's int/str digit
-    limit is lifted for the call and restored on return.
+    limit is lifted for the call and restored on return.  The command runs
+    in this process alone: no process is forked.
     """
+    return _run(argv, out, err, fork=False)
+
+
+def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None, fork: bool) -> int:
+    # run's body; main() alone passes fork=True, so that a long walk line
+    # may be written by two processes (trajectory._write_walk)
     if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv, out, err)
+        return _dispatch(argv, out, err, fork)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(argv, out, err)
+        return _dispatch(argv, out, err, fork)
     finally:
         sys.set_int_max_str_digits(previous)
 
 
-def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> int:
+def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None, fork: bool) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     # parsed here, under run's lifted digit limit: a start may be any length
@@ -505,6 +518,7 @@ def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> 
     try:
         for module in dict.fromkeys(op.partition(".")[0] for op in OPERATION_COVERAGE[args.command]):
             _bind(module)
+        args.fork = fork
         _HANDLERS[args.command](args, out)
         return 0
     except MaxStepsExceeded as exc:
@@ -516,16 +530,17 @@ def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> 
     except MemoryError:
         err.write("error: out of memory\n")
         return 1
-    except _broken_pool() as exc:
+    except (ChildProcessError, *_broken_pool()) as exc:
+        # a dead render helper (trajectory._write_forked) or pool worker
         err.write(f"error: a worker process died: {exc}\n")
         return 1
 
 
-def _broken_pool() -> type | tuple:
+def _broken_pool() -> tuple:
     # evaluated only when an error reaches the except clause; without a
     # started pool the class is not loaded and the empty tuple matches nothing
     process = sys.modules.get("concurrent.futures.process")
-    return process.BrokenProcessPool if process is not None else ()
+    return (process.BrokenProcessPool,) if process is not None else ()
 
 
 def _watched() -> bool:
@@ -551,7 +566,7 @@ def main() -> NoReturn:
     or a second thread it exits by sys.exit, as any program would.
     """
     try:
-        code = run()
+        code = _run(None, None, None, fork=True)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe: send the unflushed rest to devnull so

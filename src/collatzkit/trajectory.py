@@ -105,10 +105,11 @@ DECIMAL_MIN_BITS bits, and smaller ones keep their records
 from __future__ import annotations
 
 import io
+import os
 from functools import cache
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd, alpha_residue_class
 
@@ -484,7 +485,9 @@ def _tail(fmt: str, alphas: str, odd_length: int, total_divisions: int, peak: in
     return "\n"
 
 
-def _write_line(out: TextIO, start: int, blocks: Iterable[_Block], fmt: str) -> None:
+def _write_line(
+    out: TextIO, start: int, blocks: Iterable[_Block], fmt: str, turn: tuple[int, int, int] | None = None
+) -> None:
     """Write the text or JSON line of start's walk, whose (iterates, alphas) blocks are given.
 
     Each block is one out.write, and the tail goes out with the first block
@@ -493,23 +496,35 @@ def _write_line(out: TextIO, start: int, blocks: Iterable[_Block], fmt: str) -> 
     odd_length, total_divisions and peak are summed up block by block.
     Iterates of at least DECIMAL_MIN_BITS bits are rendered from the
     previous iterate's Decimal, exactly: the bytes are those of str.
+
+    turn is None when this process writes the whole line.  Two processes
+    share a line (_write_forked) with turn = (role, token in, token out):
+    each sums up every block but renders only the blocks i with
+    i % 2 == role, and the tail goes with the last block, whoever renders
+    it.  Before writing block i > 0 a process reads the one-byte token from
+    its token-in pipe; after writing a block it flushes out and, but after
+    the last block, writes the token to its token-out pipe.  A token pipe
+    whose other end is gone (so is the other process) raises EOFError.
     """
     as_json = fmt == "json"
     sep = "," if as_json else " "
+    role, token_in, token_out = turn or (0, 0, 0)
+    roles = 1 if turn is None else 2
     alphas: list[int] = []
     length = divisions = peak = 0
     exact = None  # Decimal, fma and divide_int, from the first big iterate on
     d = None  # the previous iterate as a Decimal, while it is big
-    text = _head(fmt, start)  # written with the first block
-    for values, block_alphas in blocks:
-        first = not length
+    for i, (values, block_alphas) in enumerate(blocks):
         length += len(values)
         divisions += sum(block_alphas)
         top = max(values)
         peak = max(peak, top)
         if as_json:
             alphas += block_alphas
-        strings = [] if first else [""]  # so a later block's text begins with sep
+        if i % roles != role:
+            d = None  # this process's next block starts from its first int
+            continue
+        strings = [""] if i else []  # so a later block's text begins with sep
         if top.bit_length() < DECIMAL_MIN_BITS:
             d = None
             strings += map(str, values)
@@ -522,13 +537,24 @@ def _write_line(out: TextIO, start: int, blocks: Iterable[_Block], fmt: str) -> 
                 else:
                     d = Decimal(value) if d is None else divide_int(fma(d, 3, 1), 1 << alpha)
                     strings.append(str(d))
-        text += sep.join(strings)
+        text = sep.join(strings) if i else _head(fmt, start) + sep.join(strings)
         del strings  # not held while the text is written
-        if first and values[-1] == 1:
-            break
+        if turn and i and not os.read(token_in, 1):
+            raise EOFError("the process sharing the line is gone")
+        if values[-1] == 1:
+            tail = _tail(fmt, ",".join(map(str, alphas)), length, divisions, peak)
+            if i:
+                out.write(text)
+                text = ""
+            text += tail
         out.write(text)
-        text = ""
-    out.write(text + _tail(fmt, ",".join(map(str, alphas)), length, divisions, peak))
+        if turn:
+            out.flush()
+            if values[-1] != 1:
+                try:
+                    os.write(token_out, b".")
+                except BrokenPipeError:  # not out's: the token's reader is gone
+                    raise EOFError("the process sharing the line is gone") from None
 
 
 def _exact_decimal() -> tuple:
@@ -555,33 +581,123 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     _write_line(out, record.start, blocks, fmt)
 
 
-def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> None:
+def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork: bool = False) -> None:
     """write_record of x's record by method ("direct" or "lookup"), without building it.
 
     A count pass walks x and keeps at most a block; it raises MaxStepsExceeded,
-    before any byte is written, exactly when the walk has more than
-    max_steps odd steps.  The write pass then walks x again by the same
-    method and writes each block of the line as it is made, so the
-    memory held is a block, not the record.  _write_range streams each
-    direct line longer than _BLOCK iterates through here; the CLI's lookup
-    route, each start of at least DECIMAL_MIN_BITS bits.
+    before any byte is written or any process forked, exactly when the walk
+    has more than max_steps odd steps.  The write pass then walks x again by
+    the same method and writes each block of the line as it is made, so the
+    memory held is a block, not the record.  With fork, a line of more than
+    one block from a start of at least DECIMAL_MIN_BITS bits is written by
+    two processes, each rendering every other block (_write_forked), when
+    out has a file descriptor, os.fork exists and this process may use two
+    CPUs; any other line is written by this process alone.  _write_range
+    streams each direct line longer than _BLOCK iterates through here; the
+    CLI's lookup route, each start of at least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
     if method == "lookup":
         # counted by lookup blocks too: the reference route never evaluates 3x+1
-        for _ in _budgeted(x, _lookup_blocks(x), max_steps):
-            pass
-        _write_line(out, x, _lookup_blocks(x), fmt)
+        blocks = _lookup_blocks
+        length = sum(len(block[0]) for block in _budgeted(x, blocks(x), max_steps))
     else:
-        _count_chunk((x, x, max_steps, [0]))
-        _write_line(out, x, _direct_blocks(x), fmt)
+        blocks = _direct_blocks
+        length = _count_chunk((x, x, max_steps, [0]))
+    if fork and length > _BLOCK and x.bit_length() >= DECIMAL_MIN_BITS and _may_fork(out):
+        _write_forked(out, x, blocks, fmt)
+    else:
+        _write_line(out, x, blocks(x), fmt)
+
+
+def _may_fork(out: TextIO) -> bool:
+    # a second usable CPU, os.fork, and a file descriptor the helper can write
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        return False
+    try:
+        out.fileno()
+    except (AttributeError, OSError, ValueError):  # no fileno, io.UnsupportedOperation, closed
+        return False
+    return True
+
+
+def _write_forked(out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]], fmt: str) -> None:
+    """_write_line of x's walk, shared by this process (role 0) and a forked helper (role 1).
+
+    Each process walks x with blocks, the route's block walker, and renders
+    every other block, so each holds one block at a time; a token passed on
+    two pipes orders their writes (see _write_line).  The helper ignores SIGINT
+    (held across the fork, so neither process can miss it or see it early)
+    and ends by os._exit: status 0 after its last block, 1 after a
+    BrokenPipeError, 2 after any other error.  This process reaps it on
+    every path.  If this process raises (a closed pipe, Ctrl-C, out of
+    memory), it kills the helper and waits for it first.  A helper that
+    ends with status 1 raises BrokenPipeError here, and one that ends with
+    any other status but 0, or by a signal, raises ChildProcessError.  The
+    helper exits 0 only after sending every token this process waits for,
+    so a token pipe at EOF always comes with a status that raises.
+    """
+    import signal  # loaded only for a line this long; not a module-level import
+
+    out.flush()  # so the helper inherits no buffered text to write again
+    parent_in, helper_out = os.pipe()
+    helper_in, parent_out = os.pipe()
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: this process writes the line alone
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        for fd in (parent_in, helper_out, helper_in, parent_out):
+            os.close(fd)
+        _write_line(out, x, blocks(x), fmt)
+        return
+    if not pid:
+        status = 2
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            os.close(parent_in)
+            os.close(parent_out)
+            _write_line(out, x, blocks(x), fmt, (1, helper_in, helper_out))
+            status = 0
+        except BrokenPipeError:
+            status = 1
+        finally:
+            os._exit(status)  # never returns into the caller's frames
+    os.close(helper_in)
+    os.close(helper_out)  # so a helper that dies leaves parent_in at EOF
+    status = None
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        try:
+            _write_line(out, x, blocks(x), fmt, (0, parent_in, parent_out))
+        except EOFError:  # the helper is gone: its status says why
+            pass
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        os.close(parent_in)
+        os.close(parent_out)
+        if status is None:
+            # a second Ctrl-C waits until the helper is reaped
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    if status == 1:
+        raise BrokenPipeError("the render helper met a closed pipe")
+    if status:
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise ChildProcessError(f"the render helper {how}")
 
 
 # characters of iterate and alpha strings a direct range's line memo holds
 _MEMO_CHARS = 2**20
 
 
-def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int) -> None:
+def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork: bool = False) -> None:
     """write_record of the direct records of the odd starts lo..last, without building them.
 
     Each start x is walked until it reaches 1 or an earlier start y of the
@@ -589,7 +705,7 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int) -> N
     iterates followed by y's (see the module docstring).  A line of at most
     _BLOCK iterates is rendered once, written in one write and, but for the
     last start's, kept in the memo; a walk that passes _BLOCK steps is
-    streamed by _write_walk.  A start whose walk passes max_steps odd steps
+    streamed by _write_walk, with fork.  A start whose walk passes max_steps odd steps
     raises MaxStepsExceeded before any byte of its line, so the lines
     before the first failing start are all written.
     """
@@ -626,7 +742,7 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int) -> N
             # the bound appends keep the lists alive: empty them, so the
             # partial walk is not held while the line streams
             del iterates[:], alphas[:]
-            _write_walk(out, x, fmt, max_steps, "direct")
+            _write_walk(out, x, fmt, max_steps, "direct", fork)
             continue
         its = sep.join(map(str, iterates))
         alps = ",".join(map(str, alphas)) if as_json else ""

@@ -894,6 +894,122 @@ def test_no_process_outlives_a_pooled_verify():
             os.killpg(proc.pid, signal.SIGKILL)
 
 
+BIG = str(2**5000 - 1)
+
+
+def in_session(args, env=None):
+    # python with args, in a session of its own: its process group id is its pid
+    return subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, **(env or {})},
+        start_new_session=True,
+    )
+
+
+@contextlib.contextmanager
+def no_process_left(proc):
+    # once the command has exited, no process of its group (a render helper)
+    # may be left; should the test fail first, none is left running either
+    try:
+        yield
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+
+
+@pytest.mark.parametrize("options", [[], ["--method", "lookup", "--format", "json"]], ids=["text", "lookup-json"])
+def test_a_forked_walk_into_a_closed_pipe_exits_1_and_leaves_no_process(options):
+    # as `trajectory 2**5000-1 | head -c 100`: either process may meet the closed pipe
+    proc = in_session(["-m", "collatzkit", "trajectory", BIG, *options])
+    with no_process_left(proc):
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+
+def test_ctrl_c_in_mid_line_exits_1_with_one_line_and_leaves_no_process():
+    # the line's first bytes come after the fork; the unread pipe then holds
+    # both processes mid-line until the group's SIGINT, which only the parent
+    # may report
+    proc = in_session(["-m", "collatzkit", "trajectory", BIG])
+    with no_process_left(proc):
+        assert proc.stdout.read(100) == BIG[:100].encode()
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"error: interrupted\n")
+
+
+# the helper's walk raises at its third block: blocks 0 and 2 are the parent's
+DYING_HELPER = """
+import os, sys
+from collatzkit import cli, trajectory
+parent, walk = os.getpid(), trajectory._direct_blocks
+def blocks(x):
+    for i, block in enumerate(walk(x)):
+        if os.getpid() != parent and i == 2:
+            raise RuntimeError("only in the helper")
+        yield block
+trajectory._direct_blocks = blocks
+sys.argv = ["collatzkit", "trajectory", str(2**5000 - 1)]
+cli.main()
+"""
+
+
+def test_a_dead_render_helper_exits_1_with_one_line_and_leaves_no_process():
+    proc = in_session(["-c", DYING_HELPER])
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"error: a worker process died: the render helper exited with status 2\n")
+        # blocks 0 to 2, then nothing: the parent never got the token for block 4
+        assert out.startswith(BIG.encode()) and not out.endswith(b"\n")
+
+
+# os.fork refused: a command that reaches it fails
+NO_FORK = """
+import io, os, sys, threading, time
+from collatzkit import cli
+def refuse():
+    raise AssertionError("forked")
+os.fork = refuse
+argv = sys.argv[1:]
+"""
+
+
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+def test_a_walk_over_budget_forks_nothing(method):
+    # the count pass raises before the fork: one step short of 2**5000-1's walk
+    script = NO_FORK + "sys.argv = ['collatzkit', *argv]\ncli.main()\n"
+    proc = in_session(["-c", script, "trajectory", BIG, "--method", method], {"COLLATZ_MAX_STEPS": "24130"})
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (3, b"")
+        assert err == f"error: budget of 24130 steps exhausted starting from {BIG}\n".encode()
+
+
+def test_run_and_a_watched_main_never_fork():
+    # run() to sys.stdout and to a StringIO, then main() with a second
+    # thread alive: each writes the 20-block line of 2**1100-1 alone
+    script = NO_FORK + (
+        "assert cli.run(argv) == 0\n"
+        "assert cli.run(argv, io.StringIO()) == 0\n"
+        "threading.Thread(target=time.sleep, args=(0.2,)).start()\n"
+        "sys.argv = ['collatzkit', *argv]\n"
+        "cli.main()\n"
+    )
+    proc = in_session(["-c", script, "trajectory", str(2**1100 - 1)])
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=60)
+        line = f"{2**1100 - 1} {' '.join(map(str, trajectory_direct(2**1100 - 1).iterates))}\n"
+        assert (proc.returncode, err) == (0, b"")
+        assert out == 2 * line.encode()
+
+
 def test_table_export():
     code, out, _ = invoke("table-export", "--table", "B", "--rows", "36")
     assert code == 0

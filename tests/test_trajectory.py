@@ -2,6 +2,7 @@ import ast
 import inspect
 import io
 import json
+import os
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -26,7 +27,18 @@ from collatzkit import (
 from collatzkit.cli import run
 
 import collatzkit.trajectory as trajectory_module
-from collatzkit.trajectory import DECIMAL_MIN_BITS, _fold, _mean, _range_columns, _write_range, _write_walk
+from collatzkit.trajectory import (
+    DECIMAL_MIN_BITS,
+    _direct_blocks,
+    _fold,
+    _lookup_blocks,
+    _mean,
+    _range_columns,
+    _write_forked,
+    _write_line,
+    _write_range,
+    _write_walk,
+)
 
 from reference_windows import TRAJECTORY_27, TRAJECTORY_255
 
@@ -425,6 +437,89 @@ def test_a_streamed_walk_one_step_over_budget_raises_at_its_start(method):
         _write_walk(io.StringIO(), x + 1, "text", length, method)
 
 
+def written_both_ways(tmp_path, x, method, fmt):
+    # x's line through a real file descriptor, as the two-process writer and
+    # as the one-process writer put it in a file
+    blocks = {"direct": _direct_blocks, "lookup": _lookup_blocks}[method]
+    lines = []
+    for name, write in (
+        ("forked", lambda out: _write_forked(out, x, blocks, fmt)),
+        ("single", lambda out: _write_line(out, x, blocks(x), fmt)),
+    ):
+        path = tmp_path / f"{name}-{method}.{fmt}"
+        with open(path, "w") as out:
+            out.write("earlier line\n")  # buffered when the helper is forked
+            write(out)
+        lines.append(path.read_text())
+    return lines
+
+
+# 2**1100-1 has 20 blocks, so the helper renders the last one and writes the
+# tail; 2**1100+1 has 11, so this process does; 2**1026+3**640 falls below
+# DECIMAL_MIN_BITS and climbs back, so some blocks mix str and Decimal
+@pytest.mark.parametrize("x", [2**1100 - 1, 2**1100 + 1, 2**1026 + 3**640])
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_forked_line_equals_the_single_process_line(tmp_path, x, method, fmt):
+    forked, single = written_both_ways(tmp_path, x, method, fmt)
+    assert forked == single
+    assert single.count("\n") == 2
+
+
+# blocks of 3 iterates, and the Decimal route from 64 bits on: a line of one
+# iterate, one whole block, one block and one iterate, and many blocks
+@pytest.mark.parametrize("x", [1, 17, 11, 27, 255, 2**70 - 1, 2**80 + 1])
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_forked_line_of_many_small_blocks_equals_the_single_process_line(tmp_path, monkeypatch, x, method, fmt):
+    monkeypatch.setattr(trajectory_module, "_BLOCK", 3)
+    monkeypatch.setattr(trajectory_module, "DECIMAL_MIN_BITS", 64)
+    forked, single = written_both_ways(tmp_path, x, method, fmt)
+    assert forked == single
+    expected = io.StringIO()
+    write_record(expected, trajectory_direct(x), fmt)
+    assert single == "earlier line\n" + expected.getvalue()
+
+
+def test_a_failed_fork_writes_the_line_in_this_process(tmp_path, monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(trajectory_module.os, "fork", refuse)
+    forked, single = written_both_ways(tmp_path, 2**1100 - 1, "direct", "json")
+    assert forked == single
+
+
+def test_only_a_long_line_of_a_big_start_to_a_file_forks(tmp_path, monkeypatch):
+    # a line of more than one block, from a start of at least DECIMAL_MIN_BITS
+    # bits, written to a file descriptor with os.fork and two usable CPUs
+    forked = []
+    monkeypatch.setattr(trajectory_module, "_write_forked", lambda out, x, blocks, fmt: forked.append(x))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    big, one_step, small = 2**1100 - 1, (2**1102 - 1) // 3, 2**1000 - 1
+    assert one_step.bit_length() > DECIMAL_MIN_BITS and trajectory_direct(one_step).odd_length == 1
+    with open(tmp_path / "line", "w") as out:
+
+        def writes(x, fork=True, to=out):
+            # the starts _write_forked got, by the direct and the lookup route
+            forked.clear()
+            for method in ("direct", "lookup"):
+                _write_walk(to, x, "text", 10**6, method, fork)
+            return forked
+
+        assert writes(big) == [big, big]
+        assert writes(big, fork=False) == []
+        assert writes(one_step) == []
+        assert writes(small) == []
+        assert writes(big, to=io.StringIO()) == []
+        assert writes(big, to=SimpleNamespace(write=lambda text: None)) == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert writes(big) == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert writes(big) == []
+
+
 @pytest.mark.parametrize("options", [[], ["--format", "json"], ["--method", "lookup"]])
 def test_a_walk_over_budget_writes_nothing(monkeypatch, options):
     # the count pass comes before any byte of the line
@@ -616,10 +711,10 @@ def test_only_lines_over_the_block_go_through_write_record(monkeypatch, block):
     # or not; a longer one is streamed by _write_walk
     written = []
 
-    def spy(out, x, fmt, max_steps, method):
-        assert method == "direct"
+    def spy(out, x, fmt, max_steps, method, fork):
+        assert (method, fork) == ("direct", False)
         written.append(x)
-        _write_walk(out, x, fmt, max_steps, method)
+        _write_walk(out, x, fmt, max_steps, method, fork)
 
     monkeypatch.setattr(trajectory_module, "_BLOCK", block)
     monkeypatch.setattr(trajectory_module, "_write_walk", spy)
