@@ -100,6 +100,17 @@ instead.  So no direct line, of one start or of a range, is built as a
 record; the CLI's lookup route streams starts of at least
 DECIMAL_MIN_BITS bits, and smaller ones keep their records
 (cli._cmd_trajectory says why).
+
+Under cli.main, a streamed line of more than one block from a start of at
+least DECIMAL_MIN_BITS bits, long enough to repay a fork (_FORK_WORK), is
+written by two processes (_write_forked): after the count pass the
+process forks one helper, both walk the start, and block i is rendered by
+the process whose role is i % 2.  A one-byte token on two pipes passes
+the right to write, so the blocks reach out in order and the bytes are
+those of one process.  Each process sums up
+odd_length, total_divisions, peak and the JSON alphas over every block,
+so whichever renders the last block writes the tail.  _write_line is the
+one renderer; a process that writes the whole line is its one-role case.
 """
 
 from __future__ import annotations
@@ -581,6 +592,16 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
     _write_line(out, record.start, blocks, fmt)
 
 
+# a streamed line is shared by two processes only when its odd steps times
+# its start's bits reach this (2**5000-1: 1.2e8).  Below it the fork, the
+# helper's own walk and the hand-over of each block cost about what half
+# the rendering saves.  Timed inside main() on a 2-vCPU host, two processes
+# against one (medians of 30 alternating runs): 34.7 against 33.0 ms (text)
+# for a 3732-bit start at 3.4e7, 62.5 against 80.6 ms (text) and 67.4
+# against 88.3 ms (JSON) for a 5192-bit start at 6.75e7
+_FORK_WORK = 2**26
+
+
 def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork: bool = False) -> None:
     """write_record of x's record by method ("direct" or "lookup"), without building it.
 
@@ -589,10 +610,12 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     has more than max_steps odd steps.  The write pass then walks x again by
     the same method and writes each block of the line as it is made, so the
     memory held is a block, not the record.  With fork, a line of more than
-    one block from a start of at least DECIMAL_MIN_BITS bits is written by
-    two processes, each rendering every other block (_write_forked), when
-    out has a file descriptor, os.fork exists and this process may use two
-    CPUs; any other line is written by this process alone.  _write_range
+    one block from a start of at least DECIMAL_MIN_BITS bits, whose odd
+    steps times its start's bits reach _FORK_WORK, is written by two
+    processes, each rendering every other block (_write_forked), when
+    out has a file descriptor, os.fork exists and os.sched_getaffinity
+    gives this process two CPUs or more; any other line is written by this
+    process alone.  _write_range
     streams each direct line longer than _BLOCK iterates through here; the
     CLI's lookup route, each start of at least DECIMAL_MIN_BITS bits.
     """
@@ -604,22 +627,21 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     else:
         blocks = _direct_blocks
         length = _count_chunk((x, x, max_steps, [0]))
-    if fork and length > _BLOCK and x.bit_length() >= DECIMAL_MIN_BITS and _may_fork(out):
+    bits = x.bit_length()
+    if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_fork(out):
         _write_forked(out, x, blocks, fmt)
     else:
         _write_line(out, x, blocks(x), fmt)
 
 
 def _may_fork(out: TextIO) -> bool:
-    # a second usable CPU, os.fork, and a file descriptor the helper can write
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    if len(cpus) < 2 or not hasattr(os, "fork"):
-        return False
+    # a second usable CPU, os.fork, and a file descriptor the helper can
+    # write.  Without sched_getaffinity (macOS, whose system libraries may
+    # start threads, which makes fork unsafe) the line is not shared
     try:
-        out.fileno()
-    except (AttributeError, OSError, ValueError):  # no fileno, io.UnsupportedOperation, closed
+        return len(os.sched_getaffinity(0)) > 1 and hasattr(os, "fork") and out.fileno() >= 0
+    except (AttributeError, OSError, ValueError):  # also io.UnsupportedOperation, a closed out
         return False
-    return True
 
 
 def _write_forked(out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]], fmt: str) -> None:

@@ -492,11 +492,15 @@ def test_a_failed_fork_writes_the_line_in_this_process(tmp_path, monkeypatch):
 
 def test_only_a_long_line_of_a_big_start_to_a_file_forks(tmp_path, monkeypatch):
     # a line of more than one block, from a start of at least DECIMAL_MIN_BITS
-    # bits, written to a file descriptor with os.fork and two usable CPUs
+    # bits, with odd steps times start bits of at least _FORK_WORK, written to
+    # a file descriptor with os.fork and two usable CPUs
     forked = []
     monkeypatch.setattr(trajectory_module, "_write_forked", lambda out, x, blocks, fmt: forked.append(x))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    big, one_step, small = 2**1100 - 1, (2**1102 - 1) // 3, 2**1000 - 1
+    big, short, one_step, small = 2**4000 - 1, 2**1100 - 1, (2**1102 - 1) // 3, 2**1000 - 1
+    work = trajectory_module._FORK_WORK
+    assert trajectory_direct(big).odd_length * 4000 >= work > trajectory_direct(short).odd_length * 1100
+    assert trajectory_direct(short).odd_length > trajectory_module._BLOCK
     assert one_step.bit_length() > DECIMAL_MIN_BITS and trajectory_direct(one_step).odd_length == 1
     with open(tmp_path / "line", "w") as out:
 
@@ -509,8 +513,12 @@ def test_only_a_long_line_of_a_big_start_to_a_file_forks(tmp_path, monkeypatch):
 
         assert writes(big) == [big, big]
         assert writes(big, fork=False) == []
+        assert writes(short) == []
         assert writes(one_step) == []
+        monkeypatch.setattr(trajectory_module, "_FORK_WORK", 0)  # the start's bits alone rule
+        assert writes(short) == [short, short]
         assert writes(small) == []
+        monkeypatch.setattr(trajectory_module, "_FORK_WORK", work)
         assert writes(big, to=io.StringIO()) == []
         assert writes(big, to=SimpleNamespace(write=lambda text: None)) == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
