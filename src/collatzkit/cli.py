@@ -32,8 +32,8 @@ if TYPE_CHECKING:
     import argparse
 
 # every public name (collatzkit._HOMES) is served here too.  A module's
-# names are bound when a command that uses the module runs (_dispatch binds them
-# just before dispatch) or when the first of them is read from here, so a
+# names are bound when a command that uses the module runs (_dispatch binds
+# them just before dispatch) or when the first of them is read from here, so a
 # command loads only what it uses.  A name already set here, by a test or a
 # tracer that wraps it, is never overwritten, and no handler imports a
 # public name itself, so such a replacement is the function that gets called.
@@ -563,7 +563,9 @@ def main() -> NoReturn:
     The process ends at its last byte: after the atexit callbacks and a
     flush of stdout and stderr it calls os._exit, skipping the teardown of
     modules and objects (about 10 ms a command).  Under a tracer, profiler
-    or a second thread it exits by sys.exit, as any program would.
+    or a second thread it exits by sys.exit, as any program would.  Here
+    alone a long trajectory line may be rendered with a forked helper
+    (trajectory._write_walk), which the command reaps before it returns.
     """
     try:
         code = _run(None, None, None, fork=True)

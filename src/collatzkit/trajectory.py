@@ -612,12 +612,12 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     memory held is a block, not the record.  With fork, a line of more than
     one block from a start of at least DECIMAL_MIN_BITS bits, whose odd
     steps times its start's bits reach _FORK_WORK, is written by two
-    processes, each rendering every other block (_write_forked), when
-    out has a file descriptor, os.fork exists and os.sched_getaffinity
-    gives this process two CPUs or more; any other line is written by this
-    process alone.  _write_range
-    streams each direct line longer than _BLOCK iterates through here; the
-    CLI's lookup route, each start of at least DECIMAL_MIN_BITS bits.
+    processes, each rendering every other block (_write_forked), when out
+    has a file descriptor, os.fork exists and os.sched_getaffinity gives
+    this process two CPUs or more; any other line is written by this
+    process alone.  _write_range streams each direct line longer than
+    _BLOCK iterates through here; the CLI's lookup route, each start of at
+    least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
     if method == "lookup":

@@ -961,6 +961,9 @@ cli.main()
 """
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a line is shared only with two usable CPUs"
+)
 def test_a_dead_render_helper_exits_1_with_one_line_and_leaves_no_process():
     proc = in_session(["-c", DYING_HELPER])
     with no_process_left(proc):
