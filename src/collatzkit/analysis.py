@@ -214,9 +214,11 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
     firsts = range(lo, hi + 1, 2 * _CHUNK_ODDS)
     tasks = ((x, min(x + 2 * (_CHUNK_ODDS - 1), hi), *args) for x in firsts)
     # a fork pool starts every worker up front, so never ask for more
-    # workers than there are chunks or CPUs (a sliced range has a len()
-    # even where the whole one is too long for it)
-    workers = min(len(firsts[:workers]), os.cpu_count() or 1)
+    # workers than there are chunks or CPUs this process may run on (every
+    # CPU where sched_getaffinity does not exist, as on macOS; a sliced
+    # range has a len() even where the whole one is too long for it)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(firsts[:workers]), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers <= 1:
         yield from map(worker, tasks)
         return

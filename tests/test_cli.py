@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzkit import cli, record_json, trajectory_direct, trajectory_lookup
-from collatzkit.cli import OPERATION_COVERAGE, run
+from collatzkit.cli import run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
 
@@ -54,14 +54,36 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_every_operation_is_reachable_from_some_command():
-    covered = {op for ops in OPERATION_COVERAGE.values() for op in ops}
-    assert SPEC_OPERATIONS <= covered
-    import collatzkit
+def test_every_operation_is_reachable_from_some_command(monkeypatch):
+    # the README examples, then the golden matrix, run in-process until each
+    # operation's code has been called; the matrix's leading NAME=value
+    # words set environment variables, as in test_golden
+    from test_golden import MATRIX, readme_examples
 
-    for op in covered:
-        _, name = op.split(".")
-        assert hasattr(collatzkit, name), op
+    uncalled = {}
+    for op in SPEC_OPERATIONS:
+        module, name = op.split(".")
+        uncalled[getattr(importlib.import_module(f"collatzkit.{module}"), name).__code__] = op
+
+    def profile(frame, event, arg):
+        if event == "call":
+            uncalled.pop(frame.f_code, None)
+
+    for line in [*readme_examples(), *MATRIX]:
+        if not uncalled:
+            break
+        argv = line.split()
+        with monkeypatch.context() as env, contextlib.redirect_stderr(io.StringIO()):
+            env.delenv("COLLATZ_MAX_STEPS", raising=False)
+            while "=" in argv[0]:
+                env.setenv(*argv.pop(0).split("=", 1))
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                run(argv, io.StringIO(), io.StringIO())
+            finally:
+                sys.setprofile(previous)
+    assert not uncalled, f"no command calls {sorted(uncalled.values())}"
 
 
 def test_classify_text_and_json():
@@ -659,7 +681,7 @@ def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     from collatzkit import analysis
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", BrokenPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out, err = io.StringIO(), io.StringIO()
     assert run([*argv, "--workers", "2"], out, err) == 1
     assert err.getvalue() == (
@@ -778,14 +800,15 @@ def run_main(script, unbuffered=None, **kwargs):
 
 
 def interrupted(partial):
-    # a child whose classify handler writes partial, then meets a Ctrl-C
+    # a child whose classify command writes partial, then meets a Ctrl-C
+    # (the handler reads classify from cli, where this replacement stays)
     return (
         "import sys\n"
         "from collatzkit import cli\n"
-        "def interrupted(args, out):\n"
-        f"    out.write({partial!r})\n"
+        "def interrupted(value):\n"
+        f"    sys.stdout.write({partial!r})\n"
         "    raise KeyboardInterrupt\n"
-        "cli._HANDLERS['classify'] = interrupted\n"
+        "cli.classify = interrupted\n"
         "sys.argv = ['collatzkit', 'classify', '7']\n"
         "cli.main()\n"
     )
@@ -1041,7 +1064,7 @@ def test_help_exits_0():
 def test_the_table_uses_only_keywords_the_table_parser_reads():
     # _fast_parse converts int values, checks choices and sets store_true
     # flags; any other add_argument keyword would need it taught first
-    for _, arguments in cli._COMMANDS.values():
+    for *_, arguments in cli._COMMANDS.values():
         for flag, kwargs in arguments:
             assert set(kwargs) <= {"type", "choices", "default", "action", "required", "help", "metavar"}, flag
             assert kwargs.get("type", int) is int and kwargs.get("action", "store_true") == "store_true", flag
@@ -1069,7 +1092,7 @@ def canonical_lines(draw):
     # order, options spelled in full with one valid value each
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     argv = [command]
-    for flag, kwargs in draw(st.permutations(cli._COMMANDS[command][1])):
+    for flag, kwargs in draw(st.permutations(cli._COMMANDS[command][3])):
         if kwargs.get("required", not flag.startswith("-")) or draw(st.booleans()):
             value = [] if "action" in kwargs else [draw(good_value(kwargs))]
             argv += value if not flag.startswith("-") else [flag, *value]
@@ -1078,14 +1101,14 @@ def canonical_lines(draw):
 
 def odd_tokens(command):
     # tokens that make a line non-canonical, or wrong, drawn from the table
-    arguments = cli._COMMANDS.get(command, ("", ()))[1]
+    arguments = cli._COMMANDS[command][3] if command in cli._COMMANDS else ()
     flags = [flag for flag, _ in arguments if flag.startswith("-")] or ["--format"]
     return st.one_of(
         st.sampled_from(["-h", "--help", "-7", "-0", "-1_000", "--", "-", "", "x", "7.5", "1_000", " 9", "xml", "C", "nosuch"]),
         st.sampled_from(flags).flatmap(lambda f: st.integers(3, max(3, len(f) - 1)).map(lambda k: f[:k])),
         st.sampled_from(flags).map(lambda f: f + "=json"),
         st.sampled_from(flags),
-        st.sampled_from([flag for args in cli._COMMANDS.values() for flag, _ in args[1]]),
+        st.sampled_from([flag for *_, arguments in cli._COMMANDS.values() for flag, _ in arguments]),
         st.integers(min_value=-(2**40), max_value=2**40).map(str),
     )
 

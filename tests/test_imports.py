@@ -106,7 +106,7 @@ def test_json_output_loads_json():
 
 
 def test_a_pooled_scan_gives_the_single_process_output():
-    # 32 chunks, the fewest a drift scan pools: with two or more CPUs this starts a real pool
+    # 32 chunks, the fewest a drift scan pools: a real pool where the process may run on two CPUs
     def drift(workers):
         argv = [sys.executable, "-m", "collatzkit", "drift", "--bound", "2097151", "--workers", workers]
         return subprocess.run(argv, capture_output=True, env=ENV, timeout=120, check=True).stdout
