@@ -186,13 +186,16 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
             # the first start goes through this module's trajectory_direct:
             # perfbench/tracing.py counts direct steps there and divides by
             # them unguarded, and its probe's --stats range runs on every
-            # workload.  The later starts' walks join the earlier ones
-            # without records
+            # workload.  The later starts' walks join the earlier ones, and
+            # their iterates below the first start, without records
             stats = _fold(_range_columns(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
         else:
-            # the lookup route never evaluates 3x+1, so it walks every start in
-            # full (an empty direct range comes here too, for the same error)
-            stats = trajectory_stats(trajectory_lookup(x, max_steps) for x in starts)
+            from .trajectory import _lookup_rows
+
+            # the lookup route never evaluates 3x+1: its kernel walks each
+            # start by lookup steps and builds no record (an empty direct
+            # range comes here too, for the same error)
+            stats = trajectory_stats(_lookup_rows(starts, max_steps))
         fields = {name: getattr(stats, name)._asdict() for name in ("odd_length", "total_divisions", "peak")}
         if args.format == "csv":
             text = stats_csv(stats)

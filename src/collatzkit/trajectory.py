@@ -30,6 +30,28 @@ odd_length(y), total_divisions adds the same way, and peak(x) is the
 larger of the walk's maximum up to y (y included) and peak(y), since a
 peak never counts its own start.
 
+Both --stats kernels, _range_columns and the lookup route's _lookup_rows,
+join once more, below the range's first start lo.  Once an earlier
+start's walk has reached 1, each odd iterate y < lo that it passed maps
+to y's own summary: the walk's odd steps and divisions after y, and
+peak(y), its largest iterate after y.  The direct route keeps every
+iterate of its first start's record this way, and the block ends of its
+later walks; the lookup route keeps every iterate.  A later walk that
+reaches a kept y stops there and adds the three by the sums above.  This
+is exact arithmetic: past y, x's iterates are y's.  While a walk goes on
+it keeps each iterate y < lo with the steps and divisions up to y and the
+largest iterate since the one kept before (y included); _remember turns
+these into entries from the last back.  So peak(y) takes in every
+iterate after y: the front values of every later block, the last
+block's too, the iterate where the walk itself joined, and that one's
+peak.  Only starts with a later start keep iterates, and only while room
+lasts: each entry costs its key's bits plus _JOIN_ENTRY_BITS, out of
+_JOIN_ROOM.  The entries come only from walks that reached 1, so a walk
+that cycles never joins one: it runs out of budget and raises
+MaxStepsExceeded at its own start, and a joined count over the budget
+raises at x too.  So the bytes, the exit codes and the first failing
+start are those of the full walks.
+
 verify's table (_fill_table) holds the counts of the odd starts from 1 on
 and is filled by blocks lo..hi, in order, with 3*hi + 1 < 4*lo.  Half of
 a block is read off the table, not walked.  Each x == 1 (mod 4) has
@@ -99,7 +121,8 @@ write_record feeds _write_line a record's tuples in slices of _BLOCK
 instead.  So no direct line, of one start or of a range, is built as a
 record; the CLI's lookup route streams starts of at least
 DECIMAL_MIN_BITS bits, and smaller ones keep their records
-(cli._cmd_trajectory says why).
+(cli._cmd_trajectory says why).  Neither route's --stats builds a
+record, but for the direct range's first start.
 
 Under cli.main, a streamed line of more than one block from a start of at
 least DECIMAL_MIN_BITS bits, long enough to repay a fork (_FORK_WORK), is
@@ -360,16 +383,38 @@ def _fill_table(top: int, max_steps: int) -> list[int]:
     return table
 
 
+# room of a --stats range's joins below its first start: each entry costs
+# its key's bits and this many more, until room runs out
+_JOIN_ROOM = 2**25
+_JOIN_ENTRY_BITS = 2**11
+
+
+def _remember(below: dict[int, tuple[int, int, int]], path: list, steps: int, divs: int, peak: int) -> int:
+    # empties path, the (y, steps to y, divisions to y, the largest iterate
+    # since the previous entry, y included) of a walk's iterates y below the
+    # range's first start, into below as y -> y's own (odd_length,
+    # total_divisions, peak); the walk had steps odd steps and divs
+    # divisions, and peak is its largest iterate past path's last y.
+    # Returns the walk's peak
+    while path:
+        y, s, d, p = path.pop()
+        below[y] = (steps - s, divs - d, peak)
+        if p > peak:
+            peak = p
+    return peak
+
+
 def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[list[int], ...]]:
     """_fold's column blocks for the direct records of the odd starts first.start..last.
 
     first is the range's first record; every later start x is walked, by
-    the block rule, without a record until it reaches 1 or an earlier start
-    of the range whose summary is in the table (see the module docstring).
-    The table is the first block, yielded once it holds _TABLE_STARTS rows
-    or at the end; later rows go into fresh blocks of _BLOCK rows.  A start
-    whose walk passes max_steps odd steps raises MaxStepsExceeded, so the
-    first failing start is that of the full walks.
+    the block rule, without a record until it reaches 1, an earlier start
+    of the range whose summary is in the table, or an odd iterate below
+    first.start that an earlier start's walk passed through (see the
+    module docstring).  The table is the first block, yielded once it holds
+    _TABLE_STARTS rows or at the end; later rows go into fresh blocks of
+    _BLOCK rows.  A start whose walk passes max_steps odd steps raises
+    MaxStepsExceeded, so the first failing start is that of the full walks.
     """
     lo = first.start
     k = _JUMP_BITS
@@ -378,7 +423,25 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
     # entry (y - lo) // 2 summarises start y; the table is the first block
     lengths, divisions, peaks = block = [first.odd_length], [first.total_divisions], [first.peak]
     size = _TABLE_STARTS
+    below: dict[int, tuple[int, int, int]] = {}
+    get = below.get
+    path: list[tuple[int, int, int, int]] = []
+    room = _JOIN_ROOM if lo < last else 0
+    # the first record's iterates below lo, from its end, while room lasts
+    steps = divs = peak = 0
+    for y, alpha in zip(reversed(first.iterates), reversed(first.alphas)):
+        if room <= 0:
+            break
+        if y < lo:
+            below[y] = (steps, divs, peak)
+            room -= y.bit_length() + _JOIN_ENTRY_BITS
+        steps += 1
+        divs += alpha
+        if y > peak:
+            peak = y
     for x in range(lo + 2, last + 1, 2):
+        if x == last:
+            room = 0  # no later start would read its entries
         reach = lo + 2 * len(lengths) - 2
         cur = x
         steps = divs = peak = 0
@@ -404,7 +467,19 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
                 peak = cur
             if cur == 1:
                 break
-            if lo <= cur <= reach:
+            if cur < lo:
+                joined = get(cur)
+                if joined is not None:
+                    steps += joined[0]
+                    divs += joined[1]
+                    if joined[2] > peak:
+                        peak = joined[2]
+                    break
+                if room > 0:
+                    path.append((cur, steps, divs, peak))
+                    peak = 0  # from here on, peak is the largest iterate past cur
+                    room -= cur.bit_length() + _JOIN_ENTRY_BITS
+            elif cur <= reach:
                 i = (cur - lo) >> 1
                 steps += lengths[i]
                 divs += divisions[i]
@@ -415,6 +490,8 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
                 raise MaxStepsExceeded(x, max_steps)
         if steps > max_steps:
             raise MaxStepsExceeded(x, max_steps)
+        if path:
+            peak = _remember(below, path, steps, divs, peak)
         if len(block[0]) == size:
             yield block
             block, size = ([], [], []), _BLOCK
@@ -422,6 +499,71 @@ def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterat
         block[1].append(divs)
         block[2].append(peak)
     yield block
+
+
+class _Row(NamedTuple):
+    # the fields trajectory_stats reads off a record
+    odd_length: int
+    total_divisions: int
+    peak: int
+
+
+def _lookup_rows(starts: Sequence[int], max_steps: int) -> Iterator[_Row]:
+    """The summary fields of trajectory_lookup's record of each of the odd starts, without records.
+
+    Each start is walked by lookup steps alone, with no 3x+1, until it
+    reaches 1 or an odd iterate below the first start that an earlier
+    start's walk passed through (see the module docstring).  A start whose
+    walk passes max_steps odd steps raises MaxStepsExceeded, so the first
+    failing start is that of the full walks.
+    """
+    if not starts:
+        return
+    lo, last = starts[0], starts[-1]
+    _require_odd(lo)
+    below: dict[int, tuple[int, int, int]] = {}
+    get = below.get
+    path: list[tuple[int, int, int, int]] = []
+    room = _JOIN_ROOM
+    for x in starts:
+        if x == last:
+            room = 0  # no later start would read its entries
+        cur = x
+        steps = divs = peak = 0
+        while True:
+            strips = 0
+            while cur & 7 == 5:
+                cur >>= 2
+                strips += 1
+            if cur & 3 == 3:
+                cur, alpha = 6 * (cur >> 2) + 5, 2 * strips + 1
+            else:
+                cur, alpha = 6 * (cur >> 3) + 1, 2 * strips + 2
+            steps += 1
+            divs += alpha
+            if cur > peak:
+                peak = cur
+            if cur == 1:
+                break
+            if cur < lo:
+                joined = get(cur)
+                if joined is not None:
+                    steps += joined[0]
+                    divs += joined[1]
+                    if joined[2] > peak:
+                        peak = joined[2]
+                    break
+                if room > 0:
+                    path.append((cur, steps, divs, peak))
+                    peak = 0  # from here on, peak is the largest iterate past cur
+                    room -= cur.bit_length() + _JOIN_ENTRY_BITS
+            if steps >= max_steps:
+                raise MaxStepsExceeded(x, max_steps)
+        if steps > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        if path:
+            peak = _remember(below, path, steps, divs, peak)
+        yield _Row(steps, divs, peak)
 
 
 # Iterates of at least this many bits are rendered from the previous one's

@@ -577,6 +577,41 @@ def test_a_range_of_big_starts_is_written_in_bounded_memory(options, digest):
     assert int(max_rss_kib) < 24 * 1024
 
 
+def peak_rss_kib(*argv):
+    # the exit code, the stdout sha256 and the peak RSS of main() on argv,
+    # run as the child of RSS_DRIVER under a 1 GiB address-space cap
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from collatzkit.cli import main\n"
+        f"sys.argv = ['collatzkit', *{list(argv)!r}]\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_DRIVER, sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, sha, max_rss_kib = proc.stdout.split()
+    return int(code), sha, int(max_rss_kib)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_lookup_stats_range_of_big_starts_holds_no_record():
+    # lookup --stats builds no record of any start, and its joins below the
+    # first start hold at most _JOIN_ROOM bits of entries (4 MiB) as counted:
+    # the peak stays near that of classify 7 plus the room.  Holding each
+    # start's record, this command peaked at 71.5 MiB
+    from collatzkit.trajectory import _JOIN_ROOM
+
+    *_, floor = peak_rss_kib("classify", "7")
+    big = 2**10000
+    code, sha, rss = peak_rss_kib("trajectory", str(big - 1), "--end", str(big + 1), "--stats", "--method", "lookup")
+    assert (code, sha) == (0, "a890ccab1ff015b75f382fcf9c30a2a286f0c804a1165baf34e37ec2751460a3")
+    assert rss < floor + _JOIN_ROOM // 8 // 1024 + 4 * 1024
+
+
 # the length of 2**5000 - 1's walk is 24131: one step less is over budget
 BIG_WALK_DIGESTS = {
     "text": "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec",
@@ -740,19 +775,40 @@ def test_a_direct_stats_range_walks_only_its_first_start_through_the_cli(monkeyp
 
 
 def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
+    # the lookup kernel walks every start by lookup steps alone: it reaches
+    # neither the block rule nor the direct kernels, and builds no record.
+    # The later starts of the big range join earlier walks below its first
     from collatzkit import trajectory
 
+    ranges = [(str(first), "--end", str(last), "--stats") for first, last in [(3, 99), (2**99 + 1, 2**99 + 399)]]
+    wants = [invoke("trajectory", *argv) for argv in ranges]
     calls = []
 
-    def counting(x, max_steps):
-        calls.append(x)
-        return trajectory_lookup(x, max_steps)
+    def fail(*args):
+        calls.append(args)
+        raise AssertionError("the lookup --stats route left its lookup kernel")
 
-    monkeypatch.setattr(cli, "trajectory_lookup", counting)
-    monkeypatch.setattr(cli, "trajectory_direct", None)
-    monkeypatch.setattr(trajectory, "_range_columns", None)
-    code, _, err = invoke("trajectory", "3", "--end", "99", "--stats", "--method", "lookup")
-    assert (code, err, calls) == (0, "", list(range(3, 100, 2)))
+    for name in ("_jump_table", "_range_columns", "_count_walks"):
+        monkeypatch.setattr(trajectory, name, fail)
+    monkeypatch.setattr(cli, "trajectory_direct", fail)
+    monkeypatch.setattr(cli, "trajectory_lookup", fail)
+    for argv, want in zip(ranges, wants):
+        assert want[0] == 0
+        assert invoke("trajectory", *argv, "--method", "lookup") == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["8", "--end", "8"], "error: no trajectory records to summarise\n"),
+        (["-3", "--end", "5"], "error: x must be >= 1, got -3\n"),
+        (["8"], "error: x must be odd, got 8\n"),
+    ],
+)
+def test_a_stats_range_with_no_valid_start_exits_1(method, argv, error):
+    assert invoke("trajectory", *argv, "--stats", "--method", method) == (1, "", error)
 
 
 def test_a_direct_range_walks_only_its_first_start_through_cli(monkeypatch):

@@ -98,11 +98,16 @@ MATRIX = {
     "trajectory 1 --end 2001 --stats": ("ad0305697ffb28257a64d2d1738fed4ec5147ca1ac0c85871c4767a9283b8753", 0),
     # 2**64 + 1 to 2**64 + 199
     "trajectory 18446744073709551617 --end 18446744073709551815 --stats": ("dd1c141c6465270ebd4b4eb16e76d3b7125a0ce58ca82852befeb3c8299d53b6", 0),
+    "trajectory 18446744073709551617 --end 18446744073709551815 --stats --method lookup": ("dd1c141c6465270ebd4b4eb16e76d3b7125a0ce58ca82852befeb3c8299d53b6", 0),
     "COLLATZ_MAX_STEPS=20 trajectory 101 --end 2001 --stats": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
     # 100 starts of 1000 bits, from 2**999 + 3**600: every walk jumps
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats": ("21dbe56ed0b35b3ae9ff2b638408082e2bc14b0c61694c5eeaefeae033034b89", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format json": ("a26b7e484d71eb4c391ac2172329b101f394cfb355c9406f9c400c9935f5304c", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format csv": ("d6ff2f9b16f641e403c241421bf6d122098313adfdb5bdc9ab95a91a4df5613a", 0),
+    # the same starts by lookup: the same bytes as the direct route
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --method lookup": ("21dbe56ed0b35b3ae9ff2b638408082e2bc14b0c61694c5eeaefeae033034b89", 0),
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format json --method lookup": ("a26b7e484d71eb4c391ac2172329b101f394cfb355c9406f9c400c9935f5304c", 0),
+    f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format csv --method lookup": ("d6ff2f9b16f641e403c241421bf6d122098313adfdb5bdc9ab95a91a4df5613a", 0),
     # 150001 starts: the direct route fills the whole 2**17-start join table
     # and goes on past it
     "trajectory 1 --end 300001 --stats": ("9b688a3d77771764f819e2ffacebb77f367b97057a1f85adbc6e614af136c0aa", 0),

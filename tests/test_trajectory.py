@@ -32,6 +32,7 @@ from collatzkit.trajectory import (
     _direct_blocks,
     _fold,
     _lookup_blocks,
+    _lookup_rows,
     _mean,
     _range_columns,
     _write_forked,
@@ -595,6 +596,129 @@ def test_the_memo_table_stops_at_its_cap(monkeypatch):
     blocks = list(_range_columns(trajectory_direct(1), 401, 10**6))
     assert [[len(column) for column in block] for block in blocks] == [[8, 8, 8], [193, 193, 193]]
     assert _fold(blocks) == summarise(1, 401, 10**6, False)
+
+
+def kernel_rows(route, first, last, max_steps):
+    # each odd start's (odd_length, total_divisions, peak) by the route's
+    # --stats kernel, or the (start, budget) of the MaxStepsExceeded it raises
+    try:
+        if route == "direct":
+            blocks = _range_columns(trajectory_direct(first, max_steps), last, max_steps)
+            return [row for block in blocks for row in zip(*block)]
+        return [tuple(row) for row in _lookup_rows(range(first, last + 1, 2), max_steps)]
+    except MaxStepsExceeded as exc:
+        return exc.start, exc.max_steps
+
+
+def record_rows(route, first, last, max_steps):
+    # the same from each start's own record, built by the route
+    build = trajectory_direct if route == "direct" else trajectory_lookup
+    rows = []
+    for x in range(first, last + 1, 2):
+        try:
+            rec = build(x, max_steps)
+        except MaxStepsExceeded as exc:
+            return exc.start, exc.max_steps
+        rows.append((rec.odd_length, rec.total_divisions, rec.peak))
+    return rows
+
+
+@st.composite
+def joined_ranges(draw):
+    # (first, last): up to 40 odd starts from a 1- to 300-bit first start
+    bits = draw(st.integers(min_value=1, max_value=300))
+    first = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)) | 1
+    return first, first + 2 * draw(st.integers(min_value=0, max_value=40))
+
+
+@given(
+    route=st.sampled_from(["direct", "lookup"]),
+    walk=joined_ranges(),
+    max_steps=st.one_of(st.integers(min_value=1, max_value=120), st.just(10**6)),
+    room=st.sampled_from([0, 2**12, 2**16, trajectory_module._JOIN_ROOM]),
+    size=st.sampled_from([4, trajectory_module._TABLE_STARTS]),
+    block=st.sampled_from([3, trajectory_module._BLOCK]),
+)
+@settings(max_examples=120, deadline=None)
+def test_stats_kernels_equal_the_per_start_records(route, walk, max_steps, room, size, block):
+    first, last = walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory_module, "_JOIN_ROOM", room)
+        mp.setattr(trajectory_module, "_TABLE_STARTS", size)
+        mp.setattr(trajectory_module, "_BLOCK", block)
+        assert kernel_rows(route, first, last, max_steps) == record_rows(route, first, last, max_steps)
+
+
+def joins(monkeypatch):
+    # the iterate -> summary dicts that the kernels' walks fill
+    dicts = []
+    remember = trajectory_module._remember
+
+    def spy(below, *args):
+        dicts.append(below)
+        return remember(below, *args)
+
+    monkeypatch.setattr(trajectory_module, "_remember", spy)
+    return dicts
+
+
+@pytest.mark.parametrize(
+    "route,first,last,x,y",
+    [
+        # x's peak is y, the iterate where it joins an earlier walk
+        ("direct", 163, 237, 181, 17),
+        ("lookup", 163, 237, 181, 17),
+        # x's peak is a front value of the block that ends at y; 467's walk
+        # first keeps its own iterates below 453 for later starts
+        ("direct", 489, 545, 497, 53),
+        ("direct", 453, 487, 467, 433),
+        ("direct", 875121, 875179, 875139, 23075),
+    ],
+)
+def test_a_join_below_the_first_start_keeps_the_peak(monkeypatch, route, first, last, x, y):
+    dicts = joins(monkeypatch)
+    rows = kernel_rows(route, first, last, 10**6)
+    below = dicts[-1]
+    rec = trajectory_direct(x)
+    assert y < first and y in below and y in rec.iterates
+    # y's entry is y's own summary: its peak never counts y
+    assert below[y] == (lambda r: (r.odd_length, r.total_divisions, r.peak))(trajectory_direct(y))
+    assert rows[(x - first) // 2] == (rec.odd_length, rec.total_divisions, rec.peak)
+    assert rows == record_rows(route, first, last, 10**6)
+
+
+@pytest.mark.parametrize(
+    "method,max_steps,failing",
+    [("direct", 42, 387), ("lookup", 37, 381), ("direct", 93, 14571685), ("lookup", 93, 14571685)],
+)
+def test_a_start_over_budget_only_after_a_join_fails_first(monkeypatch, method, max_steps, failing):
+    # failing's walk reaches an earlier walk's iterate below the first start
+    # within budget, and only the joined count passes it; every earlier
+    # start is within budget
+    first = 377 if failing < 1000 else 14571681
+    assert trajectory_direct(failing).odd_length == max_steps + 1
+    assert all(trajectory_direct(z).odd_length <= max_steps for z in range(first, failing, 2))
+    assert kernel_rows(method, first, first + 38, max_steps) == (failing, max_steps)
+    monkeypatch.setenv("COLLATZ_MAX_STEPS", str(max_steps))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["trajectory", str(first), "--end", str(first + 38), "--stats", "--method", method]
+    assert run(argv, out, err) == 3
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: budget of {max_steps} steps exhausted starting from {failing}\n")
+
+
+def test_the_join_room_runs_out(monkeypatch):
+    # an entry is made while room is left, and costs more than 1: the first
+    # start's walk makes one, and every later start walks on until it
+    # reaches that one or 1
+    monkeypatch.setattr(trajectory_module, "_JOIN_ROOM", 1)
+    dicts = joins(monkeypatch)
+    first = 2**99 + 1
+    assert kernel_rows("lookup", first, first + 198, 10**6) == record_rows("lookup", first, first + 198, 10**6)
+    assert len(dicts[-1]) == 1
+    monkeypatch.setattr(trajectory_module, "_JOIN_ROOM", 0)
+    dicts.clear()
+    assert kernel_rows("lookup", first, first + 198, 10**6) == record_rows("lookup", first, first + 198, 10**6)
+    assert dicts == []
 
 
 def write_range(first, last, fmt, max_steps, joined):
