@@ -102,17 +102,21 @@ one, is that of the full walks.
 The lines of a direct range (_write_range) join the same way: past y,
 x's iterates and alphas are y's, so x's line is its own walk up to y (y
 included) followed by y's rendered iterate and alpha strings, with the
-summed odd_length and total_divisions and the larger peak.  A line of at
-most _BLOCK iterates is rendered once and, but for the last start's, kept
-until _MEMO_CHARS characters are; a walk that passes _BLOCK steps joins
-nothing and is streamed.
+summed odd_length and total_divisions and the larger peak.  Each start is
+walked at most _BLOCK steps, whatever max_steps is.  A line that ends
+within them, at 1 or at a join, has its odd length (its own steps, plus
+the joined line's) checked against max_steps once, before it is
+rendered; it is then rendered once and, but for the last start's, kept
+until _MEMO_CHARS characters are.  A walk that passes _BLOCK steps joins
+nothing and is streamed by _write_walk, whose count pass is the one
+budget check of every line longer than a block.
 
 Each route walks one start in blocks: _direct_blocks and _lookup_blocks
 yield the (iterates, alphas) of at most _BLOCK steps at a time, the last
 block being the one that reaches 1.  A record (_record) joins the blocks,
 and _budgeted raises MaxStepsExceeded once their summed length passes
 max_steps.  A streamed line (_write_walk) holds no record.  A count pass
-walks the start and keeps no record: _count_chunk with a one-entry table
+walks the start and keeps no record: _count_walks with a one-entry table
 for the direct route, budgeted lookup blocks for the lookup one.  It
 raises MaxStepsExceeded exactly when the walk is over budget, so such a
 walk writes no byte.  A write pass then walks the start again, by the
@@ -768,7 +772,7 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
         length = sum(len(block[0]) for block in _budgeted(x, blocks(x), max_steps))
     else:
         blocks = _direct_blocks
-        length = _count_chunk((x, x, max_steps, [0]))
+        length = _count_walks(range(x, x + 1), max_steps, [0])
     bits = x.bit_length()
     if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_fork(out):
         _write_forked(out, x, blocks, fmt)
@@ -866,12 +870,14 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork
 
     Each start x is walked until it reaches 1 or an earlier start y of the
     range whose line is in the memo; its line is then the walk's own
-    iterates followed by y's (see the module docstring).  A line of at most
-    _BLOCK iterates is rendered once, written in one write and, but for the
-    last start's, kept in the memo; a walk that passes _BLOCK steps is
-    streamed by _write_walk, with fork.  A start whose walk passes max_steps odd steps
-    raises MaxStepsExceeded before any byte of its line, so the lines
-    before the first failing start are all written.
+    iterates followed by y's (see the module docstring).  Each start is
+    walked at most _BLOCK steps.  A line that ends within them is checked
+    against max_steps once, then rendered once, written in one write and,
+    but for the last start's, kept in the memo; a walk that passes _BLOCK
+    steps is streamed by _write_walk, with fork, whose count pass checks
+    its budget.  A start whose walk passes max_steps odd steps raises
+    MaxStepsExceeded before any byte of its line, so the lines before the
+    first failing start are all written.
     """
     _require_odd(lo)
     as_json = fmt == "json"
@@ -887,7 +893,7 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork
         append_i = iterates.append
         append_a = alphas.append
         cur = x
-        for steps in range(1, min(max_steps, _BLOCK) + 1):
+        for steps in range(1, _BLOCK + 1):
             # the step, inlined: no call per iterate
             t = 3 * cur + 1
             alpha = (t & -t).bit_length() - 1
@@ -901,22 +907,20 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork
             if lo <= cur < x and (joined := get(cur)) is not None and steps + joined[2] <= _BLOCK:
                 break
         else:
-            if max_steps <= _BLOCK:
-                raise MaxStepsExceeded(x, max_steps)
             # the bound appends keep the lists alive: empty them, so the
             # partial walk is not held while the line streams
             del iterates[:], alphas[:]
             _write_walk(out, x, fmt, max_steps, "direct", fork)
             continue
+        length = steps if joined is None else steps + joined[2]
+        if length > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
         its = sep.join(map(str, iterates))
         alps = ",".join(map(str, alphas)) if as_json else ""
-        length, divs, peak = steps, sum(alphas), max(iterates)
+        divs, peak = sum(alphas), max(iterates)
         if joined is not None:
             # the walk joined y = cur: x's line is its walk up to y, then y's
-            y_its, y_alps, y_len, y_divs, y_peak = joined
-            length += y_len
-            if length > max_steps:
-                raise MaxStepsExceeded(x, max_steps)
+            y_its, y_alps, _, y_divs, y_peak = joined
             its = f"{its}{sep}{y_its}"
             alps = f"{alps},{y_alps}" if as_json else ""
             divs += y_divs

@@ -15,8 +15,6 @@ from typing import Iterator, NamedTuple
 from .core import DomainError, _require_count, terminal
 from .tables import predecessor_row
 
-_FORMATS = ("dot", "json", "text")
-
 
 class TreeSegment(NamedTuple):
     parent: int | None  # None only for the root layer
@@ -73,13 +71,10 @@ def export_tree(layers: list[TreeLayer], format: str) -> bytes:
     """Render layers as DOT, JSON, or an indented text outline."""
     if not layers:
         raise DomainError("no layers to export")
-    if format == "dot":
-        return _export_dot(layers)
-    if format == "json":
-        return _export_json(layers)
-    if format == "text":
-        return _export_text(layers)
-    raise DomainError(f"unknown export format {format!r}; expected one of {_FORMATS}")
+    exporters = {"dot": _export_dot, "json": _export_json, "text": _export_text}
+    if format not in exporters:
+        raise DomainError(f"unknown export format {format!r}; expected one of {tuple(exporters)}")
+    return exporters[format](layers)
 
 
 def _export_dot(layers: list[TreeLayer]) -> bytes:
@@ -116,16 +111,15 @@ def _export_json(layers: list[TreeLayer]) -> bytes:
 
 
 def _export_text(layers: list[TreeLayer]) -> bytes:
-    children: list[dict[int, tuple[int, ...]]] = []
-    for layer in layers:
-        children.append({seg.parent: seg.children for seg in layer.segments if seg.parent is not None})
+    # parent -> children over every layer but the root's: a value has one
+    # iterate, so it is a parent in one layer at most
+    children = {seg.parent: seg.children for layer in layers[1:] for seg in layer.segments}
     lines: list[str] = []
 
     def walk(value: int, depth: int) -> None:
         lines.append("  " * depth + str(value))
-        if depth + 1 < len(layers):
-            for child in children[depth + 1].get(value, ()):
-                walk(child, depth + 1)
+        for child in children.get(value, ()):
+            walk(child, depth + 1)
 
     walk(1, 0)
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -141,6 +141,8 @@ MATRIX = {
     "tree --depth 2 --breadth 3": ("ae697b8b7202c3e2c8f012e38d844b8c5a101ab605ae7608f87f30a77db9d6cd", 0),
     "tree --depth 2 --breadth 3 --format json": ("250ae36cced88dbdfc435ae549f6d7398ae35962ef5148a3981e944cf0df558f", 0),
     "tree --depth 2 --breadth 3 --format dot": ("f76b0aa0269c76e842b67e92ceaa106489b346b0e36514a7b4dbec32401efeee", 0),
+    # six layers of the text outline: children nested under parents past the second layer
+    "tree --depth 6 --breadth 3": ("55482aff659b45f59b1be6e1cb461423ab9e834a6a3b6d054d5904cf166a0799", 0),
     "alpha-table --rows 4 --cols 3": ("441cbbf9263fd98d8c3403e92bc4008ed56a3a6fb818d17e50257dfa7ce93531", 0),
     "alpha-table --rows 4 --cols 3 --format json": ("2bb17c82e3a440d110706adc4a01d9db7f2eb6a74ce35f672ddd2bb604de70ff", 0),
     "alpha-table --rows 4 --cols 3 --format csv": ("734ae5525a4a29e5a7b466bd1c4c9554d843bc6dba612a3287578b0d84c7abf0", 0),

@@ -150,9 +150,27 @@ def test_export_text():
     assert lines == ["1", "  5", "  21", "  85"]
 
 
+@pytest.mark.parametrize("depth", range(1, 8))
+@pytest.mark.parametrize("breadth", range(1, 5))
+def test_export_text_is_the_depth_first_outline_of_the_parent_links(depth, breadth):
+    # the outline rebuilt from iter_nodes alone: depth-first from 1, each
+    # node's children in the order they appear, two spaces per depth
+    layers = build_layers(depth, breadth)
+    children = {}
+    for node in iter_nodes(layers):
+        children.setdefault(node.parent, []).append(node)
+    lines = []
+    stack = list(reversed(children[None]))
+    while stack:
+        node = stack.pop()
+        lines.append("  " * node.depth + str(node.value))
+        stack.extend(reversed(children.get(node.value, [])))
+    assert export_tree(layers, "text") == ("\n".join(lines) + "\n").encode()
+
+
 def test_export_rejections_and_determinism():
     layers = build_layers(3, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown export format 'svg'; expected one of \('dot', 'json', 'text'\)$"):
         export_tree(layers, "svg")
     with pytest.raises(DomainError):
         export_tree([], "dot")
