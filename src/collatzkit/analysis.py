@@ -10,17 +10,21 @@ behaviour over every odd start up to a bound; the series and the measured
 per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
-Range scans are split into fixed-size chunks combined in chunk order, so
-results are identical for any worker count.  One driver, _run_chunks,
-runs every scan: it makes each chunk's span only when the chunk is due,
-runs the chunks in the calling process or in a process pool, and yields
-their results in chunk order; each scan folds them as they arrive, so an
-in-process scan's memory does not grow with the bound, and a pool holds at
-most 2 * workers tasks.  Neither the alpha counts nor the drift kernel
-steps an odd, because alpha = a holds on exactly one odd class mod
-2**(a+1).  The alpha density and the iterate-class ratio are no scan: they
-read one closed-form class size per alpha, in the calling process whatever
-the worker count.  The drift kernel uses that a class's iterates run in
+Every scan is a function of a range of odd starts, and one driver,
+_run_chunks, runs them all.  It owns the chunking, the pool and what a
+worker receives: it slices the range into chunks of _CHUNK_ODDS starts,
+made only when each is due, and yields the function's result for each in
+chunk order, so results are identical for any worker count.  A scan of
+fewer chunks than its pool count runs in the calling process; a larger
+one runs in a process pool whose workers each receive the function once,
+through the pool's initializer, so a task carries only its chunk.  Each
+scan folds the results as they arrive, so an in-process scan's memory
+does not grow with the bound, and a pool holds at most 2 * workers
+tasks.  Neither the alpha counts nor the drift kernel steps an odd,
+because alpha = a holds on exactly one odd class mod 2**(a+1).  The alpha
+density and the iterate-class ratio are no scan: they read one
+closed-form class size per alpha, in the calling process whatever the
+worker count.  The drift kernel uses that a class's iterates run in
 steps of 6 (the 6m+1 / 6m+5 sets), so it takes log of the class's starts
 and of its iterates as two ranges, through starmap(log, zip(r)): math.log
 takes an optional base, so each call gets its arguments as a tuple, which
@@ -46,9 +50,10 @@ with the budget checked per block), so the report and the first failing
 start are those of the full walks.  The table fills in the calling
 process (trajectory._fill_table): its x == 1 (mod 4) half, whose iterates
 decrease at once, is read off the table by alpha class and not walked.
-Only the chunks past it (trajectory._count_chunk) run in workers.  This
-module imports trajectory only when verify_theorems runs, so drift and
-alpha-table never load it.
+Only the chunks past it run in workers: each worker receives
+trajectory._count_walks with the filled table once.  This module imports
+trajectory only when verify_theorems runs, so drift and alpha-table never
+load it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import partial
 from itertools import chain, starmap
 from operator import sub
 from typing import NamedTuple
@@ -75,9 +81,12 @@ EMPIRICAL_TARGET = 0.75  # heuristic per-step factor reported with the measured 
 EMPIRICAL_TOLERANCE = 0.05
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
-# drift scans of fewer chunks run in-process whatever the worker count: each
-# chunk takes a few ms, so below this many a pool costs more than it saves
+# the fewest chunks from which each scan starts a pool: a scan of fewer runs
+# in-process whatever the worker count, since there a pool costs more than it
+# saves.  Both were set from whole CLI runs of --workers 2 against
+# --workers 1 (see README)
 _DRIFT_POOL_CHUNKS = 32
+_VERIFY_POOL_CHUNKS = 12
 
 # the pool class, imported by _run_chunks only when it starts a pool:
 # concurrent.futures loads multiprocessing, logging, pickle, socket and
@@ -203,16 +212,18 @@ class TheoremScanReport(NamedTuple):
     iterates_checked: int
 
 
-def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
-    # the one scan driver: yields worker((first, last, *args)) for each
-    # fixed span of _CHUNK_ODDS odd integers over odd lo..hi, in span order.
-    # Spans are made only as they are needed, so an in-process scan holds one
-    # at a time whatever hi is, and a pool has at most 2 * workers in flight
+def _run_chunks(work, starts: range, workers: int, pool_from: int):
+    # the one scan driver: yields work(chunk) for each slice of _CHUNK_ODDS
+    # of starts, in order.  Slices are made only as they are needed, so an
+    # in-process scan holds one at a time however long starts is, and a pool
+    # has at most 2 * workers in flight.  A scan of fewer than pool_from
+    # chunks starts no pool
     global ProcessPoolExecutor
     import os  # loaded at interpreter start; not a module-level import
 
-    firsts = range(lo, hi + 1, 2 * _CHUNK_ODDS)
-    tasks = ((x, min(x + 2 * (_CHUNK_ODDS - 1), hi), *args) for x in firsts)
+    firsts = starts[::_CHUNK_ODDS]
+    chunks = (range(x, min(x + firsts.step, starts.stop), starts.step) for x in firsts)
+    workers = workers if len(firsts[:pool_from]) == pool_from else 1
     # a fork pool starts every worker up front, so never ask for more
     # workers than there are chunks or CPUs this process may run on (every
     # CPU where sched_getaffinity does not exist, as on macOS; a sliced
@@ -220,25 +231,22 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(firsts[:workers]), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers <= 1:
-        yield from map(worker, tasks)
+        yield from map(work, chunks)
         return
     import signal
 
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    # Ctrl-C reaches the whole process group: only the parent handles it
-    # (one line, exit 1); a worker finishes its task in hand, with no traceback
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    ) as pool:
+    # each worker receives work once, as the initializer's argument
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(work,)) as pool:
         pending = deque()
         try:
-            for task in tasks:
+            for chunk in chunks:
                 # submit may fork a worker: SIGINT waits until it returns, so
                 # the at-fork hooks cannot swallow it, nor the new worker see it
                 held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
-                    pending.append(pool.submit(worker, task))
+                    pending.append(pool.submit(_run_work, chunk))
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
                 if len(pending) == 2 * workers:
@@ -251,38 +259,50 @@ def _run_chunks(worker, lo: int, hi: int, workers: int, *args):
                 future.cancel()
 
 
+_work = None  # a pool worker's scan function, set by _start_worker in the worker only
+
+
+def _start_worker(work) -> None:
+    # Ctrl-C reaches the whole process group: only the parent handles it
+    # (one line, exit 1); a worker finishes its task in hand, with no traceback
+    global _work
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _work = work
+
+
+def _run_work(chunk: range):
+    return _work(chunk)
+
+
 def _alpha_counts(bound: int) -> list[int]:
     # counts[a] = number of odd x <= bound whose step divides by exactly 2**a,
-    # for every a <= log2(3x+1): the members r, r + m, ... <= top of the one
-    # odd class x == r (mod m = 2**(a+1)) on which alpha = a
-    top = _odd_ceiling(bound)
-    counts = [0] * (3 * top + 1).bit_length()
+    # for every a <= log2(3x+1): the members r, r + m, ... <= bound of the
+    # one odd class x == r (mod m = 2**(a+1)) on which alpha = a.  As r < m,
+    # the floor is -1 where r > bound; no len(range): bound may pass ssize_t
+    counts = [0] * (3 * ((bound - 1) | 1) + 1).bit_length()
     for a in range(1, len(counts)):
         r, m = alpha_residue_class(a)
-        counts[a] = (top - r) // m + 1 if r <= top else 0
+        counts[a] = (bound - r) // m + 1
     return counts
 
 
-def _drift_chunk(span: tuple[int, int]) -> float:
-    lo, hi = span
-    # math.fsum of log(y) - log(x) over odd x in the span, taken class by
+def _drift_chunk(starts: range) -> float:
+    # math.fsum of log(y) - log(x) over the odd starts x, taken class by
     # class: alpha = a on exactly one odd class x == r (mod 2**(a+1)), where
     # y = (3x+1) >> a steps by 6 as x steps by 2**(a+1).  The floats are
-    # those of a walk over the span and fsum is exactly rounded, so the
+    # those of a walk over the starts and fsum is exactly rounded, so the
     # order they come in does not change the sum
     log = math.log
     terms = []
-    for a in range(1, (3 * hi + 1).bit_length()):
+    for a in range(1, (3 * starts[-1] + 1).bit_length()):
         r, m = alpha_residue_class(a)
-        xs = range(lo + (r - lo) % m, hi + 1, m)
+        xs = starts[(r - starts.start) % m >> 1 :: m >> 1]
         if xs:
             y = (3 * xs[0] + 1) >> a
             terms.append(map(sub, starmap(log, zip(range(y, y + 6 * len(xs), 6))), starmap(log, zip(xs))))
     return math.fsum(chain.from_iterable(terms))
-
-
-def _odd_ceiling(bound: int) -> int:
-    return bound if bound % 2 else bound - 1
 
 
 def empirical_alpha_density(bound: int, max_alpha: int) -> AlphaDensityReport:
@@ -318,18 +338,16 @@ def empirical_drift(bound: int, *, workers: int = 1) -> DriftReport:
     """
     _require_count(bound, 3, "bound")
     _require_count(workers, 1, "workers")
-    top = _odd_ceiling(bound)
-    if (top - 3) // (2 * _CHUNK_ODDS) + 1 < _DRIFT_POOL_CHUNKS:
-        workers = 1
+    starts = range(3, bound + 1, 2)
     # fsum adds the chunk sums exactly and rounds once, half to even, as
     # float(sum(map(Fraction, ...))) does: the same float for any chunking
-    total = math.fsum(_run_chunks(_drift_chunk, 3, top, workers))
+    total = math.fsum(_run_chunks(_drift_chunk, starts, workers, _DRIFT_POOL_CHUNKS))
     return DriftReport(
         n_terms=None,
         scan_bound=bound,
         series_increase=None,
         series_decrease=None,
-        empirical_value=math.exp(total / ((top - 1) // 2)),
+        empirical_value=math.exp(total / len(starts)),
     )
 
 
@@ -361,15 +379,16 @@ def verify_theorems(
     _require_count(bound, 3, "bound")
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
-    top = _odd_ceiling(bound)
+    odds = range(1, bound + 1, 2)
     from . import trajectory
 
-    # the table fills here; the chunks past it join it, in workers.  Start
-    # 1's walk is the one iterate 1, and table[0] = 0
-    table = trajectory._fill_table(min(top, 2 * trajectory._TABLE_STARTS - 1), max_steps)
-    checked = 1 + sum(table)
-    checked += sum(_run_chunks(trajectory._count_chunk, 2 * len(table) + 1, top, workers, max_steps, table))
-    return TheoremScanReport(bound=bound, trajectories=(top + 1) // 2, iterates_checked=checked)
+    # the table fills here, up to an odd top, so that it holds no entry past
+    # the bound; the chunks past it only read it, in workers.  Start 1's walk
+    # is the one iterate 1, and table[0] = 0
+    table = trajectory._fill_table(min(odds[-1], 2 * trajectory._TABLE_STARTS - 1), max_steps)
+    work = partial(trajectory._count_walks, max_steps=max_steps, table=table)
+    checked = 1 + sum(table) + sum(_run_chunks(work, odds[len(table) :], workers, _VERIFY_POOL_CHUNKS))
+    return TheoremScanReport(bound=bound, trajectories=len(odds), iterates_checked=checked)
 
 
 def drift_report(

@@ -309,7 +309,8 @@ def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
     counts its steps plus table[y >> 1], by the module docstring's join
     rule.  A start inside the table writes its count to its own slot, so
     the caller fills every slot below x first; a start past the table only
-    reads it.
+    reads it, so each entry is its own start's count in any worker, whatever
+    _TABLE_STARTS it reads.
     """
     k = _JUMP_BITS
     jumps = _jump_table(k)
@@ -340,16 +341,6 @@ def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
         if x <= last:
             table[x >> 1] = count
     return iterates_checked
-
-
-def _count_chunk(task: tuple[int, int, int, list[int]]) -> int:
-    """verify's count: the summed odd lengths of the odd starts lo..hi past table's last start.
-
-    A chunk only reads the table, so each entry is its own start's count
-    in any worker, whatever _TABLE_STARTS it reads.
-    """
-    lo, hi, max_steps, table = task
-    return _count_walks(range(lo, hi + 1, 2), max_steps, table)
 
 
 def _fill_table(top: int, max_steps: int) -> list[int]:

@@ -230,33 +230,33 @@ def test_empirical_drift_small_scan():
     assert 0.65 <= value <= 0.85
 
 
-def per_odd_drift_chunk(span):
+def per_odd_drift_chunk(starts):
     # the drift kernel as one step per odd x, the reference for the
     # residue-class kernel
-    lo, hi = span
     logs = []
-    for x in range(lo, hi + 1, 2):
+    for x in starts:
         t = 3 * x + 1
         y = t >> ((t & -t).bit_length() - 1)
         logs.append(math.log(y) - math.log(x))
     return math.fsum(logs)
 
 
-drift_spans = st.tuples(
+drift_chunks = st.tuples(
     st.one_of(st.integers(min_value=1, max_value=5000), st.integers(min_value=2**63, max_value=2**63 + 5000)),
     st.integers(min_value=0, max_value=3000),
-).map(lambda p: (2 * p[0] + 1, 2 * p[0] + 1 + 2 * p[1]))
+).map(lambda p: range(2 * p[0] + 1, 2 * p[0] + 2 * p[1] + 2, 2))
 
 
-@given(span=drift_spans)
-@example(span=(3, 3))
-@example(span=(3, 2 * 2**15 + 1))
-@example(span=(2**64 + 1, 2**64 + 1))
-@example(span=(2**64 - 1, 2**64 + 4001))
-@example(span=(2**64 + 1, 2**64 + 1 + 2 * (2**15 - 1)))  # one whole _CHUNK_ODDS span
+@given(starts=drift_chunks)
+@example(starts=range(3, 4, 2))
+@example(starts=range(3, 2 * 2**15 + 2, 2))
+@example(starts=range(2**64 + 1, 2**64 + 2, 2))
+@example(starts=range(2**64 - 1, 2**64 + 4002, 2))
+@example(starts=range(2**64 + 1, 2**64 + 2**16, 2))  # one whole chunk of _CHUNK_ODDS starts
+@example(starts=range(3, 2000, 2)[5:70])  # a slice, as the driver makes them
 @settings(max_examples=80, deadline=None)
-def test_drift_chunk_equals_the_per_odd_kernel(span):
-    assert analysis._drift_chunk(span) == per_odd_drift_chunk(span)
+def test_drift_chunk_equals_the_per_odd_kernel(starts):
+    assert analysis._drift_chunk(starts) == per_odd_drift_chunk(starts)
 
 
 # empirical_drift adds its chunk sums by math.fsum; the exact Fraction sum,
@@ -498,25 +498,27 @@ def test_the_fills_first_failing_start_is_that_of_the_full_walks(bound, max_step
 def test_pooled_chunks_never_grow_the_table(monkeypatch):
     # in-process pool tasks share the caller's table: the fill leaves it full
     # (starts 1..255) and no chunk past it adds or changes an entry
-    lengths = []
+    chunks = []
 
-    def counting(task):
-        before = list(task[3])
-        checked = count_chunk(task)
-        assert task[3] == before
-        lengths.append(len(before))
+    def counting(starts, max_steps, table):
+        before = list(table)
+        checked = count_walks(starts, max_steps, table)
+        if starts.step == 2:  # a chunk past the table, not a block of the fill's walkers
+            assert table == before
+            chunks.append((starts, len(before)))
         return checked
 
-    count_chunk = trajectory._count_chunk
+    count_walks = trajectory._count_walks
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(trajectory, "_count_chunk", counting)
+    monkeypatch.setattr(trajectory, "_count_walks", counting)
     with small_table():
-        assert verify_theorems(1151, workers=3) == reference_scan(1151)
+        bound = 255 + 128 * analysis._VERIFY_POOL_CHUNKS
+        assert verify_theorems(bound, workers=3) == reference_scan(bound)
     assert RecordingPool.sizes == [3]
-    # the seven chunks of 64 starts from 257 to 1151
-    assert lengths == [128] * 7
+    # the chunks of 64 starts from 257 to the bound
+    assert chunks == [(range(x, x + 128, 2), 128) for x in range(257, bound, 128)]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -551,14 +553,15 @@ def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, wo
 
 
 def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
-    # the table (starts 1..2**18-1) fills in this process, the three chunks
-    # past it run in a real pool (with two CPUs) and the error is pickled.
-    # Every start below 2**18 takes at most 164 odd steps, so the first start
-    # over that budget, 410011, lies in the last chunk
+    # the table (starts 1..2**18-1) fills in this process, the chunks past
+    # it run in a real pool (with two CPUs) and the error is pickled.  Every
+    # start below 2**18 takes at most 164 odd steps, so the first start over
+    # that budget, 410011, lies in the third chunk
     assert 2 * trajectory._TABLE_STARTS < 410_011
+    bound = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * analysis._VERIFY_POOL_CHUNKS
     for workers in (2, 1):
         with pytest.raises(MaxStepsExceeded) as got:
-            verify_theorems(7 * 2**16 - 1, 164, workers=workers)
+            verify_theorems(bound, 164, workers=workers)
         assert (got.value.start, got.value.max_steps) == (410_011, 164)
 
 
@@ -580,13 +583,18 @@ def test_a_huge_bound_keeps_the_table_bounded(bound):
 
 
 class RecordingPool:
-    # stands in for ProcessPoolExecutor: records max_workers and counts
-    # submissions; each task runs in-process when it is submitted
+    # stands in for ProcessPoolExecutor: records max_workers, the initializer's
+    # arguments and the submitted tasks.  Each task runs in-process when it is
+    # submitted, by the work its workers would receive from initargs; the
+    # initializer itself would make this process ignore SIGINT, so it never runs
     sizes = []
-    submitted = 0
+    initargs = []
+    tasks = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
+        self.initargs.append(initargs)
+        (self.work,) = initargs
 
     def __enter__(self):
         return self
@@ -595,13 +603,33 @@ class RecordingPool:
         return False
 
     def submit(self, fn, task):
-        RecordingPool.submitted += 1
+        self.tasks.append(task)
         future = Future()
         try:
-            future.set_result(fn(task))
+            future.set_result(self.work(task))
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+def test_the_table_reaches_a_pool_once_and_tasks_carry_only_their_chunk(monkeypatch):
+    # the join table goes to the pool once, as the argument of its workers'
+    # initializer; every task is a range of at most _CHUNK_ODDS odd starts
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "initargs", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
+    with small_table():
+        bound = 255 + 128 * analysis._VERIFY_POOL_CHUNKS + 64  # half a chunk more
+        assert verify_theorems(bound, 999, workers=2) == reference_scan(bound, 999)
+        ((work,),) = RecordingPool.initargs
+        assert (work.func, work.args, work.keywords["max_steps"]) == (trajectory._count_walks, (), 999)
+        assert work.keywords["table"] == [0] + [trajectory_direct(x).odd_length for x in range(3, 256, 2)]
+        tasks = RecordingPool.tasks
+        assert all(type(t) is range and t.step == 2 and len(t) <= analysis._CHUNK_ODDS for t in tasks)
+    assert RecordingPool.sizes == [2]
+    assert list(itertools.chain(*tasks)) == list(range(257, bound + 1, 2))
 
 
 @pytest.mark.parametrize("cpus,expected", [(64, [7]), (2, [2]), (1, []), (None, [])])
@@ -611,10 +639,10 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    bound = 7 * 2 * 2**15 - 1  # 7 chunks of the odd integers from 3
-    reference = list(analysis._run_chunks(analysis._drift_chunk, 3, bound, 1))
+    starts = range(3, 7 * 2 * 2**15, 2)  # 7 chunks
+    reference = list(analysis._run_chunks(analysis._drift_chunk, starts, 1, 1))
     assert RecordingPool.sizes == []
-    assert list(analysis._run_chunks(analysis._drift_chunk, 3, bound, 10**9)) == reference
+    assert list(analysis._run_chunks(analysis._drift_chunk, starts, 10**9, 1)) == reference
     assert RecordingPool.sizes == expected
 
 
@@ -626,12 +654,13 @@ class NoPool:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the CPUs a process may run on are not known")
 def test_a_process_pinned_to_one_cpu_scans_without_a_pool(monkeypatch):
-    # two CPUs in the machine, one the process may run on: the scans past
-    # verify's table (3 chunks) and of 32 drift chunks run in-process
+    # two CPUs in the machine, one the process may run on: the scans of as
+    # many chunks as each pools from run in-process
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
-    assert verify_theorems(400001, workers=2) == verify_theorems(400001, workers=1)
+    bound = 2**18 + 1 + 2 * analysis._CHUNK_ODDS * (analysis._VERIFY_POOL_CHUNKS - 1)
+    assert verify_theorems(bound, workers=2) == verify_theorems(bound, workers=1)
     assert empirical_drift(2097151, workers=2) == empirical_drift(2097151, workers=1)
 
 
@@ -647,17 +676,29 @@ def test_drift_starts_a_pool_from_32_chunks_on(monkeypatch, chunks, expected):
     assert RecordingPool.sizes == expected
 
 
+@pytest.mark.parametrize("chunks,expected", [(1, []), (11, []), (12, [2]), (20, [2])])
+def test_verify_starts_a_pool_from_12_chunks_past_its_table_on(monkeypatch, chunks, expected):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    with small_table():
+        bound = 257 + 2 * 64 * (chunks - 1)  # the first odd of the last chunk past the table of 1..255
+        reference = verify_theorems(bound)
+        assert verify_theorems(bound, workers=2) == reference
+    assert RecordingPool.sizes == expected
+
+
 def test_a_pool_scan_keeps_a_bounded_window_of_tasks(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(RecordingPool, "submitted", 0)
-    # about 15 million chunks; each result is its span's first odd
-    results = analysis._run_chunks(lambda task: task[0], 1, 10**12, 2)
+    monkeypatch.setattr(RecordingPool, "tasks", [])
+    # about 15 million chunks; each result is its chunk's first odd
+    results = analysis._run_chunks(lambda chunk: chunk[0], range(1, 10**12, 2), 2, 1)
     assert list(itertools.islice(results, 5)) == [1 + 2 * 2**15 * i for i in range(5)]
     results.close()
     assert RecordingPool.sizes == [2]
-    assert RecordingPool.submitted <= 5 + 2 * 2
+    assert len(RecordingPool.tasks) <= 5 + 2 * 2
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -665,9 +706,9 @@ def test_a_pool_scan_yields_every_chunk_in_order(monkeypatch, workers):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    spans = list(analysis._run_chunks(lambda task: task, 1, 97, workers))
-    assert spans == list(analysis._run_chunks(lambda task: task, 1, 97, 1))
-    assert spans[0] == (1, 7) and spans[-1] == (97, 97) and len(spans) == 13
+    chunks = list(analysis._run_chunks(lambda chunk: chunk, range(1, 98, 2), workers, 1))
+    assert chunks == list(analysis._run_chunks(lambda chunk: chunk, range(1, 98, 2), 1, 1))
+    assert chunks[0] == range(1, 9, 2) and chunks[-1] == range(97, 98, 2) and len(chunks) == 13
 
 
 def _sigint_handler(task):
@@ -678,7 +719,7 @@ def test_pool_workers_ignore_sigint(monkeypatch):
     # a real pool: Ctrl-C reaches the workers too, and only the parent reports it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    assert set(analysis._run_chunks(_sigint_handler, 1, 97, 2)) == {signal.SIG_IGN}
+    assert set(analysis._run_chunks(_sigint_handler, range(1, 98, 2), 2, 1)) == {signal.SIG_IGN}
 
 
 def _sigint_blocked(task):
@@ -691,5 +732,5 @@ def test_sigint_is_held_while_a_task_is_submitted(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    assert set(analysis._run_chunks(_sigint_blocked, 1, 97, 2)) == {True}
+    assert set(analysis._run_chunks(_sigint_blocked, range(1, 98, 2), 2, 1)) == {True}
     assert not _sigint_blocked(None)

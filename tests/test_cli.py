@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzkit import cli, record_json, trajectory_direct, trajectory_lookup
+from collatzkit import analysis, cli, record_json, trajectory_direct, trajectory_lookup
 from collatzkit.cli import run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -671,13 +671,18 @@ def test_a_joined_range_is_written_in_bounded_memory():
     assert int(max_rss_kib) < 32 * 1024
 
 
+# the odd starts below 2**18 fill verify's table in the calling process, and
+# this bound puts the fewest chunks past it that verify pools
+POOLED_VERIFY_BOUND = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * analysis._VERIFY_POOL_CHUNKS
+
+
 def test_budget_exhaustion_in_a_pool_worker_exits_3():
-    # seven chunks: four build the theorem scan's table in the calling
-    # process, three go to the pool; every start below 2**18 takes at most
-    # 164 odd steps, so the first over budget (410011) is met in a worker
+    # the chunks past the table go to the pool; every start below 2**18
+    # takes at most 164 odd steps, so the first over budget (410011, in the
+    # third chunk) is met in a worker
     def verify(workers):
         return subprocess.run(
-            [sys.executable, "-m", "collatzkit", "verify", "--bound", "458751", "--workers", workers],
+            [sys.executable, "-m", "collatzkit", "verify", "--bound", str(POOLED_VERIFY_BOUND), "--workers", workers],
             capture_output=True,
             env={**os.environ, "COLLATZ_MAX_STEPS": "164"},
             timeout=120,
@@ -709,9 +714,9 @@ class BrokenPool:
         return future
 
 
-# verify pools only the theorem-scan chunks past its table, which ends at 2**18;
-# drift pools only a scan of 32 chunks or more
-@pytest.mark.parametrize("argv", [["verify", "--bound", "458751"], ["drift", "--bound", "2097151"]])
+# verify pools only the theorem-scan chunks past its table; drift pools
+# only a scan of 32 chunks or more
+@pytest.mark.parametrize("argv", [["verify", "--bound", str(POOLED_VERIFY_BOUND)], ["drift", "--bound", "2097151"]])
 def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
     from collatzkit import analysis
 
@@ -957,7 +962,7 @@ def test_no_process_outlives_a_pooled_verify():
     # the command runs in a session of its own: once it has exited, no
     # process of that group (a pool worker) may be left
     proc = subprocess.Popen(
-        [sys.executable, "-m", "collatzkit", "verify", "--bound", "400001", "--workers", "2"],
+        [sys.executable, "-m", "collatzkit", "verify", "--bound", str(POOLED_VERIFY_BOUND), "--workers", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
@@ -965,7 +970,7 @@ def test_no_process_outlives_a_pooled_verify():
     try:
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"")
-        assert out.startswith(b"theorem scan: bound=400001 trajectories=200001 ")
+        assert out.startswith(f"theorem scan: bound={POOLED_VERIFY_BOUND} trajectories={(POOLED_VERIFY_BOUND + 1) // 2} ".encode())
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
     finally:

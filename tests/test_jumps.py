@@ -1,7 +1,7 @@
 """The block rule of the direct range-walk kernels, against explicit steps.
 
 The jump table is checked entry by entry against k explicit Terras steps,
-and both kernels (_count_chunk for verify, _range_columns for --stats) against
+and both kernels (_count_walks for verify, _range_columns for --stats) against
 per-start trajectory_direct records, with k patched small so that starts
 on both sides of 2**k and of 2**k * 3**k come up at test sizes.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import collatzkit.trajectory as trajectory
 from collatzkit import MaxStepsExceeded, trajectory_direct
-from collatzkit.trajectory import _count_chunk, _jump_table, _range_columns
+from collatzkit.trajectory import _count_walks, _jump_table, _range_columns
 
 KS = [2, 3, trajectory._JUMP_BITS]
 
@@ -140,7 +140,7 @@ def test_range_rows_equal_the_per_start_records(walk, max_steps, size):
 
 def count_or_error(lo, hi, max_steps, table):
     try:
-        return _count_chunk((lo, hi, max_steps, table))
+        return _count_walks(range(lo, hi + 1, 2), max_steps, table)
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
 
@@ -155,7 +155,7 @@ def full_count_or_error(lo, hi, max_steps):
 @example(walk=(8, 3, 41), max_steps=2, entries=1)  # 3 takes exactly 2 steps, 7 more
 @example(walk=(2, 2**64 + 1, 2**64 + 41), max_steps=10**6, entries=1)
 @settings(max_examples=150, deadline=None)
-def test_count_chunk_equals_the_summed_odd_lengths(walk, max_steps, entries):
+def test_count_walks_past_the_table_equals_the_summed_odd_lengths(walk, max_steps, entries):
     # a table of the counts of the odd starts 1..2*entries - 1, as verify's
     # fill leaves it; a chunk only reads it, even one right after its last start
     k, lo, hi = walk
