@@ -62,7 +62,9 @@ def _raw_step(x: int) -> tuple[int, int]:
     # loops inline the same arithmetic on purpose, to save a call per
     # iterate, all in trajectory: _direct_blocks and _write_range, and
     # the range-walk kernels _count_walks and _range_columns for iterates
-    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps).
+    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps), as
+    # does a streamed line's count pass (_checkpoints), and where a jump
+    # would pass a block edge.
     # verify's fill steps none of its x == 1 (mod 4) starts: it reads
     # them off its table by alpha class (trajectory._fill_table)
     t = 3 * x + 1

@@ -116,10 +116,11 @@ yield the (iterates, alphas) of at most _BLOCK steps at a time, the last
 block being the one that reaches 1.  A record (_record) joins the blocks,
 and _budgeted raises MaxStepsExceeded once their summed length passes
 max_steps.  A streamed line (_write_walk) holds no record.  A count pass
-walks the start and keeps no record: _count_walks with a one-entry table
-for the direct route, budgeted lookup blocks for the lookup one.  It
-raises MaxStepsExceeded exactly when the walk is over budget, so such a
-walk writes no byte.  A write pass then walks the start again, by the
+(_checkpoints) walks the start and keeps no record, only the checkpoints,
+the iterate each block starts from: the block rule's jumps for the direct
+route, budgeted lookup blocks for the lookup one.  It raises
+MaxStepsExceeded exactly when the walk is over budget, so such a walk
+writes no byte.  A write pass then walks the start again, by the
 same route, and _write_line renders and writes each block as it is made;
 write_record feeds _write_line a record's tuples in slices of _BLOCK
 instead.  So no direct line, of one start or of a range, is built as a
@@ -131,13 +132,15 @@ record, but for the direct range's first start.
 Under cli.main, a streamed line of more than one block from a start of at
 least DECIMAL_MIN_BITS bits, long enough to repay a fork (_FORK_WORK), is
 written by two processes (_write_forked): after the count pass the
-process forks one helper, both walk the start, and block i is rendered by
-the process whose role is i % 2.  A one-byte token on two pipes passes
-the right to write, so the blocks reach out in order and the bytes are
-those of one process.  Each process sums up
-odd_length, total_divisions, peak and the JSON alphas over every block,
-so whichever renders the last block writes the tail.  _write_line is the
-one renderer; a process that writes the whole line is its one-role case.
+process forks one helper, and block i is walked, from its checkpoint, and
+rendered only by the process whose role is i % 2.  So each block is
+walked twice, by the count pass and by the process that renders it.  A
+token on two pipes passes the right to write, so the blocks reach out in
+order and the bytes are those of one process.  For JSON the token also
+carries the block's total_divisions, largest iterate and alpha string, so
+whichever process renders the last block writes the tail; odd_length is
+that block's index times _BLOCK plus its length.  _write_line is the one
+renderer; a process that writes the whole line is its one-role case.
 """
 
 from __future__ import annotations
@@ -145,9 +148,9 @@ from __future__ import annotations
 import io
 import os
 from functools import cache
-from itertools import islice
+from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd, alpha_residue_class
 
@@ -634,63 +637,72 @@ def _tail(fmt: str, alphas: str, odd_length: int, total_divisions: int, peak: in
 
 
 def _write_line(
-    out: TextIO, start: int, blocks: Iterable[_Block], fmt: str, turn: tuple[int, int, int] | None = None
+    out: TextIO, start: int, blocks: Iterable[_Block], fmt: str, turn: tuple[int, BinaryIO, int] | None = None
 ) -> None:
     """Write the text or JSON line of start's walk, whose (iterates, alphas) blocks are given.
 
     Each block is one out.write, and the tail goes out with the first block
     when that ends at 1 (the whole line), or else in a write of its own.
-    One block and its strings are held at a time, and for JSON the alphas;
-    odd_length, total_divisions and peak are summed up block by block.
+    One block and its strings are held at a time, and for JSON each block's
+    alpha string; total_divisions and peak are summed up block by block,
+    and odd_length is the last block's index times _BLOCK plus its length.
     Iterates of at least DECIMAL_MIN_BITS bits are rendered from the
     previous iterate's Decimal, exactly: the bytes are those of str.
 
     turn is None when this process writes the whole line.  Two processes
-    share a line (_write_forked) with turn = (role, token in, token out):
-    each sums up every block but renders only the blocks i with
-    i % 2 == role, and the tail goes with the last block, whoever renders
-    it.  Before writing block i > 0 a process reads the one-byte token from
-    its token-in pipe; after writing a block it flushes out and, but after
-    the last block, writes the token to its token-out pipe.  A token pipe
-    whose other end is gone (so is the other process) raises EOFError.
+    share a line (_write_forked) with turn = (role, token in, token out),
+    a binary file to read and a pipe's descriptor to write: blocks then
+    yields only this process's blocks, those i with i % 2 == role, and the
+    tail goes with the last block, whoever renders it.  Before writing
+    block i > 0 a process reads the token, one line, from its token-in
+    file; after writing a block it flushes out and, but after the last
+    block, writes the token to its token-out pipe.  For JSON the token
+    carries the block's total_divisions, largest iterate (in hex) and alpha
+    string, so the process that writes the last block has every block's;
+    for text it is an empty line.  A token pipe whose other end is gone (so
+    is the other process) raises EOFError.
     """
     as_json = fmt == "json"
     sep = "," if as_json else " "
-    role, token_in, token_out = turn or (0, 0, 0)
-    roles = 1 if turn is None else 2
-    alphas: list[int] = []
-    length = divisions = peak = 0
-    exact = None  # Decimal, fma and divide_int, from the first big iterate on
+    role, token_in, token_out = turn or (0, None, 0)
+    alphas: list[str] = []  # JSON: each block's alpha string, in block order
+    divisions = peak = 0
+    exact = None  # the exact context's operations and constants, from the first big iterate on
     d = None  # the previous iterate as a Decimal, while it is big
-    for i, (values, block_alphas) in enumerate(blocks):
-        length += len(values)
-        divisions += sum(block_alphas)
-        top = max(values)
-        peak = max(peak, top)
-        if as_json:
-            alphas += block_alphas
-        if i % roles != role:
-            d = None  # this process's next block starts from its first int
-            continue
+    for i, (values, block_alphas) in zip(count(role, 2 if turn else 1), blocks):
+        d = None if turn else d  # this process's blocks are not consecutive
         strings = [""] if i else []  # so a later block's text begins with sep
+        top = max(values)
         if top.bit_length() < DECIMAL_MIN_BITS:
             d = None
             strings += map(str, values)
         else:
-            Decimal, fma, divide_int = exact = exact or _exact_decimal()
+            Decimal, fma, divide_int, three, one, powers = exact = exact or _exact_decimal()
+            powers.extend(Decimal(1 << a) for a in range(len(powers), max(block_alphas) + 1))
             for value, alpha in zip(values, block_alphas):
                 if value.bit_length() < DECIMAL_MIN_BITS:
                     d = None
                     strings.append(str(value))
                 else:
-                    d = Decimal(value) if d is None else divide_int(fma(d, 3, 1), 1 << alpha)
+                    d = Decimal(value) if d is None else divide_int(fma(d, three, one), powers[alpha])
                     strings.append(str(d))
         text = sep.join(strings) if i else _head(fmt, start) + sep.join(strings)
         del strings  # not held while the text is written
-        if turn and i and not os.read(token_in, 1):
-            raise EOFError("the process sharing the line is gone")
+        if as_json:
+            divisions += sum(block_alphas)
+            peak = max(peak, top)
+            alphas.append(",".join(map(str, block_alphas)))
+        if turn and i:
+            token = token_in.readline()
+            if not token.endswith(b"\n"):
+                raise EOFError("the process sharing the line is gone")
+            if as_json:  # the other process's block i - 1, which comes before this one
+                other_divisions, other_top, other_alphas = token.split()
+                divisions += int(other_divisions)
+                peak = max(peak, int(other_top, 16))
+                alphas.insert(-1, other_alphas.decode())
         if values[-1] == 1:
-            tail = _tail(fmt, ",".join(map(str, alphas)), length, divisions, peak)
+            tail = _tail(fmt, ",".join(alphas), i * _BLOCK + len(values), divisions, peak)
             if i:
                 out.write(text)
                 text = ""
@@ -699,8 +711,10 @@ def _write_line(
         if turn:
             out.flush()
             if values[-1] != 1:
+                token = b"%d %x %s\n" % (sum(block_alphas), top, alphas[-1].encode()) if as_json else b"\n"
                 try:
-                    os.write(token_out, b".")
+                    while token:  # a write that a signal cuts short goes on
+                        token = token[os.write(token_out, token) :]
                 except BrokenPipeError:  # not out's: the token's reader is gone
                     raise EOFError("the process sharing the line is gone") from None
 
@@ -715,7 +729,9 @@ def _exact_decimal() -> tuple:
         Emin=decimal.MIN_EMIN,
         traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
     )
-    return decimal.Decimal, exact.fma, exact.divide_int
+    # 3, 1 and the table of 2**alpha as Decimals, so no step converts an
+    # int; _write_line grows the table to each block's largest alpha
+    return decimal.Decimal, exact.fma, exact.divide_int, decimal.Decimal(3), decimal.Decimal(1), []
 
 
 def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
@@ -742,33 +758,68 @@ _FORK_WORK = 2**26
 def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork: bool = False) -> None:
     """write_record of x's record by method ("direct" or "lookup"), without building it.
 
-    A count pass walks x and keeps at most a block; it raises MaxStepsExceeded,
-    before any byte is written or any process forked, exactly when the walk
-    has more than max_steps odd steps.  The write pass then walks x again by
-    the same method and writes each block of the line as it is made, so the
-    memory held is a block, not the record.  With fork, a line of more than
-    one block from a start of at least DECIMAL_MIN_BITS bits, whose odd
-    steps times its start's bits reach _FORK_WORK, is written by two
-    processes, each rendering every other block (_write_forked), when out
-    has a file descriptor, os.fork exists and os.sched_getaffinity gives
-    this process two CPUs or more; any other line is written by this
-    process alone.  _write_range streams each direct line longer than
-    _BLOCK iterates through here; the CLI's lookup route, each start of at
-    least DECIMAL_MIN_BITS bits.
+    A count pass (_checkpoints) walks x and keeps at most a block and the
+    checkpoints, the iterate each block starts from; it raises
+    MaxStepsExceeded, before any byte is written or any process forked,
+    exactly when the walk has more than max_steps odd steps.  The write
+    pass then walks x again by the same method and writes each block of
+    the line as it is made, so the memory held is a block and one iterate
+    per block, not the record.  With fork, a line of more than one block
+    from a start of at least DECIMAL_MIN_BITS bits, whose odd steps times
+    its start's bits reach _FORK_WORK, is written by two processes, each
+    walking and rendering every other block from its checkpoint
+    (_write_forked), when out has a file descriptor, os.fork exists and
+    os.sched_getaffinity gives this process two CPUs or more; any other
+    line is written by this process alone.  _write_range streams each
+    direct line longer than _BLOCK iterates through here; the CLI's lookup
+    route, each start of at least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
-    if method == "lookup":
-        # counted by lookup blocks too: the reference route never evaluates 3x+1
-        blocks = _lookup_blocks
-        length = sum(len(block[0]) for block in _budgeted(x, blocks(x), max_steps))
-    else:
-        blocks = _direct_blocks
-        length = _count_walks(range(x, x + 1), max_steps, [0])
+    length, checkpoints = _checkpoints(x, max_steps, method)
+    blocks = _lookup_blocks if method == "lookup" else _direct_blocks
     bits = x.bit_length()
     if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_fork(out):
-        _write_forked(out, x, blocks, fmt)
+        _write_forked(out, x, blocks, checkpoints, fmt)
     else:
         _write_line(out, x, blocks(x), fmt)
+
+
+def _checkpoints(x: int, max_steps: int, method: str) -> tuple[int, list[int]]:
+    """x's odd length, counted by method, and the iterate each block of its walk starts from.
+
+    Block i of the walk is its first block from checkpoint i: x for i = 0,
+    else the iterate after i * _BLOCK odd steps; the 1 that ends a walk
+    whose length is a multiple of _BLOCK starts no block.  The lookup count
+    keeps the last iterate of each lookup block, so that route never
+    evaluates 3x+1.  The direct count takes the block rule's jumps, as
+    _count_walks does, but a single step where a jump would pass a block
+    edge, so a checkpoint falls on every edge.  Raises MaxStepsExceeded
+    exactly when the walk has more than max_steps odd steps.
+    """
+    if method == "lookup":
+        # each block's length and last iterate, which starts the next block
+        ends = [(len(iterates), iterates[-1]) for iterates, _ in _budgeted(x, _lookup_blocks(x), max_steps)]
+        return sum(n for n, _ in ends), [x, *(end for _, end in ends[:-1])]
+    k = _JUMP_BITS
+    jumps, low = _jump_table(k), (1 << k) - 1
+    checkpoints, cur, steps, edge = [], x, 0, 0
+    while cur > 1 or not steps:
+        if steps >= max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        if steps == edge:
+            checkpoints.append(cur)
+            edge += _BLOCK
+        c, power, tail, _ = jumps[(cur & low) >> 1]
+        if cur > low and steps + c <= edge:
+            t = power * (cur >> k) + tail
+            steps += c
+        else:
+            t = 3 * cur + 1
+            steps += 1
+        cur = t >> ((t & -t).bit_length() - 1)
+    if steps > max_steps:
+        raise MaxStepsExceeded(x, max_steps)
+    return steps, checkpoints
 
 
 def _may_fork(out: TextIO) -> bool:
@@ -781,12 +832,17 @@ def _may_fork(out: TextIO) -> bool:
         return False
 
 
-def _write_forked(out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]], fmt: str) -> None:
+def _write_forked(
+    out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]], checkpoints: Sequence[int], fmt: str
+) -> None:
     """_write_line of x's walk, shared by this process (role 0) and a forked helper (role 1).
 
-    Each process walks x with blocks, the route's block walker, and renders
-    every other block, so each holds one block at a time; a token passed on
-    two pipes orders their writes (see _write_line).  The helper ignores SIGINT
+    Block i is walked and rendered only by the process whose role is
+    i % 2: it takes the first block of blocks, the route's block walker,
+    from checkpoints[i] (see _checkpoints), so each process holds one block
+    at a time and walks none it does not render.  A token passed on two
+    pipes orders their writes and carries what the JSON tail needs of the
+    other process's blocks (see _write_line).  The helper ignores SIGINT
     (held across the fork, so neither process can miss it or see it early)
     and ends by os._exit: status 0 after its last block, 1 after a
     BrokenPipeError, 2 after any other error.  This process reaps it on
@@ -818,7 +874,8 @@ def _write_forked(out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]]
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
             os.close(parent_in)
             os.close(parent_out)
-            _write_line(out, x, blocks(x), fmt, (1, helper_in, helper_out))
+            own = (next(blocks(checkpoint)) for checkpoint in checkpoints[1::2])
+            _write_line(out, x, own, fmt, (1, open(helper_in, "rb", closefd=False), helper_out))
             status = 0
         except BrokenPipeError:
             status = 1
@@ -830,7 +887,8 @@ def _write_forked(out: TextIO, x: int, blocks: Callable[[int], Iterator[_Block]]
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         try:
-            _write_line(out, x, blocks(x), fmt, (0, parent_in, parent_out))
+            own = (next(blocks(checkpoint)) for checkpoint in checkpoints[0::2])
+            _write_line(out, x, own, fmt, (0, open(parent_in, "rb", closefd=False), parent_out))
         except EOFError:  # the helper is gone: its status says why
             pass
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

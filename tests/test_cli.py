@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzkit import analysis, cli, record_json, trajectory_direct, trajectory_lookup
+from collatzkit import analysis, cli, record_json, trajectory, trajectory_direct, trajectory_lookup
 from collatzkit.cli import run
 
 from reference_windows import TABLE_B_WINDOW, TRAJECTORY_27
@@ -1029,16 +1029,18 @@ def test_ctrl_c_in_mid_line_exits_1_with_one_line_and_leaves_no_process():
         assert (proc.returncode, err) == (1, b"error: interrupted\n")
 
 
-# the helper's walk raises at its third block: blocks 0 and 2 are the parent's
+# the helper walks each of its blocks (1, 3, ...) by a call of its own, and
+# the second call raises: blocks 0 and 2 are the parent's
 DYING_HELPER = """
 import os, sys
 from collatzkit import cli, trajectory
-parent, walk = os.getpid(), trajectory._direct_blocks
+parent, walk, calls = os.getpid(), trajectory._direct_blocks, []
 def blocks(x):
-    for i, block in enumerate(walk(x)):
-        if os.getpid() != parent and i == 2:
+    if os.getpid() != parent:
+        calls.append(x)
+        if len(calls) == 2:
             raise RuntimeError("only in the helper")
-        yield block
+    return walk(x)
 trajectory._direct_blocks = blocks
 sys.argv = ["collatzkit", "trajectory", str(2**5000 - 1)]
 cli.main()
@@ -1055,6 +1057,52 @@ def test_a_dead_render_helper_exits_1_with_one_line_and_leaves_no_process():
         assert (proc.returncode, err) == (1, b"error: a worker process died: the render helper exited with status 2\n")
         # blocks 0 to 2, then nothing: the parent never got the token for block 4
         assert out.startswith(BIG.encode()) and not out.endswith(b"\n")
+
+
+# once the line is shared, each block the route's walker yields is logged
+# as (pid, its first iterate); the count pass, before the fork, is not
+WALKED_BLOCKS = """
+import os, sys
+from collatzkit import cli, trajectory
+log, method, fmt = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND), sys.argv[2], sys.argv[3]
+name = "_lookup_blocks" if method == "lookup" else "_direct_blocks"
+walk, write_forked, shared = getattr(trajectory, name), trajectory._write_forked, []
+def blocks(x):
+    for block in walk(x):
+        if shared:
+            os.write(log, f"{os.getpid()} {block[0][0]}\\n".encode())
+        yield block
+def share(*args):
+    shared.append(True)
+    write_forked(*args)
+setattr(trajectory, name, blocks)
+trajectory._write_forked = share
+sys.argv = ["collatzkit", "trajectory", str(2**5000 - 1), "--method", method, "--format", fmt]
+cli.main()
+"""
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a line is shared only with two usable CPUs"
+)
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_block_of_a_shared_line_is_walked_only_by_the_process_that_renders_it(tmp_path, method, fmt):
+    log = tmp_path / "blocks.log"
+    log.touch()
+    proc = in_session(["-c", WALKED_BLOCKS, str(log), method, fmt])
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, hashlib.sha256(out).hexdigest(), err) == (0, BIG_WALK_DIGESTS[fmt], b"")
+    walked = {}
+    for line in log.read_text().splitlines():
+        pid, first = line.split()
+        walked.setdefault(int(pid), []).append(int(first))
+    # the parent walks blocks 0, 2, ..., the helper 1, 3, ..., each once
+    iterates = trajectory_direct(2**5000 - 1).iterates
+    firsts = iterates[:: trajectory._BLOCK]
+    helper = (walked.keys() - {proc.pid}).pop()
+    assert walked == {proc.pid: list(firsts[::2]), helper: list(firsts[1::2])}
 
 
 # os.fork refused: a command that reaches it fails

@@ -1,8 +1,10 @@
 import ast
+import contextlib
 import inspect
 import io
 import json
 import os
+import signal
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -29,6 +31,7 @@ from collatzkit.cli import run
 import collatzkit.trajectory as trajectory_module
 from collatzkit.trajectory import (
     DECIMAL_MIN_BITS,
+    _checkpoints,
     _direct_blocks,
     _fold,
     _lookup_blocks,
@@ -442,17 +445,34 @@ def written_both_ways(tmp_path, x, method, fmt):
     # x's line through a real file descriptor, as the two-process writer and
     # as the one-process writer put it in a file
     blocks = {"direct": _direct_blocks, "lookup": _lookup_blocks}[method]
+    _, checkpoints = _checkpoints(x, 10**6, method)
     lines = []
     for name, write in (
-        ("forked", lambda out: _write_forked(out, x, blocks, fmt)),
+        ("forked", lambda out: _write_forked(out, x, blocks, checkpoints, fmt)),
         ("single", lambda out: _write_line(out, x, blocks(x), fmt)),
     ):
         path = tmp_path / f"{name}-{method}.{fmt}"
-        with open(path, "w") as out:
+        with open(path, "w") as out, deadline(60):
             out.write("earlier line\n")  # buffered when the helper is forked
             write(out)
         lines.append(path.read_text())
     return lines
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # TimeoutError in this process after seconds: a token that never comes
+    # fails the test, and _write_forked then kills and reaps its helper
+    def expire(signum, frame):
+        raise TimeoutError(f"no line after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 # 2**1100-1 has 20 blocks, so the helper renders the last one and writes the
@@ -468,17 +488,38 @@ def test_a_forked_line_equals_the_single_process_line(tmp_path, x, method, fmt):
 
 
 # blocks of 3 iterates, and the Decimal route from 64 bits on: a line of one
-# iterate, one whole block, one block and one iterate, and many blocks
-@pytest.mark.parametrize("x", [1, 17, 11, 27, 255, 2**70 - 1, 2**80 + 1])
+# iterate; of whole blocks only, one or an even or odd count of them (so
+# either process renders the block that reaches 1, and no block starts at
+# that 1); of whole blocks and one iterate; and of many blocks
+@pytest.mark.parametrize(
+    "x",
+    [
+        1,
+        17,
+        9,
+        43,
+        255,
+        2**70 - 1,
+        2221900935431971565381,
+        11,
+        25,
+        309237060117561687601,
+        27,
+        2**80 + 1,
+    ],
+)
 @pytest.mark.parametrize("method", ["direct", "lookup"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_forked_line_of_many_small_blocks_equals_the_single_process_line(tmp_path, monkeypatch, x, method, fmt):
     monkeypatch.setattr(trajectory_module, "_BLOCK", 3)
     monkeypatch.setattr(trajectory_module, "DECIMAL_MIN_BITS", 64)
+    rec = trajectory_direct(x)
+    length = rec.odd_length
+    assert _checkpoints(x, length, method) == (length, [x, *rec.iterates[2 : length - 1 : 3]])
     forked, single = written_both_ways(tmp_path, x, method, fmt)
     assert forked == single
     expected = io.StringIO()
-    write_record(expected, trajectory_direct(x), fmt)
+    write_record(expected, rec, fmt)
     assert single == "earlier line\n" + expected.getvalue()
 
 
@@ -496,7 +537,7 @@ def test_only_a_long_line_of_a_big_start_to_a_file_forks(tmp_path, monkeypatch):
     # bits, with odd steps times start bits of at least _FORK_WORK, written to
     # a file descriptor with os.fork and two usable CPUs
     forked = []
-    monkeypatch.setattr(trajectory_module, "_write_forked", lambda out, x, blocks, fmt: forked.append(x))
+    monkeypatch.setattr(trajectory_module, "_write_forked", lambda out, x, blocks, checkpoints, fmt: forked.append(x))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     big, short, one_step, small = 2**4000 - 1, 2**1100 - 1, (2**1102 - 1) // 3, 2**1000 - 1
     work = trajectory_module._FORK_WORK
