@@ -139,8 +139,11 @@ token on two pipes passes the right to write, so the blocks reach out in
 order and the bytes are those of one process.  For JSON the token also
 carries the block's total_divisions, largest iterate and alpha string, so
 whichever process renders the last block writes the tail; odd_length is
-that block's index times _BLOCK plus its length.  _write_line is the one
-renderer; a process that writes the whole line is its one-role case.
+that block's index times _BLOCK plus its length.  The two processes run
+on disjoint halves of this process's CPUs, so the scheduler cannot stack
+them on one CPU, and this process gets its own mask back when the helper
+is reaped.  _write_line is the one renderer; a process that writes the
+whole line is its one-role case.
 """
 
 from __future__ import annotations
@@ -746,12 +749,15 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
 
 
 # a streamed line is shared by two processes only when its odd steps times
-# its start's bits reach this (2**5000-1: 1.2e8).  Below it the fork, the
-# helper's own walk and the hand-over of each block cost about what half
-# the rendering saves.  Timed inside main() on a 2-vCPU host, two processes
-# against one (medians of 30 alternating runs): 34.7 against 33.0 ms (text)
-# for a 3732-bit start at 3.4e7, 62.5 against 80.6 ms (text) and 67.4
-# against 88.3 ms (JSON) for a 5192-bit start at 6.75e7
+# its start's bits reach this (2**5000-1: 1.2e8).  Below it the fork's fixed
+# costs (the fork, the pipes, a token per block) eat most of what half the
+# rendering saves where the second CPU is free, and the fork loses where it
+# is busy.  Whole CLI runs of random starts on a 2-vCPU host, forked at 2**22
+# against this (medians of 15 alternating runs, text): 75.4 against 71.8 ms
+# at 1500 bits (5.7e6), 74.0 against 70.6 at 2500 (1.5e7), 101.3 against
+# 107.9 at 3500 (2.9e7) and 98.7 against 114.0 at 4500 (4.9e7); with one
+# busy loop running, 109.9 against 83.9 ms at 3500 bits, 120.6 against 99.5
+# at 4500
 _FORK_WORK = 2**26
 
 
@@ -842,7 +848,15 @@ def _write_forked(
     from checkpoints[i] (see _checkpoints), so each process holds one block
     at a time and walks none it does not render.  A token passed on two
     pipes orders their writes and carries what the JSON tail needs of the
-    other process's blocks (see _write_line).  The helper ignores SIGINT
+    other process's blocks (see _write_line).  The CPUs this process may
+    run on, sorted, are cut in two at half their count: this process runs
+    on the first half and the helper on the second, so the two never share
+    a CPU.  Left to the scheduler, a token's wake-up tends to put the woken
+    process on its waker's CPU, and the two take turns on one CPU.  This
+    process's own mask is set back once the helper is reaped, on every
+    path, and a mask that the kernel refuses (a half that is empty, a
+    cpuset that shrank) leaves that process where it ran: the same bytes,
+    unpinned.  The helper ignores SIGINT
     (held across the fork, so neither process can miss it or see it early)
     and ends by os._exit: status 0 after its last block, 1 after a
     BrokenPipeError, 2 after any other error.  This process reaps it on
@@ -856,6 +870,8 @@ def _write_forked(
     import signal  # loaded only for a line this long; not a module-level import
 
     out.flush()  # so the helper inherits no buffered text to write again
+    cpus = sorted(os.sched_getaffinity(0))
+    half = len(cpus) // 2
     parent_in, helper_out = os.pipe()
     helper_in, parent_out = os.pipe()
     held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -872,6 +888,7 @@ def _write_forked(
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            _pin(cpus[half:])
             os.close(parent_in)
             os.close(parent_out)
             own = (next(blocks(checkpoint)) for checkpoint in checkpoints[1::2])
@@ -885,6 +902,7 @@ def _write_forked(
     os.close(helper_out)  # so a helper that dies leaves parent_in at EOF
     status = None
     try:
+        _pin(cpus[:half])
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         try:
             own = (next(blocks(checkpoint)) for checkpoint in checkpoints[0::2])
@@ -903,11 +921,21 @@ def _write_forked(
                 os.waitpid(pid, 0)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        _pin(cpus)
     if status == 1:
         raise BrokenPipeError("the render helper met a closed pipe")
     if status:
         how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
         raise ChildProcessError(f"the render helper {how}")
+
+
+def _pin(cpus: Sequence[int]) -> None:
+    # this process runs on cpus from now on; where the kernel refuses the
+    # mask (an empty half, a cpuset that shrank) it runs where it ran
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 # characters of iterate and alpha strings a direct range's line memo holds

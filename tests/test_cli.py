@@ -1105,6 +1105,53 @@ def test_each_block_of_a_shared_line_is_walked_only_by_the_process_that_renders_
     assert walked == {proc.pid: list(firsts[::2]), helper: list(firsts[1::2])}
 
 
+# each process logs the CPUs it may run on as it walks each of its blocks;
+# the command logs them before the line and after _write_forked returns
+CPU_MASKS = """
+import os, sys
+from collatzkit import cli, trajectory
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+def mask(when):
+    cpus = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+    os.write(log, f"{os.getpid()} {when} {cpus}\\n".encode())
+walk, write_forked = trajectory._direct_blocks, trajectory._write_forked
+def blocks(x):
+    for block in walk(x):
+        mask("block")
+        yield block
+def share(*args):
+    write_forked(*args)
+    mask("after")
+trajectory._direct_blocks = blocks
+trajectory._write_forked = share
+mask("before")
+sys.argv = ["collatzkit", "trajectory", str(2**5000 - 1)]
+cli.main()
+"""
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a line is shared only with two usable CPUs"
+)
+def test_the_two_processes_of_a_shared_line_run_on_disjoint_cpus_and_the_command_gets_its_own_back(tmp_path):
+    log = tmp_path / "masks.log"
+    log.touch()
+    proc = in_session(["-c", CPU_MASKS, str(log)])
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, hashlib.sha256(out).hexdigest(), err) == (0, BIG_WALK_DIGESTS["text"], b"")
+    masks = {}  # (pid, when) -> the masks logged
+    for line in log.read_text().splitlines():
+        pid, when, *cpus = line.split()
+        masks.setdefault((int(pid), when), set()).add(frozenset(map(int, cpus)))
+    (helper,) = {pid for pid, _ in masks} - {proc.pid}
+    (before,), (after,) = masks[proc.pid, "before"], masks[proc.pid, "after"]
+    # one mask each, for every block it walked
+    (parent,), (other,) = masks[proc.pid, "block"], masks[helper, "block"]
+    assert parent and other and not parent & other
+    assert parent | other == before == after
+
+
 # os.fork refused: a command that reaches it fails
 NO_FORK = """
 import io, os, sys, threading, time

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -527,8 +528,55 @@ def test_a_failed_fork_writes_the_line_in_this_process(tmp_path, monkeypatch):
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    cpus = os.sched_getaffinity(0)
     monkeypatch.setattr(trajectory_module.os, "fork", refuse)
     forked, single = written_both_ways(tmp_path, 2**1100 - 1, "direct", "json")
+    assert forked == single
+    assert os.sched_getaffinity(0) == cpus
+
+
+# the helper dies with status 2, or this process is interrupted mid-line
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the CPUs a process may run on cannot be set")
+@pytest.mark.parametrize("failure", [ChildProcessError, KeyboardInterrupt])
+def test_the_callers_cpus_come_back_after_a_dead_helper_or_an_interrupt(tmp_path, monkeypatch, failure):
+    cpus, caller, write_line = os.sched_getaffinity(0), os.getpid(), trajectory_module._write_line
+
+    def failing(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("only in the helper")
+        if failure is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        write_line(*args)
+
+    monkeypatch.setattr(trajectory_module, "_write_line", failing)
+    try:
+        with pytest.raises(failure):
+            written_both_ways(tmp_path, 2**1100 - 1, "direct", "text")
+        assert os.sched_getaffinity(0) == cpus
+    finally:
+        os.sched_setaffinity(0, cpus)  # should the check fail, no later test runs on fewer CPUs
+
+
+def refuse_mask(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+# the kernel refuses a mask: sched_setaffinity raises EINVAL, or the CPUs
+# seem to be one, so this process's half is empty
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the CPUs a process may run on cannot be set")
+@pytest.mark.parametrize("refusal", ["einval", "one-cpu"])
+@pytest.mark.parametrize("method", ["direct", "lookup"])
+def test_a_refused_cpu_mask_leaves_the_line_unpinned(tmp_path, monkeypatch, refusal, method):
+    cpus = os.sched_getaffinity(0)
+    if refusal == "einval":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse_mask)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(cpus)})
+    try:
+        forked, single = written_both_ways(tmp_path, 2**1100 - 1, method, "json")
+    finally:
+        monkeypatch.undo()
+        os.sched_setaffinity(0, cpus)  # the one CPU is the mask set back
     assert forked == single
 
 
