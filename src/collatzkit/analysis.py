@@ -11,20 +11,19 @@ per-step factor (~3/4) weight different quantities and are reported side
 by side, never conflated.
 
 Every scan is a function of a range of odd starts, and one driver,
-_run_chunks, runs them all.  It owns the chunking, the pool and what a
-worker receives: it slices the range into chunks of _CHUNK_ODDS starts,
-made only when each is due, and yields the function's result for each in
-chunk order, so results are identical for any worker count.  A scan of
-fewer chunks than its pool count runs in the calling process; a larger
-one runs in a process pool whose workers each receive the function once,
-through the pool's initializer, so a task carries only its chunk.  Each
-scan folds the results as they arrive, so an in-process scan's memory
-does not grow with the bound, and a pool holds at most 2 * workers
-tasks.  Neither the alpha counts nor the drift kernel steps an odd,
-because alpha = a holds on exactly one odd class mod 2**(a+1).  The alpha
-density and the iterate-class ratio are no scan: they read one
-closed-form class size per alpha, in the calling process whatever the
-worker count.  The drift kernel uses that a class's iterates run in
+_run_chunks, runs them all.  It owns the chunking and the processes: it
+slices the range into chunks of _CHUNK_ODDS starts, made only when each is
+due, and yields the function's result for each in chunk order, so results
+are identical for any worker count.  A scan of fewer than _FORK_CHUNKS
+chunks runs in the calling process; a larger one, with workers > 1, is
+shared with forked helpers, each pinned to its own slice of the CPUs and
+each inheriting the function, so nothing but results and errors crosses a
+pipe.  Each scan folds the results as they arrive, so its memory does not
+grow with the bound.  Neither the alpha counts nor the drift kernel steps
+an odd, because alpha = a holds on exactly one odd class mod 2**(a+1).
+The alpha density and the iterate-class ratio are no scan: they read
+one closed-form class size per alpha, in the calling process whatever
+the worker count.  The drift kernel uses that a class's iterates run in
 steps of 6 (the 6m+1 / 6m+5 sets), so it takes log of the class's starts
 and of its iterates as two ranges, through starmap(log, zip(r)): math.log
 takes an optional base, so each call gets its arguments as a tuple, which
@@ -50,8 +49,8 @@ with the budget checked per block), so the report and the first failing
 start are those of the full walks.  The table fills in the calling
 process (trajectory._fill_table): its x == 1 (mod 4) half, whose iterates
 decrease at once, is read off the table by alpha class and not walked.
-Only the chunks past it run in workers: each worker receives
-trajectory._count_walks with the filled table once.  This module imports
+Only the chunks past it are shared with helpers, which inherit
+trajectory._count_walks with the filled table.  This module imports
 trajectory only when verify_theorems runs, so drift and alpha-table never
 load it.
 """
@@ -59,16 +58,17 @@ load it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, cycle, starmap
 from operator import sub
 from typing import NamedTuple
 
 from .core import (
     DEFAULT_MAX_STEPS,
     DomainError,
+    _Helpers,
+    _may_fork,
     _raw_step,
     _require_count,
     _require_odd,
@@ -81,17 +81,16 @@ EMPIRICAL_TARGET = 0.75  # heuristic per-step factor reported with the measured 
 EMPIRICAL_TOLERANCE = 0.05
 
 _CHUNK_ODDS = 1 << 15  # odd integers per scan task; fixed so worker count cannot change results
-# the fewest chunks from which each scan starts a pool: a scan of fewer runs
-# in-process whatever the worker count, since there a pool costs more than it
-# saves.  Both were set from whole CLI runs of --workers 2 against
-# --workers 1 (see README)
-_DRIFT_POOL_CHUNKS = 32
-_VERIFY_POOL_CHUNKS = 12
+# the fewest chunks from which a scan with workers > 1 forks helpers: a
+# scan of fewer runs in-process whatever the worker count.  Set from whole
+# CLI runs of --workers 2 against --workers 1 on a 2-vCPU host, with the
+# second CPU free and with one busy loop running (see README): from 8
+# chunks on the fork wins with the CPU free, and from 16 it no longer
+# loses with the CPU busy
+_FORK_CHUNKS = 16
 
-# the pool class, imported by _run_chunks only when it starts a pool:
-# concurrent.futures loads multiprocessing, logging, pickle, socket and
-# subprocess, which no single-process command needs at start-up.  A value
-# set from outside (a test double, a traced pool) is used as it is.
+# no longer used: scans fork their helpers (_run_chunks).  perfbench's
+# tracer reads and replaces this name, so it stays until the tracer drops it
 ProcessPoolExecutor = None
 
 
@@ -212,68 +211,82 @@ class TheoremScanReport(NamedTuple):
     iterates_checked: int
 
 
-def _run_chunks(work, starts: range, workers: int, pool_from: int):
+def _run_chunks(work, starts: range, workers: int):
     # the one scan driver: yields work(chunk) for each slice of _CHUNK_ODDS
-    # of starts, in order.  Slices are made only as they are needed, so an
-    # in-process scan holds one at a time however long starts is, and a pool
-    # has at most 2 * workers in flight.  A scan of fewer than pool_from
-    # chunks starts no pool
-    global ProcessPoolExecutor
+    # of starts, in order.  Slices are made only as they are due, in every
+    # process, so each holds one at a time however long starts is.  A scan
+    # of at least _FORK_CHUNKS chunks with workers > 1 runs in this process
+    # and workers - 1 forked helpers where core._may_fork allows, never more
+    # processes than chunks or usable CPUs; any other scan, and one whose
+    # fork fails, runs here alone.  Of W processes, helper r runs chunks r,
+    # r + W, ... and sends each result, or the exception its chunk raised,
+    # pickled down a pipe of its own; this process runs chunks 0, W, ... and
+    # yields every result, or raises the exception, at its chunk's turn.  So
+    # a helper runs ahead by at most what its pipe and this process's read
+    # buffer hold.  Whatever ends the scan, each helper is killed and reaped
+    # (core._Helpers); a helper whose pipe ends early raises ChildProcessError
     import os  # loaded at interpreter start; not a module-level import
 
     firsts = starts[::_CHUNK_ODDS]
-    chunks = (range(x, min(x + firsts.step, starts.stop), starts.step) for x in firsts)
-    workers = workers if len(firsts[:pool_from]) == pool_from else 1
-    # a fork pool starts every worker up front, so never ask for more
-    # workers than there are chunks or CPUs this process may run on (every
-    # CPU where sched_getaffinity does not exist, as on macOS; a sliced
-    # range has a len() even where the whole one is too long for it)
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(firsts[:workers]), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(work, chunks)
+
+    def chunk(x: int) -> range:
+        return range(x, min(x + firsts.step, starts.stop), starts.step)
+
+    # (a sliced range has a len() even where the whole one is too long for it)
+    if workers > 1 and len(firsts[:_FORK_CHUNKS]) == _FORK_CHUNKS and _may_fork():
+        workers = min(len(firsts[:workers]), len(os.sched_getaffinity(0)))
+    else:
+        workers = 1
+    if workers == 1:
+        yield from map(work, map(chunk, firsts))
         return
-    import signal
+    import pickle
 
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    # each worker receives work once, as the initializer's argument
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(work,)) as pool:
-        pending = deque()
-        try:
-            for chunk in chunks:
-                # submit may fork a worker: SIGINT waits until it returns, so
-                # the at-fork hooks cannot swallow it, nor the new worker see it
-                held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    def send(role: int, fd: int) -> None:
+        for reader in readers:
+            reader.close()
+        with open(fd, "wb") as pipe:
+            for x in firsts[role::workers]:
                 try:
-                    pending.append(pool.submit(_run_work, chunk))
+                    message = (True, work(chunk(x)))
+                except Exception as exc:  # raised in this process at its chunk's turn
+                    message = (False, exc)
+                pipe.write(pickle.dumps(message))
+                pipe.flush()
+                if not message[0]:
+                    return
+
+    helpers, readers, dead = _Helpers("a scan helper", workers - 1), [], 0
+    try:
+        try:
+            for role in range(1, workers):
+                fd, helper_fd = os.pipe()
+                readers.append(open(fd, "rb"))
+                try:
+                    helpers.fork(partial(send, role, helper_fd))
                 finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            # on an error or an early close, start none of the queued tasks
-            for future in pending:
-                future.cancel()
-
-
-_work = None  # a pool worker's scan function, set by _start_worker in the worker only
-
-
-def _start_worker(work) -> None:
-    # Ctrl-C reaches the whole process group: only the parent handles it
-    # (one line, exit 1); a worker finishes its task in hand, with no traceback
-    global _work
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _work = work
-
-
-def _run_work(chunk: range):
-    return _work(chunk)
+                    os.close(helper_fd)  # so a helper that dies leaves its pipe at EOF
+        except OSError:  # no process to spare: this process scans alone
+            helpers.reap(True)
+            workers = 1
+        for role, x in zip(cycle(range(workers)), firsts):
+            if not role:
+                yield work(chunk(x))
+                continue
+            try:
+                ok, result = pickle.load(readers[role - 1])
+            except (EOFError, pickle.UnpicklingError):  # the helper is gone: its status says why
+                dead = role
+                break
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for reader in readers:
+            reader.close()
+        statuses = helpers.reap(True)
+    if dead:
+        raise helpers.error(statuses[dead - 1]) or ChildProcessError("a scan helper closed its pipe early")
 
 
 def _alpha_counts(bound: int) -> list[int]:
@@ -341,7 +354,7 @@ def empirical_drift(bound: int, *, workers: int = 1) -> DriftReport:
     starts = range(3, bound + 1, 2)
     # fsum adds the chunk sums exactly and rounds once, half to even, as
     # float(sum(map(Fraction, ...))) does: the same float for any chunking
-    total = math.fsum(_run_chunks(_drift_chunk, starts, workers, _DRIFT_POOL_CHUNKS))
+    total = math.fsum(_run_chunks(_drift_chunk, starts, workers))
     return DriftReport(
         n_terms=None,
         scan_bound=bound,
@@ -387,7 +400,7 @@ def verify_theorems(
     # is the one iterate 1, and table[0] = 0
     table = trajectory._fill_table(min(odds[-1], 2 * trajectory._TABLE_STARTS - 1), max_steps)
     work = partial(trajectory._count_walks, max_steps=max_steps, table=table)
-    checked = 1 + sum(table) + sum(_run_chunks(work, odds[len(table) :], workers, _VERIFY_POOL_CHUNKS))
+    checked = 1 + sum(table) + sum(_run_chunks(work, odds[len(table) :], workers))
     return TheoremScanReport(bound=bound, trajectories=len(odds), iterates_checked=checked)
 
 

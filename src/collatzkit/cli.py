@@ -11,9 +11,10 @@ the same table, parses help requests and every other line.  main(), the
 entry point of the console script and of python -m collatzkit, ends the
 process at its last byte: it flushes stdout and stderr, runs the atexit
 callbacks and skips the interpreter's teardown, unless a tracer, profiler
-or second thread is watching the process; it alone may fork, to render a
-long walk line in two processes.  run() is the in-process API and never
-forks.
+or second thread is watching the process; it alone may fork a helper to
+render a long walk line in two processes.  run() is the in-process API.  A
+scan with --workers may fork helpers wherever it runs, under main() or
+run() (analysis._run_chunks), and reaps them before it returns.
 """
 
 from __future__ import annotations
@@ -446,8 +447,10 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextI
     """Parse argv, dispatch, and return the process exit code.
 
     Numbers of any length are parsed and printed: CPython's int/str digit
-    limit is lifted for the call and restored on return.  The command runs
-    in this process alone: no process is forked.
+    limit is lifted for the call and restored on return.  A walk line is
+    rendered in this process alone, unlike under main(); a scan with
+    --workers may fork helpers, as the library call does, and reaps them
+    before it returns.
     """
     return _run(argv, out, err, fork=False)
 
@@ -491,17 +494,11 @@ def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None
     except MemoryError:
         err.write("error: out of memory\n")
         return 1
-    except (ChildProcessError, *_broken_pool()) as exc:
-        # a dead render helper (trajectory._write_forked) or pool worker
+    except ChildProcessError as exc:
+        # a dead render helper (trajectory._write_forked) or scan helper
+        # (analysis._run_chunks)
         err.write(f"error: a worker process died: {exc}\n")
         return 1
-
-
-def _broken_pool() -> tuple:
-    # evaluated only when an error reaches the except clause; without a
-    # started pool the class is not loaded and the empty tuple matches nothing
-    process = sys.modules.get("concurrent.futures.process")
-    return (process.BrokenProcessPool,) if process is not None else ()
 
 
 def _watched() -> bool:
@@ -542,7 +539,7 @@ def main() -> NoReturn:
     if _watched():
         sys.exit(code)
     # the interpreter's exit in its order (atexit callbacks, then the flush);
-    # a pooled scan has already joined its workers
+    # every helper a command forked is already reaped
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

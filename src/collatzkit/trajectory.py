@@ -155,7 +155,16 @@ from itertools import count, islice
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .core import DEFAULT_MAX_STEPS, DomainError, MaxStepsExceeded, _require_count, _require_odd, alpha_residue_class
+from .core import (
+    DEFAULT_MAX_STEPS,
+    DomainError,
+    MaxStepsExceeded,
+    _Helpers,
+    _may_fork,
+    _require_count,
+    _require_odd,
+    alpha_residue_class,
+)
 
 
 class TrajectoryRecord(NamedTuple):
@@ -774,17 +783,17 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     from a start of at least DECIMAL_MIN_BITS bits, whose odd steps times
     its start's bits reach _FORK_WORK, is written by two processes, each
     walking and rendering every other block from its checkpoint
-    (_write_forked), when out has a file descriptor, os.fork exists and
-    os.sched_getaffinity gives this process two CPUs or more; any other
-    line is written by this process alone.  _write_range streams each
-    direct line longer than _BLOCK iterates through here; the CLI's lookup
-    route, each start of at least DECIMAL_MIN_BITS bits.
+    (_write_forked), when out has a file descriptor and core._may_fork
+    allows a fork (os.fork, two usable CPUs or more, no second thread);
+    any other line is written by this process alone.  _write_range
+    streams each direct line longer than _BLOCK iterates through here; the
+    CLI's lookup route, each start of at least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
     length, checkpoints = _checkpoints(x, max_steps, method)
     blocks = _lookup_blocks if method == "lookup" else _direct_blocks
     bits = x.bit_length()
-    if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_fork(out):
+    if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_share(out):
         _write_forked(out, x, blocks, checkpoints, fmt)
     else:
         _write_line(out, x, blocks(x), fmt)
@@ -828,12 +837,10 @@ def _checkpoints(x: int, max_steps: int, method: str) -> tuple[int, list[int]]:
     return steps, checkpoints
 
 
-def _may_fork(out: TextIO) -> bool:
-    # a second usable CPU, os.fork, and a file descriptor the helper can
-    # write.  Without sched_getaffinity (macOS, whose system libraries may
-    # start threads, which makes fork unsafe) the line is not shared
+def _may_share(out: TextIO) -> bool:
+    # the fork rules (core._may_fork), and a file descriptor the helper can write
     try:
-        return len(os.sched_getaffinity(0)) > 1 and hasattr(os, "fork") and out.fileno() >= 0
+        return _may_fork() and out.fileno() >= 0
     except (AttributeError, OSError, ValueError):  # also io.UnsupportedOperation, a closed out
         return False
 
@@ -848,94 +855,51 @@ def _write_forked(
     from checkpoints[i] (see _checkpoints), so each process holds one block
     at a time and walks none it does not render.  A token passed on two
     pipes orders their writes and carries what the JSON tail needs of the
-    other process's blocks (see _write_line).  The CPUs this process may
-    run on, sorted, are cut in two at half their count: this process runs
-    on the first half and the helper on the second, so the two never share
-    a CPU.  Left to the scheduler, a token's wake-up tends to put the woken
-    process on its waker's CPU, and the two take turns on one CPU.  This
-    process's own mask is set back once the helper is reaped, on every
-    path, and a mask that the kernel refuses (a half that is empty, a
-    cpuset that shrank) leaves that process where it ran: the same bytes,
-    unpinned.  The helper ignores SIGINT
-    (held across the fork, so neither process can miss it or see it early)
-    and ends by os._exit: status 0 after its last block, 1 after a
-    BrokenPipeError, 2 after any other error.  This process reaps it on
-    every path.  If this process raises (a closed pipe, Ctrl-C, out of
-    memory), it kills the helper and waits for it first.  A helper that
-    ends with status 1 raises BrokenPipeError here, and one that ends with
-    any other status but 0, or by a signal, raises ChildProcessError.  The
-    helper exits 0 only after sending every token this process waits for,
-    so a token pipe at EOF always comes with a status that raises.
+    other process's blocks (see _write_line).  The helper is a
+    core._Helpers one: the two processes run on disjoint halves of this
+    process's CPUs, the helper ignores SIGINT and ends by os._exit.  This
+    process reaps it on every path: if it raises (a closed pipe, Ctrl-C,
+    out of memory), it kills the helper and waits for it first, and its
+    CPU mask is set back either way.  A helper that ends with status 1
+    raises BrokenPipeError here, and one that ends with any other status
+    but 0, or by a signal, raises ChildProcessError.  The helper exits 0
+    only after sending every token this process waits for, so a token pipe
+    at EOF always comes with a status that raises.  Where os.fork fails,
+    this process writes the line alone.
     """
-    import signal  # loaded only for a line this long; not a module-level import
-
     out.flush()  # so the helper inherits no buffered text to write again
-    cpus = sorted(os.sched_getaffinity(0))
-    half = len(cpus) // 2
     parent_in, helper_out = os.pipe()
     helper_in, parent_out = os.pipe()
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+
+    def helper() -> None:
+        os.close(parent_in)
+        os.close(parent_out)
+        own = (next(blocks(checkpoint)) for checkpoint in checkpoints[1::2])
+        _write_line(out, x, own, fmt, (1, open(helper_in, "rb", closefd=False), helper_out))
+
+    helpers, done = _Helpers("the render helper", 1), False
     try:
-        pid = os.fork()
-    except OSError:  # no process to spare: this process writes the line alone
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        for fd in (parent_in, helper_out, helper_in, parent_out):
-            os.close(fd)
-        _write_line(out, x, blocks(x), fmt)
-        return
-    if not pid:
-        status = 2
         try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            _pin(cpus[half:])
-            os.close(parent_in)
-            os.close(parent_out)
-            own = (next(blocks(checkpoint)) for checkpoint in checkpoints[1::2])
-            _write_line(out, x, own, fmt, (1, open(helper_in, "rb", closefd=False), helper_out))
-            status = 0
-        except BrokenPipeError:
-            status = 1
+            helpers.fork(helper)
+        except OSError:  # no process to spare: this process writes the line alone
+            _write_line(out, x, blocks(x), fmt)
+            return
         finally:
-            os._exit(status)  # never returns into the caller's frames
-    os.close(helper_in)
-    os.close(helper_out)  # so a helper that dies leaves parent_in at EOF
-    status = None
-    try:
-        _pin(cpus[:half])
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            os.close(helper_in)
+            os.close(helper_out)  # so a helper that dies leaves parent_in at EOF
         try:
             own = (next(blocks(checkpoint)) for checkpoint in checkpoints[0::2])
             _write_line(out, x, own, fmt, (0, open(parent_in, "rb", closefd=False), parent_out))
         except EOFError:  # the helper is gone: its status says why
             pass
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        done = True
     finally:
         os.close(parent_in)
         os.close(parent_out)
-        if status is None:
-            # a second Ctrl-C waits until the helper is reaped
-            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        _pin(cpus)
-    if status == 1:
-        raise BrokenPipeError("the render helper met a closed pipe")
-    if status:
-        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-        raise ChildProcessError(f"the render helper {how}")
-
-
-def _pin(cpus: Sequence[int]) -> None:
-    # this process runs on cpus from now on; where the kernel refuses the
-    # mask (an empty half, a cpuset that shrank) it runs where it ran
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+        statuses = helpers.reap(not done)
+    error = helpers.error(statuses[0])
+    if error:
+        raise error
 
 
 # characters of iterate and alpha strings a direct range's line memo holds

@@ -1,14 +1,15 @@
 import contextlib
-import functools
+import io
 import itertools
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+import threading
+import time
 from fractions import Fraction
-from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -332,15 +333,12 @@ def test_alpha_counts_at_a_huge_bound_are_the_class_sizes():
     assert counts[1] == (bound + 1) // 4 and counts[2] == (bound + 7) // 8
 
 
-def test_verify_alpha_counts_start_no_pool(monkeypatch):
+def test_verify_alpha_counts_fork_nothing(monkeypatch, no_fork):
     # four chunks, all within the theorem scan's table, and the alpha counts are closed-form
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     verify_theorems(100001, workers=2)
     empirical_alpha_density(100001, 10)
     empirical_iterate_class_ratio(100001)
-    assert RecordingPool.sizes == []
 
 
 def test_verify_theorems_clean_scan():
@@ -404,7 +402,8 @@ def test_verify_equals_the_record_reference_across_chunks(monkeypatch):
 @contextlib.contextmanager
 def small_table():
     # 64 odd starts per chunk and a table of 128 starts (1..255), so
-    # chunks that join a finished table run at test sizes (in a pool for workers > 1)
+    # chunks that join a finished table run at test sizes (shared with
+    # forked helpers for workers > 1, from _FORK_CHUNKS chunks on)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_CHUNK_ODDS", 64)
         mp.setattr(trajectory, "_TABLE_STARTS", 128)
@@ -419,21 +418,6 @@ def small_table():
 def test_verify_equals_the_record_reference_across_the_table_boundary(bound, workers):
     with small_table():
         assert verify_theorems(bound, workers=workers) == reference_scan(bound)
-
-
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_a_small_table_holds_in_workers_that_do_not_inherit_the_patch(monkeypatch, method):
-    # these workers import trajectory afresh and read the real _TABLE_STARTS
-    # (a pooled chunk only reads its copy of the table, so that must not
-    # matter) and the real _JUMP_BITS, and build their own jump table,
-    # while the fill here jumps by blocks of 2
-    monkeypatch.setattr(
-        analysis, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
-    )
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(trajectory, "_JUMP_BITS", 2)
-    with small_table():
-        assert verify_theorems(3001, workers=2) == reference_scan(3001)
 
 
 def verify_or_error(bound, max_steps):
@@ -495,30 +479,30 @@ def test_the_fills_first_failing_start_is_that_of_the_full_walks(bound, max_step
     assert verify_or_error(bound, max_steps) == expected
 
 
-def test_pooled_chunks_never_grow_the_table(monkeypatch):
-    # in-process pool tasks share the caller's table: the fill leaves it full
-    # (starts 1..255) and no chunk past it adds or changes an entry
-    chunks = []
-
+def test_chunks_past_the_table_never_grow_it(monkeypatch, recorded, chunk_log):
+    # this process's chunks share its table and each helper's its copy: the
+    # fill leaves it full (starts 1..255) and no chunk past it adds or
+    # changes an entry (an AssertionError in a helper is raised here)
     def counting(starts, max_steps, table):
         before = list(table)
         checked = count_walks(starts, max_steps, table)
         if starts.step == 2:  # a chunk past the table, not a block of the fill's walkers
             assert table == before
-            chunks.append((starts, len(before)))
+            chunk_log(os.getpid(), starts.start, starts.stop, len(before))
         return checked
 
     count_walks = trajectory._count_walks
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(trajectory, "_count_walks", counting)
     with small_table():
-        bound = 255 + 128 * analysis._VERIFY_POOL_CHUNKS
+        bound = 255 + 128 * analysis._FORK_CHUNKS
         assert verify_theorems(bound, workers=3) == reference_scan(bound)
-    assert RecordingPool.sizes == [3]
-    # the chunks of 64 starts from 257 to the bound
-    assert chunks == [(range(x, x + 128, 2), 128) for x in range(257, bound, 128)]
+    assert recorded == [3]
+    # the chunks of 64 starts from 257 to the bound, chunk i in process i % 3
+    chunks = sorted(chunk_log.read(), key=lambda line: line[1])
+    assert [line[1:] for line in chunks] == [(x, x + 128, 128) for x in range(257, bound, 128)]
+    assert {line[0] for line in chunks[0::3]} == {os.getpid()}
+    assert os.getpid() not in {line[0] for line in chunks[1::3] + chunks[2::3]}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -552,17 +536,20 @@ def test_verify_budget_exhaustion_names_the_reference_start(bound, max_steps, wo
         assert verify_theorems(bound, max_steps, workers=workers) == expected
 
 
-def test_budget_exhaustion_in_a_pool_worker_reaches_the_caller():
-    # the table (starts 1..2**18-1) fills in this process, the chunks past
-    # it run in a real pool (with two CPUs) and the error is pickled.  Every
-    # start below 2**18 takes at most 164 odd steps, so the first start over
-    # that budget, 410011, lies in the third chunk
+def test_budget_exhaustion_in_a_scan_helper_reaches_the_caller(monkeypatch, recorded):
+    # the table (starts 1..2**18-1) fills in this process, and of three
+    # processes helper 2 runs the third chunk past it.  Every start below
+    # 2**18 takes at most 164 odd steps, and the first start over that
+    # budget, 410011, lies in that chunk: its error is pickled
     assert 2 * trajectory._TABLE_STARTS < 410_011
-    bound = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * analysis._VERIFY_POOL_CHUNKS
-    for workers in (2, 1):
+    assert (410_011 - 2**18) // (2 * analysis._CHUNK_ODDS) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    bound = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * max(analysis._FORK_CHUNKS, 3)
+    for workers in (3, 1):
         with pytest.raises(MaxStepsExceeded) as got:
             verify_theorems(bound, 164, workers=workers)
         assert (got.value.start, got.value.max_steps) == (410_011, 164)
+    assert recorded == [3]
 
 
 @pytest.mark.parametrize("bound", ["10**9", "10**12", "10**30"])
@@ -582,155 +569,231 @@ def test_a_huge_bound_keeps_the_table_bounded(bound):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9 5\n", "")
 
 
-class RecordingPool:
-    # stands in for ProcessPoolExecutor: records max_workers, the initializer's
-    # arguments and the submitted tasks.  Each task runs in-process when it is
-    # submitted, by the work its workers would receive from initargs; the
-    # initializer itself would make this process ignore SIGINT, so it never runs
+class RecordingHelpers(analysis._Helpers):
+    # core._Helpers as the scan driver uses it, recording how many processes
+    # each forked scan runs on, this one included
     sizes = []
-    initargs = []
-    tasks = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        self.initargs.append(initargs)
-        (self.work,) = initargs
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        self.tasks.append(task)
-        future = Future()
-        try:
-            future.set_result(self.work(task))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+    def __init__(self, name, count):
+        super().__init__(name, count)
+        self.sizes.append(count + 1)
 
 
-def test_the_table_reaches_a_pool_once_and_tasks_carry_only_their_chunk(monkeypatch):
-    # the join table goes to the pool once, as the argument of its workers'
-    # initializer; every task is a range of at most _CHUNK_ODDS odd starts
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+@pytest.fixture
+def recorded(monkeypatch):
+    # the process counts of the scans that fork, in order
+    monkeypatch.setattr(analysis, "_Helpers", RecordingHelpers)
+    monkeypatch.setattr(RecordingHelpers, "sizes", [])
+    return RecordingHelpers.sizes
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    # a scan that forks fails
+    monkeypatch.setattr(os, "fork", refuse_fork)
+
+
+@pytest.fixture
+def chunk_log(tmp_path):
+    # log(*ints) appends one line from any process, helpers included;
+    # log.read() gives the lines as tuples of ints
+    path = tmp_path / "chunks.log"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def log(*fields):
+        os.write(fd, " ".join(map(str, fields)).encode() + b"\n")
+
+    log.read = lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+    yield log
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def real_cpus():
+    # a forked scan sets back the mask it read, which a test may fake: the
+    # real one comes back after each test
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+
+
+def test_every_chunk_is_a_range_of_starts_run_once(monkeypatch, recorded, chunk_log):
+    # each helper inherits the work with its join table: every chunk is a
+    # range of at most _CHUNK_ODDS odd starts, run once, by process i % 2
+    def logging(starts, max_steps, table):
+        chunk_log(os.getpid(), starts.start, starts.stop, starts.step)
+        return count_walks(starts, max_steps, table)
+
+    count_walks = trajectory._count_walks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(RecordingPool, "initargs", [])
-    monkeypatch.setattr(RecordingPool, "tasks", [])
+    monkeypatch.setattr(trajectory, "_count_walks", logging)
     with small_table():
-        bound = 255 + 128 * analysis._VERIFY_POOL_CHUNKS + 64  # half a chunk more
+        bound = 255 + 128 * analysis._FORK_CHUNKS + 64  # half a chunk more
         assert verify_theorems(bound, 999, workers=2) == reference_scan(bound, 999)
-        ((work,),) = RecordingPool.initargs
-        assert (work.func, work.args, work.keywords["max_steps"]) == (trajectory._count_walks, (), 999)
-        assert work.keywords["table"] == [0] + [trajectory_direct(x).odd_length for x in range(3, 256, 2)]
-        tasks = RecordingPool.tasks
-        assert all(type(t) is range and t.step == 2 and len(t) <= analysis._CHUNK_ODDS for t in tasks)
-    assert RecordingPool.sizes == [2]
-    assert list(itertools.chain(*tasks)) == list(range(257, bound + 1, 2))
+        chunks = sorted((line for line in chunk_log.read() if line[3] == 2), key=lambda line: line[1])
+        assert all(0 < len(range(*line[1:])) <= analysis._CHUNK_ODDS for line in chunks)
+    assert recorded == [2]
+    assert list(itertools.chain(*(range(*line[1:]) for line in chunks))) == list(range(257, bound + 1, 2))
+    assert {line[0] for line in chunks[0::2]} == {os.getpid()}
+    assert os.getpid() not in {line[0] for line in chunks[1::2]}
 
 
-@pytest.mark.parametrize("cpus,expected", [(64, [7]), (2, [2]), (1, []), (None, [])])
-def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, cpus, expected):
-    # without os.sched_getaffinity the clamp counts every CPU
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+@pytest.mark.parametrize("cpus,expected", [(range(64), [7]), ({0, 1}, [2]), ({0}, []), (None, [])])
+def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, recorded, cpus, expected):
+    # without os.sched_getaffinity nothing forks
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(analysis, "_FORK_CHUNKS", 1)
     starts = range(3, 7 * 2 * 2**15, 2)  # 7 chunks
-    reference = list(analysis._run_chunks(analysis._drift_chunk, starts, 1, 1))
-    assert RecordingPool.sizes == []
-    assert list(analysis._run_chunks(analysis._drift_chunk, starts, 10**9, 1)) == reference
-    assert RecordingPool.sizes == expected
-
-
-class NoPool:
-    # stands in for ProcessPoolExecutor: a scan that builds one fails
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a pool was started")
+    reference = list(analysis._run_chunks(analysis._drift_chunk, starts, 1))
+    assert recorded == []
+    assert list(analysis._run_chunks(analysis._drift_chunk, starts, 10**9)) == reference
+    assert recorded == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the CPUs a process may run on are not known")
-def test_a_process_pinned_to_one_cpu_scans_without_a_pool(monkeypatch):
-    # two CPUs in the machine, one the process may run on: the scans of as
-    # many chunks as each pools from run in-process
+def test_a_process_pinned_to_one_cpu_scans_without_forking(monkeypatch, no_fork):
+    # two CPUs in the machine, one the process may run on: scans of as many
+    # chunks as fork elsewhere run in-process
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
-    bound = 2**18 + 1 + 2 * analysis._CHUNK_ODDS * (analysis._VERIFY_POOL_CHUNKS - 1)
+    chunks = max(analysis._FORK_CHUNKS, 32)
+    bound = 2**18 + 1 + 2 * analysis._CHUNK_ODDS * (chunks - 1)
     assert verify_theorems(bound, workers=2) == verify_theorems(bound, workers=1)
-    assert empirical_drift(2097151, workers=2) == empirical_drift(2097151, workers=1)
+    bound = 3 + 2 * analysis._CHUNK_ODDS * (chunks - 1)
+    assert empirical_drift(bound, workers=2) == empirical_drift(bound, workers=1)
 
 
-@pytest.mark.parametrize("chunks,expected", [(1, []), (31, []), (32, [2]), (40, [2])])
-def test_drift_starts_a_pool_from_32_chunks_on(monkeypatch, chunks, expected):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+def test_a_scan_beside_a_second_thread_forks_nothing(monkeypatch, no_fork):
+    # a fork copies only the calling thread: with a second one alive, a scan
+    # of as many chunks as forks on its own runs in-process, with the same result
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    bound = 3 + 2 * analysis._CHUNK_ODDS * (max(analysis._FORK_CHUNKS, 32) - 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = empirical_drift(bound, workers=2)
+    finally:
+        stop.set()
+        thread.join()
+    assert got == empirical_drift(bound, workers=1)
+
+
+EDGES = [1, analysis._FORK_CHUNKS - 1, analysis._FORK_CHUNKS, analysis._FORK_CHUNKS + 8]
+
+
+@pytest.mark.parametrize("chunks", EDGES)
+def test_drift_forks_from_the_threshold_on(monkeypatch, recorded, chunks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
     bound = 3 + 2 * 4 * (chunks - 1)  # the first odd of the last chunk
     reference = empirical_drift(bound)
     assert empirical_drift(bound, workers=2) == reference
-    assert RecordingPool.sizes == expected
+    assert recorded == ([2] if chunks >= analysis._FORK_CHUNKS else [])
 
 
-@pytest.mark.parametrize("chunks,expected", [(1, []), (11, []), (12, [2]), (20, [2])])
-def test_verify_starts_a_pool_from_12_chunks_past_its_table_on(monkeypatch, chunks, expected):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+@pytest.mark.parametrize("chunks", EDGES)
+def test_verify_forks_from_the_threshold_past_its_table_on(monkeypatch, recorded, chunks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     with small_table():
         bound = 257 + 2 * 64 * (chunks - 1)  # the first odd of the last chunk past the table of 1..255
         reference = verify_theorems(bound)
         assert verify_theorems(bound, workers=2) == reference
-    assert RecordingPool.sizes == expected
+    assert recorded == ([2] if chunks >= analysis._FORK_CHUNKS else [])
 
 
-def test_a_pool_scan_keeps_a_bounded_window_of_tasks(monkeypatch):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+def test_a_helper_runs_ahead_by_at_most_a_pipe_and_an_early_close_ends_it(monkeypatch, recorded, chunk_log):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(RecordingPool, "tasks", [])
+    monkeypatch.setattr(analysis, "_FORK_CHUNKS", 1)
+
+    def first(chunk):
+        chunk_log(os.getpid(), chunk[0])
+        return chunk[0]
+
     # about 15 million chunks; each result is its chunk's first odd
-    results = analysis._run_chunks(lambda chunk: chunk[0], range(1, 10**12, 2), 2, 1)
+    results = analysis._run_chunks(first, range(1, 10**12, 2), 2)
     assert list(itertools.islice(results, 5)) == [1 + 2 * 2**15 * i for i in range(5)]
+    time.sleep(0.5)  # time to run ahead as far as the pipe lets it
     results.close()
-    assert RecordingPool.sizes == [2]
-    assert len(RecordingPool.tasks) <= 5 + 2 * 2
+    assert recorded == [2]
+    helper = [line for line in chunk_log.read() if line[0] != os.getpid()]
+    # the results read, a 64 KiB pipe and this process's read buffer full of
+    # results of at least this size, one being written and one chunk being run
+    held = (2**16 + io.DEFAULT_BUFFER_SIZE) // len(pickle.dumps((True, 2**16 + 1)))
+    assert 2 < len(helper) <= 2 + held + 2
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(helper[0][0], 0)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_a_pool_scan_yields_every_chunk_in_order(monkeypatch, workers):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+def test_a_forked_scan_yields_every_chunk_in_order(monkeypatch, recorded, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    chunks = list(analysis._run_chunks(lambda chunk: chunk, range(1, 98, 2), workers, 1))
-    assert chunks == list(analysis._run_chunks(lambda chunk: chunk, range(1, 98, 2), 1, 1))
+    monkeypatch.setattr(analysis, "_FORK_CHUNKS", 1)
+    got = list(analysis._run_chunks(lambda chunk: (chunk, os.getpid()), range(1, 98, 2), workers))
+    chunks = [chunk for chunk, _ in got]
+    assert chunks == list(analysis._run_chunks(lambda chunk: chunk, range(1, 98, 2), 1))
     assert chunks[0] == range(1, 9, 2) and chunks[-1] == range(97, 98, 2) and len(chunks) == 13
+    # chunk i ran in process i % workers, this one for 0
+    pids = [[pid for _, pid in got[role::workers]] for role in range(workers)]
+    assert [set(p) for p in pids][0] == {os.getpid()} and len({p[0] for p in pids}) == workers
+    assert all(len(set(p)) == 1 for p in pids)
+    assert recorded == [workers]
 
 
-def _sigint_handler(task):
-    return signal.getsignal(signal.SIGINT)
+def _sigint_state(chunk):
+    return signal.getsignal(signal.SIGINT), signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
 
-def test_pool_workers_ignore_sigint(monkeypatch):
-    # a real pool: Ctrl-C reaches the workers too, and only the parent reports it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_helpers_ignore_sigint_which_is_held_across_each_fork(monkeypatch):
+    # Ctrl-C reaches the helpers too, and only this process may report it;
+    # a SIGINT during a fork would reach the helper before it ignores SIGINT
+    fork, held = os.fork, []
+
+    def recording_fork():
+        held.append(signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    assert set(analysis._run_chunks(_sigint_handler, range(1, 98, 2), 2, 1)) == {signal.SIG_IGN}
+    monkeypatch.setattr(analysis, "_FORK_CHUNKS", 1)
+    states = list(analysis._run_chunks(_sigint_state, range(1, 98, 2), 3))
+    assert held == [True, True]
+    assert set(states[0::3]) == {(signal.getsignal(signal.SIGINT), False)}
+    assert set(states[1::3] + states[2::3]) == {(signal.SIG_IGN, False)}
+    assert not _sigint_state(None)[1]
 
 
-def _sigint_blocked(task):
-    return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+@pytest.mark.parametrize("scan", ["drift", "verify"])
+def test_a_failed_fork_scans_in_this_process(monkeypatch, recorded, scan):
+    # the second fork fails: the first helper is killed and reaped, and this
+    # process runs every chunk, with its own CPUs back
+    fork, forks = os.fork, []
 
+    def failing_fork():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(fork())
+        return forks[-1]
 
-def test_sigint_is_held_while_a_task_is_submitted(monkeypatch):
-    # submit may fork a worker: a SIGINT during the fork would be lost in the
-    # at-fork hooks, or reach the worker before it ignores SIGINT
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 4)
-    assert set(analysis._run_chunks(_sigint_blocked, range(1, 98, 2), 2, 1)) == {True}
-    assert not _sigint_blocked(None)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with small_table():
+        bound = 255 + 128 * analysis._FORK_CHUNKS
+        if scan == "drift":
+            got, reference = empirical_drift(bound, workers=3), empirical_drift(bound)
+        else:
+            got, reference = verify_theorems(bound, workers=3), reference_scan(bound)
+    assert got == reference
+    assert recorded == [3] and len(forks) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forks[0], 0)

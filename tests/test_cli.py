@@ -436,7 +436,7 @@ def test_verify_reports_its_single_error(argv, line):
     ],
 )
 def test_verify_refuses_max_alpha_before_the_scan(monkeypatch, argv, line):
-    # the density check is closed form, so no range is walked and no pool started
+    # the density check is closed form, so no range is walked and nothing forked
     def scan(*args, **kwargs):
         raise AssertionError("verify scanned before its density check")
 
@@ -672,94 +672,81 @@ def test_a_joined_range_is_written_in_bounded_memory():
 
 
 # the odd starts below 2**18 fill verify's table in the calling process, and
-# this bound puts the fewest chunks past it that verify pools
-POOLED_VERIFY_BOUND = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * analysis._VERIFY_POOL_CHUNKS
+# this bound puts the fewest chunks past it from which verify forks helpers
+FORKED_VERIFY_BOUND = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * analysis._FORK_CHUNKS
 
 
-def test_budget_exhaustion_in_a_pool_worker_exits_3():
-    # the chunks past the table go to the pool; every start below 2**18
-    # takes at most 164 odd steps, so the first over budget (410011, in the
-    # third chunk) is met in a worker
+# every start below 2**18 takes at most 164 odd steps, so the first start
+# over budget is past the table: 410011 in the third chunk past it, which
+# this process runs of two, or 626331 in the sixth, which the helper runs
+@pytest.mark.parametrize("budget,start", [(164, 410011), (180, 626331)])
+def test_budget_exhaustion_in_a_forked_scan_exits_3_at_the_single_process_start(budget, start):
     def verify(workers):
         return subprocess.run(
-            [sys.executable, "-m", "collatzkit", "verify", "--bound", str(POOLED_VERIFY_BOUND), "--workers", workers],
+            [sys.executable, "-m", "collatzkit", "verify", "--bound", str(FORKED_VERIFY_BOUND), "--workers", workers],
             capture_output=True,
-            env={**os.environ, "COLLATZ_MAX_STEPS": "164"},
+            env={**os.environ, "COLLATZ_MAX_STEPS": str(budget)},
             timeout=120,
         )
 
-    pooled, single = verify("2"), verify("1")
-    assert (pooled.returncode, pooled.stdout, pooled.stderr) == (3, b"", single.stderr)
+    forked, single = verify("2"), verify("1")
+    assert (forked.returncode, forked.stdout, forked.stderr) == (3, b"", single.stderr)
     assert single.returncode == 3
-    assert single.stderr == b"error: budget of 164 steps exhausted starting from 410011\n"
+    assert single.stderr == f"error: budget of {budget} steps exhausted starting from {start}\n".encode()
 
 
-class BrokenPool:
-    # stands in for ProcessPoolExecutor: a worker died before returning
-    def __init__(self, max_workers, initializer, initargs):
-        pass
+def dying_in_helpers(chunk_function):
+    # chunk_function, but a helper that calls it kills itself
+    caller = os.getpid()
 
-    def __enter__(self):
-        return self
+    def dying(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk_function(*args, **kwargs)
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        future = Future()
-        future.set_exception(BrokenProcessPool("A process in the process pool was terminated abruptly"))
-        return future
+    return dying
 
 
-# verify pools only the theorem-scan chunks past its table; drift pools
-# only a scan of 32 chunks or more
-@pytest.mark.parametrize("argv", [["verify", "--bound", str(POOLED_VERIFY_BOUND)], ["drift", "--bound", "2097151"]])
-def test_a_dead_pool_worker_exits_1_with_one_line(monkeypatch, argv):
-    from collatzkit import analysis
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", BrokenPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+# verify forks only for the theorem-scan chunks past its table; drift for a
+# scan of _FORK_CHUNKS chunks or more
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a scan forks only with two usable CPUs"
+)
+@pytest.mark.parametrize(
+    "argv", [["verify", "--bound", str(FORKED_VERIFY_BOUND)], ["drift", "--bound", str(FORKED_VERIFY_BOUND)]]
+)
+def test_a_dead_scan_helper_exits_1_with_one_line(monkeypatch, argv):
+    monkeypatch.setattr(analysis, "_drift_chunk", dying_in_helpers(analysis._drift_chunk))
+    monkeypatch.setattr(trajectory, "_count_walks", dying_in_helpers(trajectory._count_walks))
     out, err = io.StringIO(), io.StringIO()
     assert run([*argv, "--workers", "2"], out, err) == 1
-    assert err.getvalue() == (
-        "error: a worker process died: A process in the process pool was terminated abruptly\n"
-    )
+    assert (out.getvalue(), err.getvalue()) == ("", "error: a worker process died: a scan helper was killed by signal 9\n")
 
 
 # the command's child: a SIGINT before its ready line would land in
-# interpreter start-up, before any collatzkit handler exists
+# interpreter start-up, before any collatzkit handler exists.  Its forked
+# scan runs for well over a second on two CPUs, past the latest delay below
 INTERRUPTIBLE = """
 import sys
 from collatzkit import cli
 print("ready", flush=True)
-sys.argv = ["collatzkit", "verify", "--bound", "4000001", "--workers", "2"]
+sys.argv = ["collatzkit", "verify", "--bound", "8000001", "--workers", "2"]
 cli.main()
 """
 
 
-# from the ready line: before, during and after the pool's start-up, which
+# from the ready line: before, during and after the helpers' fork, which
 # follows the theorem scan's in-process table chunks
 @pytest.mark.parametrize("delay", [0.05, 0.1, 0.15, 0.25, 0.4, 0.6])
-def test_ctrl_c_during_a_pooled_scan_exits_1_with_one_line(delay):
-    # a terminal's Ctrl-C sends SIGINT to the whole process group, workers
-    # included; only the parent may report it
-    proc = subprocess.Popen(
-        [sys.executable, "-c", INTERRUPTIBLE],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-    )
-    try:
+def test_ctrl_c_during_a_forked_scan_exits_1_with_one_line(delay):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group, helpers
+    # included; only the parent may report it, and no helper is left
+    proc = in_session(["-c", INTERRUPTIBLE])
+    with no_process_left(proc):
         assert proc.stdout.readline() == b"ready\n"
         time.sleep(delay)
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
-    finally:
-        with contextlib.suppress(ProcessLookupError):  # the workers too, should the scan hang
-            os.killpg(proc.pid, signal.SIGKILL)
     assert b"Traceback" not in err
     assert (proc.returncode, err) == (1, b"error: interrupted\n")
 
@@ -958,11 +945,11 @@ def test_a_profiled_command_still_prints_its_stats():
     assert "function calls" in stats
 
 
-def test_no_process_outlives_a_pooled_verify():
+def test_no_process_outlives_a_forked_verify():
     # the command runs in a session of its own: once it has exited, no
-    # process of that group (a pool worker) may be left
+    # process of that group (a scan helper) may be left
     proc = subprocess.Popen(
-        [sys.executable, "-m", "collatzkit", "verify", "--bound", str(POOLED_VERIFY_BOUND), "--workers", "2"],
+        [sys.executable, "-m", "collatzkit", "verify", "--bound", str(FORKED_VERIFY_BOUND), "--workers", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
@@ -970,7 +957,7 @@ def test_no_process_outlives_a_pooled_verify():
     try:
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"")
-        assert out.startswith(f"theorem scan: bound={POOLED_VERIFY_BOUND} trajectories={(POOLED_VERIFY_BOUND + 1) // 2} ".encode())
+        assert out.startswith(f"theorem scan: bound={FORKED_VERIFY_BOUND} trajectories={(FORKED_VERIFY_BOUND + 1) // 2} ".encode())
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
     finally:
@@ -1152,6 +1139,65 @@ def test_the_two_processes_of_a_shared_line_run_on_disjoint_cpus_and_the_command
     assert parent | other == before == after
 
 
+# each process logs the CPUs it may run on as it runs each chunk past the
+# table; the command logs them before the scan and after run() returns
+SCAN_MASKS = """
+import os, sys
+from collatzkit import cli, trajectory
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+def mask(when):
+    cpus = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+    os.write(log, f"{os.getpid()} {when} {cpus}\\n".encode())
+count_walks = trajectory._count_walks
+def logged(starts, max_steps, table):
+    if starts.step == 2:  # a chunk past the table, not a block of the fill's walkers
+        mask("chunk")
+    return count_walks(starts, max_steps, table)
+trajectory._count_walks = logged
+mask("before")
+code = cli.run(sys.argv[2:])
+mask("after")
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a scan forks only with two usable CPUs"
+)
+def test_the_processes_of_a_forked_scan_run_on_disjoint_cpus_and_the_command_gets_its_own_back(tmp_path):
+    log = tmp_path / "masks.log"
+    log.touch()
+    argv = ["verify", "--bound", str(FORKED_VERIFY_BOUND), "--workers", "2"]
+    proc = in_session(["-c", SCAN_MASKS, str(log), *argv])
+    with no_process_left(proc):
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (0, run_main(["-m", "collatzkit", *argv])[1], b"")
+    masks = {}  # (pid, when) -> the masks logged
+    for line in log.read_text().splitlines():
+        pid, when, *cpus = line.split()
+        masks.setdefault((int(pid), when), set()).add(frozenset(map(int, cpus)))
+    (before,), (after,) = masks[proc.pid, "before"], masks[proc.pid, "after"]
+    # one mask per process, for every chunk it ran, and two processes
+    chunks = {pid: found for (pid, when), found in masks.items() if when == "chunk"}
+    assert len(chunks) == 2 and all(len(found) == 1 for found in chunks.values())
+    slices = [found.pop() for found in chunks.values()]
+    assert all(slices) and not slices[0] & slices[1]
+    assert slices[0] | slices[1] == before == after
+
+
+# one chunk, the fewest that fork, and 48 chunks past verify's table and of drift
+SCAN_SIZES = [1, analysis._FORK_CHUNKS, 48]
+
+
+@pytest.mark.parametrize("chunks", SCAN_SIZES)
+@pytest.mark.parametrize("command", ["verify", "drift"])
+def test_a_scan_prints_the_same_bytes_for_any_worker_count(command, chunks):
+    first = 2**18 + 1 if command == "verify" else 3
+    bound = str(first + 2 * analysis._CHUNK_ODDS * (chunks - 1))
+    outputs = [invoke(command, "--bound", bound, "--workers", workers) for workers in ("1", "2", "3")]
+    assert outputs[0][0] == 0 and outputs[1:] == outputs[:1] * 2
+
+
 # os.fork refused: a command that reaches it fails
 NO_FORK = """
 import io, os, sys, threading, time
@@ -1174,7 +1220,7 @@ def test_a_walk_over_budget_forks_nothing(method):
         assert err == f"error: budget of 24130 steps exhausted starting from {BIG}\n".encode()
 
 
-def test_run_and_a_watched_main_never_fork():
+def test_run_and_a_watched_main_render_a_walk_line_alone():
     # run() to sys.stdout and to a StringIO, then main() with a second
     # thread alive: each writes the line of 2**5000-1 alone
     script = NO_FORK + (

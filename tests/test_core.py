@@ -174,7 +174,7 @@ def test_reverse_to_starter_budget():
 
 
 def test_max_steps_exceeded_pickles():
-    # a pool worker sends the error back pickled; it must keep its fields
+    # a scan helper sends the error back pickled; it must keep its fields
     exc = MaxStepsExceeded(2**70 + 1, 5)
     copy = pickle.loads(pickle.dumps(exc))
     assert type(copy) is MaxStepsExceeded

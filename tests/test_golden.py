@@ -58,7 +58,7 @@ def test_readme_example_stdout_is_unchanged(example):
 
 # (sha256 of stdout, exit code) per command line: every subcommand in each
 # of its --format choices, both walk methods, both alpha-table modes, each
-# drift input and a pooled verify, plus domain and usage errors.  Leading
+# drift input and a verify past its table, plus domain and usage errors.  Leading
 # NAME=value words set environment variables for the command
 MATRIX = {
     "classify 7": ("1a32683cde84359d68de46eda08449371508e8b5126769c28887c66d151ab4f5", 0),
@@ -168,8 +168,9 @@ MATRIX = {
     "verify --bound 70001 --workers 2": ("fa238126c6ea06bffc831c997d8f8e50cdfffcbf04d67ff72b660d63c74d0e1f", 0),
     "verify --bound 70001 --workers 2 --format json": ("3b5a84517b4624000a35fe6afc959e30b07e98a27d6e5ac5e55521d898f479a3", 0),
     "verify --bound 70001 --workers 2 --format csv": ("0bf735e522c5d7c71a6083c8369dce3d90044b9c9932e6ae1be457ece2feb761", 0),
-    # past the 2**18 join table, in a pool; and a budget whose first failing
-    # start, 410011, lies past it (every start below 262144 takes at most 164)
+    # past the 2**18 join table, in this process (13 chunks, fewer than a
+    # scan forks for); and a budget whose first failing start, 410011, lies
+    # past it (every start below 262144 takes at most 164)
     "verify --bound 1048577 --workers 2": ("728d91f804045709abf36d5c8c5ee3fc6f8a36e0f110bcbcb937d294cd3734d2", 0),
     "verify --bound 1048577 --workers 2 --format json": ("2d4299e72a21c21544a7829ff91b514328124908052ec2c8566faaf68f80a1fb", 0),
     "COLLATZ_MAX_STEPS=164 verify --bound 1048577": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),

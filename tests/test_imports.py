@@ -2,8 +2,10 @@
 
 `import collatzkit` loads no submodule: the package and `cli` import a
 library module when a name from it is first read or a command that uses it
-runs.  concurrent.futures brings in multiprocessing, logging, pickle,
-socket and subprocess, and loads only when a scan starts a pool.  The
+runs.  No command loads concurrent.futures, which brings in
+multiprocessing, logging, pickle, socket and subprocess: a scan with
+--workers forks its helpers with os.fork, and only such a scan loads
+pickle, to send results back.  The
 result records are named tuples, so dataclasses (and with it inspect) is
 never loaded, and json loads only for JSON output.  argparse (with gettext
 and locale) loads only for help and for lines the table parser hands on:
@@ -53,12 +55,14 @@ def loaded_after(code, mods):
     [
         "import collatzkit.cli; collatzkit.cli.build_parser()",
         "import collatzkit.cli; collatzkit.cli.run(['classify', '7'])",
-        # one chunk, so the worker clamp leaves a single worker and no pool
+        # one chunk, so the worker clamp leaves a single process
         "import collatzkit.cli; collatzkit.cli.run(['verify', '--bound', '1001', '--workers', '2'])",
+        # 32 chunks: a scan that forks helpers where two CPUs are usable
+        "import collatzkit.cli; collatzkit.cli.run(['drift', '--bound', '2097151', '--workers', '2'])",
     ],
-    ids=["build_parser", "classify", "verify-one-chunk"],
+    ids=["build_parser", "classify", "verify-one-chunk", "drift-forked"],
 )
-def test_single_process_commands_do_not_load_the_pool_stack(code):
+def test_commands_do_not_load_the_pool_stack(code):
     assert loaded_after(code, POOL_STACK) == []
 
 
@@ -105,8 +109,8 @@ def test_json_output_loads_json():
     assert loaded_after(code, RECORD_STACK) == ["json"]
 
 
-def test_a_pooled_scan_gives_the_single_process_output():
-    # 32 chunks, the fewest a drift scan pools: a real pool where the process may run on two CPUs
+def test_a_forked_scan_gives_the_single_process_output():
+    # 32 chunks: helpers forked where the process may run on two CPUs
     def drift(workers):
         argv = [sys.executable, "-m", "collatzkit", "drift", "--bound", "2097151", "--workers", workers]
         return subprocess.run(argv, capture_output=True, env=ENV, timeout=120, check=True).stdout
@@ -115,7 +119,7 @@ def test_a_pooled_scan_gives_the_single_process_output():
 
 
 def test_the_pool_class_stays_a_module_attribute():
-    # tests and the benchmark's tracer replace it there
+    # the benchmark's tracer reads and replaces it there, though no scan uses it
     from collatzkit import analysis
 
     assert hasattr(analysis, "ProcessPoolExecutor")
