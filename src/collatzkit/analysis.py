@@ -41,42 +41,61 @@ properties are lemmas:
   the walk stops.
 
 So the scan only walks and counts, and its report holds no witnesses (the
-CLI prints the zero violation counts as constants).  Its kernels, in
-trajectory, join each walk onto a table of the counts of the odd starts
-from 1 on, by the one join rule of the trajectory module's docstring, and
-walk by that docstring's block rule (k Terras steps in one multiply-add,
-with the budget checked per block), so the report and the first failing
-start are those of the full walks.  The table fills in the calling
-process (trajectory._fill_table): its x == 1 (mod 4) half, whose iterates
-decrease at once, is read off the table by alpha class and not walked.
-Only the chunks past it are shared with helpers, which inherit
-trajectory._count_walks with the filled table.  This module imports
-trajectory only when verify_theorems runs, so drift and alpha-table never
-load it.
+CLI prints the zero violation counts as constants).  Its kernels join each
+walk onto a table of the counts of the odd starts from 1 on, by the one
+join rule of the trajectory module's docstring, and walk by the core
+module's block rule (k Terras steps in one multiply-add, with the budget
+checked per block), so the report and the first failing start are those
+of the full walks.  The table fills in the calling process, and only the
+chunks past it are shared with helpers, which inherit _count_walks with
+the filled table.
+
+The table (_fill_table) holds at most _TABLE_STARTS starts and is filled
+by blocks lo..hi, in order, with 3*hi + 1 < 4*lo.  Half of a block is
+read off the table, not walked.  Each x == 1 (mod 4) has 3x+1 == 0
+(mod 4), so alpha >= 2 and its iterate y = (3x+1) >> alpha is at most
+(3x+1)/4 < lo: y's count is already in the table, and x's is that plus
+1.  Alpha = a holds on the one odd class x == r (mod m = 2**(a+1)); as x
+steps by m, 3x+1 steps by 3m and y by 3m >> a = 6, so y's table index
+y >> 1 steps by 3, and the class's counts in the block are one slice of
+the table, table[i : i + 3n : 3], plus 1.  The block's x == 3 (mod 4)
+are then walked in order by _count_walks, whose reach is x - 2: every odd
+start below x is in the table by then.  No entry exceeds max_steps, so a
+sliced count is over budget exactly when its table[y] is max_steps; the
+walks below the block's first such start go first, and the fill raises
+at that start only if none of them fails, so the first failing start is
+again that of the full walks.
+
+This module loads trajectory only for the benchmark tracer's
+trajectory_direct name (__getattr__), which no command reads; fractions
+only where a Fraction is built (the series, and the two series limits on
+first read); and _fork only for a scan large enough to share.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial
 from itertools import chain, cycle, starmap
 from operator import sub
 from typing import NamedTuple
 
 from .core import (
+    _JUMP_BITS,
     DEFAULT_MAX_STEPS,
     DomainError,
-    _Helpers,
-    _may_fork,
+    MaxStepsExceeded,
+    _jump_table,
     _raw_step,
     _require_count,
     _require_odd,
     alpha_residue_class,
 )
 
-INCREASE_SERIES_LIMIT = Fraction(3)
-DECREASE_SERIES_LIMIT = Fraction(1, 4)
+# INCREASE_SERIES_LIMIT = Fraction(3) and DECREASE_SERIES_LIMIT =
+# Fraction(1, 4) are made on first read (__getattr__), so that only code
+# that builds a Fraction loads the fractions module
+_SERIES_LIMITS = {"INCREASE_SERIES_LIMIT": (3, 1), "DECREASE_SERIES_LIMIT": (1, 4)}
 EMPIRICAL_TARGET = 0.75  # heuristic per-step factor reported with the measured value
 EMPIRICAL_TOLERANCE = 0.05
 
@@ -95,6 +114,10 @@ ProcessPoolExecutor = None
 
 
 def __getattr__(name: str):
+    if name in _SERIES_LIMITS:
+        from fractions import Fraction
+
+        return globals().setdefault(name, Fraction(*_SERIES_LIMITS[name]))
     # perfbench/tracing.py wraps analysis.trajectory_direct by name; nothing
     # here calls it, and ROADMAP item 1 deletes this
     if name == "trajectory_direct":
@@ -162,6 +185,8 @@ def drift_series_increase(n_terms: int) -> Fraction:
     The 2**-h share of odd integers with an alpha=1 run of length h climbs
     by roughly (3/2)**h, giving the weighted terms (3/4)**h.
     """
+    from fractions import Fraction
+
     _require_count(n_terms, 1, "n_terms")
     return _geometric_partial(Fraction(3, 4), n_terms)
 
@@ -174,6 +199,8 @@ def drift_series_decrease_parts(n_terms: int) -> tuple[Fraction, Fraction]:
     contribute (3/4)*sum((1/16)**n) -> 1/20 and the even alphas (2, 4, ...)
     contribute 3*sum((1/16)**n) -> 1/5.
     """
+    from fractions import Fraction
+
     _require_count(n_terms, 1, "n_terms")
     s = _geometric_partial(Fraction(1, 16), n_terms)
     return Fraction(3, 4) * s, 3 * s
@@ -215,16 +242,17 @@ def _run_chunks(work, starts: range, workers: int):
     # the one scan driver: yields work(chunk) for each slice of _CHUNK_ODDS
     # of starts, in order.  Slices are made only as they are due, in every
     # process, so each holds one at a time however long starts is.  A scan
-    # of at least _FORK_CHUNKS chunks with workers > 1 runs in this process
-    # and workers - 1 forked helpers where core._may_fork allows, never more
-    # processes than chunks or usable CPUs; any other scan, and one whose
-    # fork fails, runs here alone.  Of W processes, helper r runs chunks r,
-    # r + W, ... and sends each result, or the exception its chunk raised,
-    # pickled down a pipe of its own; this process runs chunks 0, W, ... and
-    # yields every result, or raises the exception, at its chunk's turn.  So
-    # a helper runs ahead by at most what its pipe and this process's read
-    # buffer hold.  Whatever ends the scan, each helper is killed and reaped
-    # (core._Helpers); a helper whose pipe ends early raises ChildProcessError
+    # of at least _FORK_CHUNKS chunks with workers > 1 loads _fork, and runs
+    # in this process and workers - 1 forked helpers where _fork._may_fork
+    # allows, never more processes than chunks or usable CPUs; any other
+    # scan, and one whose fork fails, runs here alone.  Of W processes,
+    # helper r runs chunks r, r + W, ... and sends each result, or the
+    # exception its chunk raised, pickled down a pipe of its own; this
+    # process runs chunks 0, W, ... and yields every result, or raises the
+    # exception, at its chunk's turn.  So a helper runs ahead by at most
+    # what its pipe and this process's read buffer hold.  Whatever ends the
+    # scan, each helper is killed and reaped (_fork._Helpers); a helper
+    # whose pipe ends early raises ChildProcessError
     import os  # loaded at interpreter start; not a module-level import
 
     firsts = starts[::_CHUNK_ODDS]
@@ -233,8 +261,10 @@ def _run_chunks(work, starts: range, workers: int):
         return range(x, min(x + firsts.step, starts.stop), starts.step)
 
     # (a sliced range has a len() even where the whole one is too long for it)
-    if workers > 1 and len(firsts[:_FORK_CHUNKS]) == _FORK_CHUNKS and _may_fork():
-        workers = min(len(firsts[:workers]), len(os.sched_getaffinity(0)))
+    if workers > 1 and len(firsts[:_FORK_CHUNKS]) == _FORK_CHUNKS:
+        from . import _fork
+
+        workers = min(len(firsts[:workers]), len(os.sched_getaffinity(0))) if _fork._may_fork() else 1
     else:
         workers = 1
     if workers == 1:
@@ -256,7 +286,7 @@ def _run_chunks(work, starts: range, workers: int):
                 if not message[0]:
                     return
 
-    helpers, readers, dead = _Helpers("a scan helper", workers - 1), [], 0
+    helpers, readers, dead = _fork._Helpers("a scan helper", workers - 1), [], 0
     try:
         try:
             for role in range(1, workers):
@@ -379,6 +409,87 @@ def empirical_iterate_class_ratio(bound: int) -> tuple[float, float]:
     return c1 / total, c5 / total
 
 
+# odd starts of verify's join table, from 1 on
+_TABLE_STARTS = 2**17
+
+
+def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
+    """The summed odd lengths of starts, each walked by the block rule until it joins table.
+
+    table[i] is the count from 2i+1 down to 1 (0 for 1).  A start x >= 3
+    walks until an iterate y <= min(x - 2, the table's last start) and
+    counts its steps plus table[y >> 1], by the join rule of the
+    trajectory module's docstring.  A start inside the table writes its
+    count to its own slot, so the caller fills every slot below x first; a
+    start past the table only reads it, so each entry is its own start's
+    count in any worker, whatever _TABLE_STARTS it reads.
+    """
+    k = _JUMP_BITS
+    jumps = _jump_table(k)
+    low = (1 << k) - 1
+    last = 2 * len(table) - 1
+    iterates_checked = 0
+    for x in starts:
+        reach = x - 2 if x <= last else last
+        cur = x
+        steps = 0
+        while True:
+            if cur > low:
+                c, power, tail, _ = jumps[(cur & low) >> 1]
+                t = power * (cur >> k) + tail
+                steps += c
+            else:
+                t = 3 * cur + 1
+                steps += 1
+            cur = t >> ((t & -t).bit_length() - 1)
+            if cur <= reach:
+                break
+            if steps >= max_steps:
+                raise MaxStepsExceeded(x, max_steps)
+        count = steps + table[cur >> 1]
+        if count > max_steps:
+            raise MaxStepsExceeded(x, max_steps)
+        iterates_checked += count
+        if x <= last:
+            table[x >> 1] = count
+    return iterates_checked
+
+
+def _fill_table(top: int, max_steps: int) -> list[int]:
+    """verify's join table: entry i is the count of the odd start 2i+1, for 1..top.
+
+    The starts go by blocks lo..hi with 3*hi + 1 < 4*lo.  Each alpha
+    class of the block's x == 1 (mod 4) is one slice of the table, read
+    off the slice of its iterates, which lie below lo; the block's other
+    starts are then walked in order (see the module docstring).  The first
+    start over max_steps raises MaxStepsExceeded, as in a walk of them all.
+    """
+    table = [0] * (top // 2 + 1)
+    over = max_steps + 1
+    classes = [(a, *alpha_residue_class(a)) for a in range(2, (3 * top + 1).bit_length())]
+    lo = 3
+    while lo <= top:
+        # the largest odd hi with 3*hi + 1 < 4*lo, so no block is empty
+        hi = min(top, ((4 * lo - 2) // 3 - 1) | 1)
+        for a, r, m in classes:
+            x = lo + (r - lo) % m
+            if x <= hi:
+                # y = (3x+1) >> a steps by 6 as x steps by m: indices by 3
+                i = (3 * x + 1) >> (a + 1)
+                n = (hi - x) // m + 1
+                table[x >> 1 : (hi >> 1) + 1 : m >> 1] = map((1).__add__, table[i : i + 3 * n : 3])
+        # a sliced count is over budget only as table[y] + 1: the walks
+        # below the first such start come first
+        end = hi + 2
+        if over in table[lo >> 1 : end >> 1]:
+            end = 2 * table.index(over, lo >> 1) + 1
+        _count_walks(range(lo | 2, end, 4), max_steps, table)
+        if end <= hi:
+            raise MaxStepsExceeded(end, max_steps)
+        lo = hi + 2
+    return table
+
+
 def verify_theorems(
     bound: int, max_steps: int = DEFAULT_MAX_STEPS, *, workers: int = 1
 ) -> TheoremScanReport:
@@ -393,13 +504,11 @@ def verify_theorems(
     _require_count(max_steps, 1, "max_steps")
     _require_count(workers, 1, "workers")
     odds = range(1, bound + 1, 2)
-    from . import trajectory
-
     # the table fills here, up to an odd top, so that it holds no entry past
     # the bound; the chunks past it only read it, in workers.  Start 1's walk
     # is the one iterate 1, and table[0] = 0
-    table = trajectory._fill_table(min(odds[-1], 2 * trajectory._TABLE_STARTS - 1), max_steps)
-    work = partial(trajectory._count_walks, max_steps=max_steps, table=table)
+    table = _fill_table(min(odds[-1], 2 * _TABLE_STARTS - 1), max_steps)
+    work = partial(_count_walks, max_steps=max_steps, table=table)
     checked = 1 + sum(table) + sum(_run_chunks(work, odds[len(table) :], workers))
     return TheoremScanReport(bound=bound, trajectories=len(odds), iterates_checked=checked)
 

@@ -23,7 +23,7 @@ import atexit
 import os
 import sys
 from importlib import import_module
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TextIO
 
 from . import _HOMES
@@ -38,20 +38,23 @@ if TYPE_CHECKING:
 # of them is read from here, so a command loads only what it uses.  A name
 # already set here, by a test or a tracer that wraps it, is never
 # overwritten, and no handler imports a public name itself, so such a
-# replacement is the function that gets called.
-def _bind(module: str) -> None:
+# replacement is the function that gets called.  Only the names already in
+# the module's namespace are bound: one that the module makes on first read
+# (analysis's series limits) is made when it is first read from here.
+def _bind(module: str) -> ModuleType:
     home = import_module(f"{__package__}.{module}")
+    names = vars(home)
     for name, where in _HOMES.items():
-        if where == module:
-            globals().setdefault(name, getattr(home, name))
+        if where == module and name in names:
+            globals().setdefault(name, names[name])
+    return home
 
 
 def __getattr__(name: str):
     # PEP 562: outside callers (and patchers) read the library names here
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_HOMES[name])
-    return globals()[name]
+    return globals().setdefault(name, getattr(_bind(_HOMES[name]), name))
 
 
 def _max_steps_from_env() -> int:

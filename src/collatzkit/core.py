@@ -8,15 +8,40 @@ possible step images.  Terminal integers are those whose single step
 lands directly on 1.
 
 All functions are pure, exact at arbitrary precision, and thread-safe.
-The process rules at the end (_may_fork, _Helpers) are shared by the two
-places that fork: a scan's chunks (analysis._run_chunks) and a long walk
-line (trajectory._write_forked).
+
+The direct range-walk kernels (analysis._count_walks for verify,
+trajectory._range_columns for --stats) and a streamed line's count pass
+(trajectory._checkpoints) walk by blocks of k = _JUMP_BITS Terras steps,
+T(n) = n/2 for even n and (3n+1)/2 for odd n.  For odd r < 2**k, entry
+r >> 1 of the jump table (_jump_table) holds c (the odd steps among the
+first k of r), 3**c, T^k(r) and a front: the pairs (3**c_i * 2**(k-i),
+T^i(r)) for the 0 < i < k with T^i(r) odd, c_i the odd steps among the
+first i, keeping only the pairs that no other pair beats in both
+coordinates.  An odd iterate cur < 2**k takes one step; one at least
+2**k, with a = cur >> k and r its low k bits, takes a block: t = 3**c * a
++ T^k(r), the next iterate is t >> z for z the trailing zero bits of t,
+odd_length grows by c, total_divisions by k + z, and peak takes the
+largest of coef * a + off over the front and the next iterate.  This
+holds because:
+
+- T^i(2**k a + r) = 3**c_i * 2**(k-i) * a + T^i(r) for i <= k, by
+  induction on i: while i < k the term in a is even, so both sides have
+  the parity of T^i(r) and the same step applies to each;
+- so the odd values among T^1..T^(k-1) of cur, then t >> z, are cur's
+  next c odd iterates (each odd Terras step begins one odd-to-odd step),
+  reached with k halvings and z more; none of the first is 1, since for
+  i < k, T^i >= 2**(k-i) * a >= 2, so a block never passes the end of a
+  walk;
+- for a >= 0 a pair beaten in both coordinates has the smaller value, so
+  the front's largest value is the largest odd iterate inside the block,
+  for every a >= 1.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple
+from functools import cache
+from typing import NamedTuple
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -63,13 +88,13 @@ class SyracuseResult(NamedTuple):
 def _raw_step(x: int) -> tuple[int, int]:
     # the step for single-step callers; callers guarantee x is odd.  Hot
     # loops inline the same arithmetic on purpose, to save a call per
-    # iterate, all in trajectory: _direct_blocks and _write_range, and
-    # the range-walk kernels _count_walks and _range_columns for iterates
-    # below 2**_JUMP_BITS (larger ones jump a block of Terras steps), as
-    # does a streamed line's count pass (_checkpoints), and where a jump
-    # would pass a block edge.
+    # iterate: trajectory's _direct_blocks and _write_range, and the
+    # range-walk kernels (analysis._count_walks, trajectory._range_columns)
+    # for iterates below 2**_JUMP_BITS (larger ones jump a block of Terras
+    # steps), as does a streamed line's count pass (trajectory._checkpoints),
+    # and where a jump would pass a block edge.
     # verify's fill steps none of its x == 1 (mod 4) starts: it reads
-    # them off its table by alpha class (trajectory._fill_table)
+    # them off its table by alpha class (analysis._fill_table)
     t = 3 * x + 1
     alpha = (t & -t).bit_length() - 1
     return t >> alpha, alpha
@@ -177,122 +202,35 @@ def alpha_residue_class(alpha: int) -> tuple[int, int]:
     return residue, modulus
 
 
-def _may_fork() -> bool:
-    # os.fork and os.sched_getaffinity exist, two CPUs or more are usable,
-    # and no second thread runs: a fork copies only the calling thread, so a
-    # lock that another thread holds would stay held in the helper.  Without
-    # sched_getaffinity (macOS, whose system libraries may start threads)
-    # nothing forks
-    import os  # loaded at interpreter start; not a module-level import
-    import sys
-
-    threading = sys.modules.get("threading")
-    alone = threading is None or threading.active_count() == 1
-    return alone and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+# k of the block rule: odd iterates of at least 2**k take k Terras steps
+# in one multiply-add.  On a 2-vCPU x86-64 host (Python 3.11) the table
+# builds in 0.6 ms at k = 8 and in 13-16 ms at k = 12, more than a short
+# verify saves by the longer blocks; k = 10 ran no faster than 8
+_JUMP_BITS = 8
 
 
-def _pin(cpus: list[int]) -> None:
-    # this process runs on cpus from now on; where the kernel refuses the
-    # mask (an empty slice, a cpuset that shrank) it runs where it ran
-    import os
-
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-class _Helpers:
-    """Helper processes forked from this one, each pinned to its own slice of this one's CPUs.
-
-    The CPUs this process may run on, sorted, are cut into count + 1
-    slices of near-equal size: helper r runs on slice r, and this process
-    on slice 0 from its first fork until reap, which sets its own mask
-    back.  Left to the scheduler, a forked process tends to run on the CPU
-    of the process that woke it, and the two take turns on one CPU.  A
-    mask that the kernel refuses leaves that process where it ran.  name
-    is how errors call a helper.
-    """
-
-    def __init__(self, name: str, count: int):
-        import os
-
-        self.name, self.parts, self.pids = name, count + 1, []
-        self.cpus = sorted(os.sched_getaffinity(0))
-
-    def _slice(self, role: int) -> list[int]:
-        n = len(self.cpus)
-        return self.cpus[role * n // self.parts : (role + 1) * n // self.parts]
-
-    def fork(self, run: Callable[[], object]) -> None:
-        """Fork the next helper, which calls run() and ends by os._exit.
-
-        Its status is 0 after run returns, 1 after a BrokenPipeError and
-        2 after any other error; os._exit flushes none of the buffers it
-        inherited.  SIGINT is held across the fork, so neither process can
-        miss it or see it early, and the helper ignores it: Ctrl-C reaches
-        the whole process group, and only this process reports it.  An
-        OSError from os.fork (no process to spare) is raised here.
-        """
-        import os
-        import signal  # its enum set-up costs about 1 ms: not a module-level import
-
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            pid = os.fork()
-            if not pid:
-                status = 2
-                try:
-                    signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                    _pin(self._slice(len(self.pids) + 1))
-                    run()
-                    status = 0
-                except BrokenPipeError:
-                    status = 1
-                finally:
-                    os._exit(status)  # never returns into the caller's frames
-            self.pids.append(pid)
-            _pin(self._slice(0))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-
-    def reap(self, kill: bool) -> list[int]:
-        """Wait for every helper, after a SIGKILL if kill, and set this process's CPUs back.
-
-        Returns their exit statuses (os.waitstatus_to_exitcode), in fork
-        order.  The waits without kill are interrupted by Ctrl-C, and the
-        helpers not yet reaped are then killed; a second Ctrl-C waits
-        until the kills are reaped.
-        """
-        import os
-        import signal
-
-        statuses = []
-        try:
-            while self.pids and not kill:
-                statuses.append(os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1]))
-                del self.pids[0]
-        finally:
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                for pid in self.pids:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:  # reaped above, by a wait that a Ctrl-C cut short
-                        continue
-                    statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-                self.pids = []
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                _pin(self.cpus)
-        return statuses
-
-    def error(self, status: int) -> Exception | None:
-        # what a helper's exit status stands for (see fork): None for 0
-        if status == 1:
-            return BrokenPipeError(f"{self.name} met a closed pipe")
-        if status:
-            how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-            return ChildProcessError(f"{self.name} {how}")
-        return None
+@cache
+def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    # entry r >> 1, for odd r < 2**k: (c, 3**c, T^k(r), front) of the block
+    # rule, built on first use per k (a worker that does not inherit it
+    # builds its own); the cache keeps a table only once the call returns
+    # it whole, so a thread that comes in meanwhile builds its own too
+    table = []
+    for r in range(1, 1 << k, 2):
+        t, c, pairs = r, 0, []
+        for i in range(1, k + 1):
+            if t & 1:
+                t, c = (3 * t + 1) >> 1, c + 1
+            else:
+                t >>= 1
+            if t & 1 and i < k:
+                pairs.append((3**c << (k - i), t))
+        # the coefficients differ, so by falling coefficient a pair is
+        # beaten in both coordinates unless its offset beats all before it
+        front, best = [], -1
+        for coef, off in sorted(pairs, reverse=True):
+            if off > best:
+                front.append((coef, off))
+                best = off
+        table.append((c, 3**c, t, tuple(front)))
+    return table

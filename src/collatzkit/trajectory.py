@@ -13,14 +13,15 @@ through).
 Records hold odd iterates only; even intermediates are never materialised.
 
 A direct range walk joins a table of earlier starts, by one rule for
-verify's counts (_count_walks) and for --stats columns (_range_columns).
-The table holds at most _TABLE_STARTS starts, from the scan's first start
-on.  A walk from x steps until it reaches 1 or an iterate y within the
-reach, min(x - 2, the table's last start), and then adds y's entry.  For
---stats the table gains an entry for each start right after its last,
-until it is full; it is the first of the blocks of (odd_length,
-total_divisions, peak) columns that _fold sums up, as it sums up
-trajectory_stats's, and later rows go into fresh blocks of _BLOCK rows.
+verify's counts (analysis._count_walks) and for --stats columns
+(_range_columns).  The table holds at most _TABLE_STARTS starts, from
+the scan's first start on.  A walk from x steps until it reaches 1 or an
+iterate y within the reach, min(x - 2, the table's last start), and then
+adds y's entry.  For --stats the table gains an entry for each start
+right after its last, until it is full; it is the first of the blocks
+of (odd_length, total_divisions, peak) columns that _fold sums up, as it
+sums up trajectory_stats's, and later rows go into fresh blocks of
+_BLOCK rows.
 The reach is below x, so a walk that could only come back to x (a cycle)
 never joins: it runs out of budget and raises MaxStepsExceeded at x, as
 its full walk would; a joined count over the budget raises at x too, so
@@ -52,52 +53,15 @@ MaxStepsExceeded at its own start, and a joined count over the budget
 raises at x too.  So the bytes, the exit codes and the first failing
 start are those of the full walks.
 
-verify's table (_fill_table) holds the counts of the odd starts from 1 on
-and is filled by blocks lo..hi, in order, with 3*hi + 1 < 4*lo.  Half of
-a block is read off the table, not walked.  Each x == 1 (mod 4) has
-3x+1 == 0 (mod 4), so alpha >= 2 and its iterate y = (3x+1) >> alpha is
-at most (3x+1)/4 < lo: y's count is already in the table, and x's is
-that plus 1.  Alpha = a holds on the one odd class x == r (mod m =
-2**(a+1)); as x steps by m, 3x+1 steps by 3m and y by 3m >> a = 6, so y's
-table index y >> 1 steps by 3, and the class's counts in the block are
-one slice of the table, table[i : i + 3n : 3], plus 1.  The block's
-x == 3 (mod 4) are then walked in order by _count_walks, whose reach is
-x - 2: every odd start below x is in the table by then.  No entry
-exceeds max_steps, so a sliced count is over budget exactly when its
-table[y] is max_steps; the walks below the block's first such start go
-first, and the fill raises at that start only if none of them fails, so
-the first failing start is again that of the full walks.
-
-Both kernels walk by blocks of k = _JUMP_BITS Terras steps, T(n) = n/2
-for even n and (3n+1)/2 for odd n.  For odd r < 2**k, entry r >> 1 of the
-jump table holds c (the odd steps among the first k of r), 3**c, T^k(r)
-and a front: the pairs (3**c_i * 2**(k-i), T^i(r)) for the 0 < i < k with
-T^i(r) odd, c_i the odd steps among the first i, keeping only the pairs
-that no other pair beats in both coordinates.  An odd iterate cur < 2**k
-takes one step; one at least 2**k, with a = cur >> k and r its low k bits,
-takes a block: t = 3**c * a + T^k(r), the next iterate is t >> z for z
-the trailing zero bits of t, odd_length grows by c, total_divisions by
-k + z, and peak takes the largest of coef * a + off over the front and
-the next iterate.  This holds because:
-
-- T^i(2**k a + r) = 3**c_i * 2**(k-i) * a + T^i(r) for i <= k, by
-  induction on i: while i < k the term in a is even, so both sides have
-  the parity of T^i(r) and the same step applies to each;
-- so the odd values among T^1..T^(k-1) of cur, then t >> z, are cur's
-  next c odd iterates (each odd Terras step begins one odd-to-odd step),
-  reached with k halvings and z more; none of the first is 1, since for
-  i < k, T^i >= 2**(k-i) * a >= 2, so a block never passes the end of a
-  walk;
-- for a >= 0 a pair beaten in both coordinates has the smaller value, so
-  the front's largest value is the largest odd iterate inside the block,
-  for every a >= 1.
-
-Joins and the budget check come at block ends only.  These are odd
-iterates of the walk, so the join rule and its sums hold as above, and a
-cycle still only comes back to x.  Each block adds c >= 1 (cur is odd),
-so a start raises MaxStepsExceeded exactly when its full walk has more
-than max_steps odd steps: the set of failing starts, and so the first
-one, is that of the full walks.
+The direct range-walk kernels, _range_columns and verify's
+analysis._count_walks, walk by the block rule of the core module's
+docstring: k = _JUMP_BITS Terras steps in one multiply-add, read off
+core._jump_table.  Joins and the budget check come at block ends only.
+These are odd iterates of the walk, so the join rule and its sums hold as
+above, and a cycle still only comes back to x.  Each block adds c >= 1
+(cur is odd), so a start raises MaxStepsExceeded exactly when its full
+walk has more than max_steps odd steps: the set of failing starts, and
+so the first one, is that of the full walks.
 
 The lines of a direct range (_write_range) join the same way: past y,
 x's iterates and alphas are y's, so x's line is its own walk up to y (y
@@ -150,20 +114,18 @@ from __future__ import annotations
 
 import io
 import os
-from functools import cache
 from itertools import count, islice
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .core import (
+    _JUMP_BITS,
     DEFAULT_MAX_STEPS,
     DomainError,
     MaxStepsExceeded,
-    _Helpers,
-    _may_fork,
+    _jump_table,
     _require_count,
     _require_odd,
-    alpha_residue_class,
 )
 
 
@@ -281,117 +243,6 @@ def trajectory_stats(records: Iterable[TrajectoryRecord]) -> TrajectoryStats:
 
 # starts a range walk's join table holds, from the scan's first start on
 _TABLE_STARTS = 2**17
-
-# k of the block rule: odd iterates of at least 2**k take k Terras steps
-# in one multiply-add.  On a 2-vCPU x86-64 host (Python 3.11) the table
-# builds in 0.6 ms at k = 8 and in 13-16 ms at k = 12, more than a short
-# verify saves by the longer blocks; k = 10 ran no faster than 8
-_JUMP_BITS = 8
-
-
-@cache
-def _jump_table(k: int) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
-    # entry r >> 1, for odd r < 2**k: (c, 3**c, T^k(r), front) of the block
-    # rule, built on first use per k (a worker that does not inherit it
-    # builds its own); the cache keeps a table only once the call returns
-    # it whole, so a thread that comes in meanwhile builds its own too
-    table = []
-    for r in range(1, 1 << k, 2):
-        t, c, pairs = r, 0, []
-        for i in range(1, k + 1):
-            if t & 1:
-                t, c = (3 * t + 1) >> 1, c + 1
-            else:
-                t >>= 1
-            if t & 1 and i < k:
-                pairs.append((3**c << (k - i), t))
-        # the coefficients differ, so by falling coefficient a pair is
-        # beaten in both coordinates unless its offset beats all before it
-        front, best = [], -1
-        for coef, off in sorted(pairs, reverse=True):
-            if off > best:
-                front.append((coef, off))
-                best = off
-        table.append((c, 3**c, t, tuple(front)))
-    return table
-
-
-def _count_walks(starts: range, max_steps: int, table: list[int]) -> int:
-    """The summed odd lengths of starts, each walked by the block rule until it joins table.
-
-    table[i] is the count from 2i+1 down to 1 (0 for 1).  A start x >= 3
-    walks until an iterate y <= min(x - 2, the table's last start) and
-    counts its steps plus table[y >> 1], by the module docstring's join
-    rule.  A start inside the table writes its count to its own slot, so
-    the caller fills every slot below x first; a start past the table only
-    reads it, so each entry is its own start's count in any worker, whatever
-    _TABLE_STARTS it reads.
-    """
-    k = _JUMP_BITS
-    jumps = _jump_table(k)
-    low = (1 << k) - 1
-    last = 2 * len(table) - 1
-    iterates_checked = 0
-    for x in starts:
-        reach = x - 2 if x <= last else last
-        cur = x
-        steps = 0
-        while True:
-            if cur > low:
-                c, power, tail, _ = jumps[(cur & low) >> 1]
-                t = power * (cur >> k) + tail
-                steps += c
-            else:
-                t = 3 * cur + 1
-                steps += 1
-            cur = t >> ((t & -t).bit_length() - 1)
-            if cur <= reach:
-                break
-            if steps >= max_steps:
-                raise MaxStepsExceeded(x, max_steps)
-        count = steps + table[cur >> 1]
-        if count > max_steps:
-            raise MaxStepsExceeded(x, max_steps)
-        iterates_checked += count
-        if x <= last:
-            table[x >> 1] = count
-    return iterates_checked
-
-
-def _fill_table(top: int, max_steps: int) -> list[int]:
-    """verify's join table: entry i is the count of the odd start 2i+1, for 1..top.
-
-    The starts go by blocks lo..hi with 3*hi + 1 < 4*lo.  Each alpha
-    class of the block's x == 1 (mod 4) is one slice of the table, read
-    off the slice of its iterates, which lie below lo; the block's other
-    starts are then walked in order (see the module docstring).  The first
-    start over max_steps raises MaxStepsExceeded, as in a walk of them all.
-    """
-    table = [0] * (top // 2 + 1)
-    over = max_steps + 1
-    classes = [(a, *alpha_residue_class(a)) for a in range(2, (3 * top + 1).bit_length())]
-    lo = 3
-    while lo <= top:
-        # the largest odd hi with 3*hi + 1 < 4*lo, so no block is empty
-        hi = min(top, ((4 * lo - 2) // 3 - 1) | 1)
-        for a, r, m in classes:
-            x = lo + (r - lo) % m
-            if x <= hi:
-                # y = (3x+1) >> a steps by 6 as x steps by m: indices by 3
-                i = (3 * x + 1) >> (a + 1)
-                n = (hi - x) // m + 1
-                table[x >> 1 : (hi >> 1) + 1 : m >> 1] = map((1).__add__, table[i : i + 3 * n : 3])
-        # a sliced count is over budget only as table[y] + 1: the walks
-        # below the first such start come first
-        end = hi + 2
-        if over in table[lo >> 1 : end >> 1]:
-            end = 2 * table.index(over, lo >> 1) + 1
-        _count_walks(range(lo | 2, end, 4), max_steps, table)
-        if end <= hi:
-            raise MaxStepsExceeded(end, max_steps)
-        lo = hi + 2
-    return table
-
 
 # room of a --stats range's joins below its first start: each entry costs
 # its key's bits and this many more, until room runs out
@@ -783,7 +634,7 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     from a start of at least DECIMAL_MIN_BITS bits, whose odd steps times
     its start's bits reach _FORK_WORK, is written by two processes, each
     walking and rendering every other block from its checkpoint
-    (_write_forked), when out has a file descriptor and core._may_fork
+    (_write_forked), when out has a file descriptor and _fork._may_fork
     allows a fork (os.fork, two usable CPUs or more, no second thread);
     any other line is written by this process alone.  _write_range
     streams each direct line longer than _BLOCK iterates through here; the
@@ -807,7 +658,7 @@ def _checkpoints(x: int, max_steps: int, method: str) -> tuple[int, list[int]]:
     whose length is a multiple of _BLOCK starts no block.  The lookup count
     keeps the last iterate of each lookup block, so that route never
     evaluates 3x+1.  The direct count takes the block rule's jumps, as
-    _count_walks does, but a single step where a jump would pass a block
+    the range-walk kernels do, but a single step where a jump would pass a block
     edge, so a checkpoint falls on every edge.  Raises MaxStepsExceeded
     exactly when the walk has more than max_steps odd steps.
     """
@@ -838,7 +689,9 @@ def _checkpoints(x: int, max_steps: int, method: str) -> tuple[int, list[int]]:
 
 
 def _may_share(out: TextIO) -> bool:
-    # the fork rules (core._may_fork), and a file descriptor the helper can write
+    # the fork rules (_fork._may_fork), and a file descriptor the helper can write
+    from ._fork import _may_fork  # loaded only for a line long enough to share
+
     try:
         return _may_fork() and out.fileno() >= 0
     except (AttributeError, OSError, ValueError):  # also io.UnsupportedOperation, a closed out
@@ -856,7 +709,7 @@ def _write_forked(
     at a time and walks none it does not render.  A token passed on two
     pipes orders their writes and carries what the JSON tail needs of the
     other process's blocks (see _write_line).  The helper is a
-    core._Helpers one: the two processes run on disjoint halves of this
+    _fork._Helpers one: the two processes run on disjoint halves of this
     process's CPUs, the helper ignores SIGINT and ends by os._exit.  This
     process reaps it on every path: if it raises (a closed pipe, Ctrl-C,
     out of memory), it kills the helper and waits for it first, and its
@@ -867,6 +720,8 @@ def _write_forked(
     at EOF always comes with a status that raises.  Where os.fork fails,
     this process writes the line alone.
     """
+    from ._fork import _Helpers
+
     out.flush()  # so the helper inherits no buffered text to write again
     parent_in, helper_out = os.pipe()
     helper_in, parent_out = os.pipe()

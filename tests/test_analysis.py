@@ -36,7 +36,7 @@ from collatzkit import (
     trajectory_direct,
     verify_theorems,
 )
-from collatzkit import analysis, trajectory
+from collatzkit import _fork, analysis, trajectory
 from collatzkit.analysis import TheoremScanReport
 from collatzkit.trajectory import _range_columns
 
@@ -395,7 +395,7 @@ def test_verify_equals_the_record_reference_across_chunks(monkeypatch):
     expected = reference_scan(70_001)
     assert verify_theorems(70_001, workers=3) == expected
     # a table of one chunk's starts: the second chunk joins it
-    monkeypatch.setattr(trajectory, "_TABLE_STARTS", analysis._CHUNK_ODDS)
+    monkeypatch.setattr(analysis, "_TABLE_STARTS", analysis._CHUNK_ODDS)
     assert verify_theorems(70_001, workers=3) == expected
 
 
@@ -406,7 +406,7 @@ def small_table():
     # forked helpers for workers > 1, from _FORK_CHUNKS chunks on)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_CHUNK_ODDS", 64)
-        mp.setattr(trajectory, "_TABLE_STARTS", 128)
+        mp.setattr(analysis, "_TABLE_STARTS", 128)
         yield
 
 
@@ -437,7 +437,7 @@ def range_rows_or_error(bound, max_steps):
 @given(
     bound=st.integers(min_value=3, max_value=3000),
     max_steps=st.integers(min_value=1, max_value=60),
-    size=st.sampled_from([4, 128, trajectory._TABLE_STARTS]),
+    size=st.sampled_from([4, 128, analysis._TABLE_STARTS]),
 )
 @example(bound=3000, max_steps=60, size=4)
 @example(bound=1000, max_steps=46, size=128)  # first failing start 313, past the table
@@ -446,16 +446,17 @@ def test_the_verify_kernel_equals_the_stats_kernel(bound, max_steps, size):
     # both range-walk kernels join a table of the same size by the same
     # rule: the summed odd lengths, or the same first failing start
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_TABLE_STARTS", size)
         mp.setattr(trajectory, "_TABLE_STARTS", size)
         assert verify_or_error(bound, max_steps) == range_rows_or_error(bound, max_steps)
 
 
-@pytest.mark.parametrize("k", [2, trajectory._JUMP_BITS])
+@pytest.mark.parametrize("k", [2, analysis._JUMP_BITS])
 def test_the_fill_equals_the_per_start_records_across_many_blocks(monkeypatch, k):
     # 3..20001 is 30 of the fill's blocks; with k = 2 its walkers jump by
     # blocks of 2 Terras steps
-    monkeypatch.setattr(trajectory, "_JUMP_BITS", k)
-    assert trajectory._fill_table(20001, 10**6) == [0] + [trajectory_direct(x).odd_length for x in range(3, 20002, 2)]
+    monkeypatch.setattr(analysis, "_JUMP_BITS", k)
+    assert analysis._fill_table(20001, 10**6) == [0] + [trajectory_direct(x).odd_length for x in range(3, 20002, 2)]
     assert verify_theorems(20001) == reference_scan(20001)
 
 
@@ -471,7 +472,7 @@ def test_the_fill_equals_the_per_start_records_across_many_blocks(monkeypatch, k
 @example(bound=20001, max_steps=101)  # 17647, before 17673
 @settings(max_examples=40, deadline=None)
 def test_the_fills_first_failing_start_is_that_of_the_full_walks(bound, max_steps):
-    assert 2 * trajectory._TABLE_STARTS > 30001  # every example is inside the fill
+    assert 2 * analysis._TABLE_STARTS > 30001  # every example is inside the fill
     try:
         expected = reference_scan(bound, max_steps).iterates_checked
     except MaxStepsExceeded as exc:
@@ -491,9 +492,9 @@ def test_chunks_past_the_table_never_grow_it(monkeypatch, recorded, chunk_log):
             chunk_log(os.getpid(), starts.start, starts.stop, len(before))
         return checked
 
-    count_walks = trajectory._count_walks
+    count_walks = analysis._count_walks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(trajectory, "_count_walks", counting)
+    monkeypatch.setattr(analysis, "_count_walks", counting)
     with small_table():
         bound = 255 + 128 * analysis._FORK_CHUNKS
         assert verify_theorems(bound, workers=3) == reference_scan(bound)
@@ -541,7 +542,7 @@ def test_budget_exhaustion_in_a_scan_helper_reaches_the_caller(monkeypatch, reco
     # processes helper 2 runs the third chunk past it.  Every start below
     # 2**18 takes at most 164 odd steps, and the first start over that
     # budget, 410011, lies in that chunk: its error is pickled
-    assert 2 * trajectory._TABLE_STARTS < 410_011
+    assert 2 * analysis._TABLE_STARTS < 410_011
     assert (410_011 - 2**18) // (2 * analysis._CHUNK_ODDS) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     bound = 2**18 - 1 + 2 * analysis._CHUNK_ODDS * max(analysis._FORK_CHUNKS, 3)
@@ -569,8 +570,8 @@ def test_a_huge_bound_keeps_the_table_bounded(bound):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9 5\n", "")
 
 
-class RecordingHelpers(analysis._Helpers):
-    # core._Helpers as the scan driver uses it, recording how many processes
+class RecordingHelpers(_fork._Helpers):
+    # _fork._Helpers as the scan driver uses it, recording how many processes
     # each forked scan runs on, this one included
     sizes = []
 
@@ -582,7 +583,7 @@ class RecordingHelpers(analysis._Helpers):
 @pytest.fixture
 def recorded(monkeypatch):
     # the process counts of the scans that fork, in order
-    monkeypatch.setattr(analysis, "_Helpers", RecordingHelpers)
+    monkeypatch.setattr(_fork, "_Helpers", RecordingHelpers)
     monkeypatch.setattr(RecordingHelpers, "sizes", [])
     return RecordingHelpers.sizes
 
@@ -629,9 +630,9 @@ def test_every_chunk_is_a_range_of_starts_run_once(monkeypatch, recorded, chunk_
         chunk_log(os.getpid(), starts.start, starts.stop, starts.step)
         return count_walks(starts, max_steps, table)
 
-    count_walks = trajectory._count_walks
+    count_walks = analysis._count_walks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(trajectory, "_count_walks", logging)
+    monkeypatch.setattr(analysis, "_count_walks", logging)
     with small_table():
         bound = 255 + 128 * analysis._FORK_CHUNKS + 64  # half a chunk more
         assert verify_theorems(bound, 999, workers=2) == reference_scan(bound, 999)

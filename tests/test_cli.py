@@ -717,7 +717,7 @@ def dying_in_helpers(chunk_function):
 )
 def test_a_dead_scan_helper_exits_1_with_one_line(monkeypatch, argv):
     monkeypatch.setattr(analysis, "_drift_chunk", dying_in_helpers(analysis._drift_chunk))
-    monkeypatch.setattr(trajectory, "_count_walks", dying_in_helpers(trajectory._count_walks))
+    monkeypatch.setattr(analysis, "_count_walks", dying_in_helpers(analysis._count_walks))
     out, err = io.StringIO(), io.StringIO()
     assert run([*argv, "--workers", "2"], out, err) == 1
     assert (out.getvalue(), err.getvalue()) == ("", "error: a worker process died: a scan helper was killed by signal 9\n")
@@ -780,8 +780,9 @@ def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
         calls.append(args)
         raise AssertionError("the lookup --stats route left its lookup kernel")
 
-    for name in ("_jump_table", "_range_columns", "_count_walks"):
+    for name in ("_jump_table", "_range_columns"):
         monkeypatch.setattr(trajectory, name, fail)
+    monkeypatch.setattr(analysis, "_count_walks", fail)
     monkeypatch.setattr(cli, "trajectory_direct", fail)
     monkeypatch.setattr(cli, "trajectory_lookup", fail)
     for argv, want in zip(ranges, wants):
@@ -1143,17 +1144,17 @@ def test_the_two_processes_of_a_shared_line_run_on_disjoint_cpus_and_the_command
 # table; the command logs them before the scan and after run() returns
 SCAN_MASKS = """
 import os, sys
-from collatzkit import cli, trajectory
+from collatzkit import analysis, cli
 log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
 def mask(when):
     cpus = " ".join(map(str, sorted(os.sched_getaffinity(0))))
     os.write(log, f"{os.getpid()} {when} {cpus}\\n".encode())
-count_walks = trajectory._count_walks
+count_walks = analysis._count_walks
 def logged(starts, max_steps, table):
     if starts.step == 2:  # a chunk past the table, not a block of the fill's walkers
         mask("chunk")
     return count_walks(starts, max_steps, table)
-trajectory._count_walks = logged
+analysis._count_walks = logged
 mask("before")
 code = cli.run(sys.argv[2:])
 mask("after")

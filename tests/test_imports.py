@@ -5,7 +5,9 @@ library module when a name from it is first read or a command that uses it
 runs.  No command loads concurrent.futures, which brings in
 multiprocessing, logging, pickle, socket and subprocess: a scan with
 --workers forks its helpers with os.fork, and only such a scan loads
-pickle, to send results back.  The
+pickle, to send results back, and the fork rules (collatzkit._fork, with
+signal).  verify runs its table kernels in analysis and loads no
+trajectory, and fractions loads only where a Fraction is built.  The
 result records are named tuples, so dataclasses (and with it inspect) is
 never loaded, and json loads only for JSON output.  argparse (with gettext
 and locale) loads only for help and for lines the table parser hands on:
@@ -25,6 +27,8 @@ import sys
 import types
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import collatzkit
@@ -35,7 +39,8 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ
 POOL_STACK = ("concurrent.futures", "multiprocessing", "logging")
 RECORD_STACK = ("dataclasses", "inspect", "json")
 SUBMODULES = ("core", "tables", "trajectory", "tree", "analysis")
-LIBRARY = (*(f"collatzkit.{m}" for m in SUBMODULES), "fractions", "decimal")
+LIBRARY = (*(f"collatzkit.{m}" for m in SUBMODULES), "fractions", "decimal", "collatzkit._fork")
+FORK_STACK = ("collatzkit._fork", "signal", "pickle")
 
 # imports nothing, so that it reports the modules exactly as `code` left them
 REPORT = "import sys; print(' '.join(m for m in {mods!r} if m in sys.modules))"
@@ -109,6 +114,28 @@ def test_json_output_loads_json():
     assert loaded_after(code, RECORD_STACK) == ["json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "7"],
+        ["verify", "--bound", "1001"],
+        # 32 chunks, as many as the forked case below, with one worker
+        ["drift", "--bound", "2097151", "--workers", "1"],
+    ],
+    ids=["classify", "verify", "drift-one-worker"],
+)
+def test_commands_that_cannot_fork_do_not_load_the_fork_rules(argv):
+    code = f"import collatzkit.cli; collatzkit.cli.run({argv!r})"
+    assert loaded_after(code, FORK_STACK) == []
+
+
+def test_a_scan_that_may_fork_loads_the_fork_rules():
+    # the guard above would pass vacuously if the report could not see them;
+    # the module loads before the CPUs are counted, so on one CPU too
+    code = "import collatzkit.cli; collatzkit.cli.run(['drift', '--bound', '2097151', '--workers', '2'])"
+    assert loaded_after(code, FORK_STACK) == list(FORK_STACK)
+
+
 def test_a_forked_scan_gives_the_single_process_output():
     # 32 chunks: helpers forked where the process may run on two CPUs
     def drift(workers):
@@ -137,14 +164,14 @@ def test_importing_the_package_loads_no_submodule():
         (["table-export", "--table", "B", "--rows", "3"], ["collatzkit.core", "collatzkit.tables"]),
         (["tree", "--depth", "3"], ["collatzkit.core", "collatzkit.tables", "collatzkit.tree"]),
         (["trajectory", "27"], ["collatzkit.core", "collatzkit.trajectory"]),
-        # analysis imports trajectory only when verify runs; fractions loads decimal
+        # only the series build a Fraction; fractions loads decimal
         (["drift", "--terms", "5"], ["collatzkit.core", "collatzkit.analysis", "fractions", "decimal"]),
-        (
-            ["alpha-table", "--rows", "3", "--cols", "2"],
-            ["collatzkit.core", "collatzkit.analysis", "fractions", "decimal"],
-        ),
+        (["drift", "--bound", "1001"], ["collatzkit.core", "collatzkit.analysis"]),
+        (["alpha-table", "--rows", "3", "--cols", "2"], ["collatzkit.core", "collatzkit.analysis"]),
+        # verify's table kernels live in analysis
+        (["verify", "--bound", "1001"], ["collatzkit.core", "collatzkit.analysis"]),
     ],
-    ids=["classify", "locate", "table-export", "tree", "trajectory", "drift", "alpha-table"],
+    ids=["classify", "locate", "table-export", "tree", "trajectory", "drift", "drift-bound", "alpha-table", "verify"],
 )
 def test_a_command_loads_only_the_library_modules_it_uses(argv, loaded):
     assert loaded_after(f"import collatzkit.cli; collatzkit.cli.run({argv!r})", LIBRARY) == loaded
@@ -157,6 +184,21 @@ def test_every_public_name_is_its_home_modules_object():
         assert value is getattr(home, name), name
         if callable(value):  # defined there, not imported from elsewhere
             assert value.__module__ == home.__name__, name
+
+
+def test_the_series_limits_are_one_object_wherever_they_are_read():
+    # made on first read in analysis, here first read through cli, which
+    # binds no name its module has not made yet
+    code = (
+        "import collatzkit, collatzkit.cli as cli, collatzkit.analysis as analysis\n"
+        "from fractions import Fraction\n"
+        "for name, limit in [('INCREASE_SERIES_LIMIT', Fraction(3)), ('DECREASE_SERIES_LIMIT', Fraction(1, 4))]:\n"
+        "    value = getattr(cli, name)\n"
+        "    assert value is getattr(collatzkit, name) is getattr(analysis, name), name\n"
+        "    assert value == limit and type(value) is Fraction, name\n"
+    )
+    loaded_after(code, ())
+    assert cli.INCREASE_SERIES_LIMIT is collatzkit.INCREASE_SERIES_LIMIT == Fraction(3)
 
 
 def test_star_import_binds_every_public_name():

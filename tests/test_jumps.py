@@ -14,11 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import collatzkit.analysis as analysis
 import collatzkit.trajectory as trajectory
 from collatzkit import MaxStepsExceeded, trajectory_direct
-from collatzkit.trajectory import _count_walks, _jump_table, _range_columns
+from collatzkit.analysis import _count_walks
+from collatzkit.core import _JUMP_BITS, _jump_table
+from collatzkit.trajectory import _range_columns
 
-KS = [2, 3, trajectory._JUMP_BITS]
+KS = [2, 3, _JUMP_BITS]
 
 
 def terras(n: int, k: int) -> list[int]:
@@ -162,5 +165,5 @@ def test_count_walks_past_the_table_equals_the_summed_odd_lengths(walk, max_step
     lo = max(lo, 3)
     table = [trajectory_direct(2 * i + 1).odd_length if i else 0 for i in range(max(1, min(entries, (lo - 1) // 2)))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trajectory, "_JUMP_BITS", k)
+        mp.setattr(analysis, "_JUMP_BITS", k)
         assert count_or_error(lo, hi, max_steps, table) == full_count_or_error(lo, hi, max_steps)
