@@ -2,16 +2,19 @@
 
 A scan (analysis._run_chunks) imports this module once it has enough
 chunks and workers to share, and a walk line (trajectory._write_walk) once
-it is long enough to share; no other command loads it, or the signal
-module it needs.
+it is long enough to share; no other command loads it.  The signal module
+loads only when a helper is forked, so a scan that _may_fork then refuses
+(one usable CPU, a second thread) loads nothing more.  Both callers run
+their helpers through _Helpers, which owns a helper's whole life: the
+fork, its pipes, the fallback when no process is spare, the waits and
+what an exit status means.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import sys
-from typing import Callable
+from typing import BinaryIO, Callable
 
 
 def _may_fork() -> bool:
@@ -35,37 +38,70 @@ def _pin(cpus: list[int]) -> None:
 
 
 class _Helpers:
-    """Helper processes forked from this one, each pinned to its own slice of this one's CPUs.
+    """A context manager that forks one helper per callable in runs, each on its own slice of this process's CPUs.
 
-    The CPUs this process may run on, sorted, are cut into count + 1
-    slices of near-equal size: helper r runs on slice r, and this process
-    on slice 0 from its first fork until reap, which sets its own mask
-    back.  Left to the scheduler, a forked process tends to run on the CPU
-    of the process that woke it, and the two take turns on one CPU.  A
-    mask that the kernel refuses leaves that process where it ran.  name
-    is how errors call a helper.
+    with _Helpers(name, runs) as ends: forks helper r (from 1) for runs[r - 1]
+    and joins it to this process by a pipe each way.  The helper calls
+    run(reader, writer_fd), with reader a binary file of what this process
+    writes and writer_fd a descriptor that this process reads, and ends by
+    os._exit: status 0 after run returns, 1 after a BrokenPipeError and 2
+    after any other error; os._exit flushes none of the buffers it
+    inherited.  ends holds this process's (reader, writer_fd) per helper,
+    in fork order; each helper holds only its own ends, so a helper that
+    dies leaves its reader at EOF.  Where a fork fails (no process to
+    spare), the helpers already forked are killed and reaped and ends is
+    []: the caller then does the work alone.
+
+    SIGINT is held across the forks, so no process can miss it or see it
+    early, and the helpers ignore it: Ctrl-C reaches the whole process
+    group, and only this process reports it.  The CPUs this process may
+    run on, sorted, are cut into len(runs) + 1 slices of near-equal size:
+    helper r runs on slice r, and this process on slice 0 until it leaves.
+    Left to the scheduler, a forked process tends to run on the CPU of the
+    process that woke it, and the two take turns on one CPU.  A mask that
+    the kernel refuses leaves that process where it ran.
+
+    Leaving closes this process's ends and then waits for every helper,
+    after a SIGKILL if the block raised, and sets this process's CPUs
+    back.  After a block that did not raise, the first helper's error is
+    raised: BrokenPipeError for status 1, and ChildProcessError for any
+    other nonzero status or a signal, each calling the helper name.  A
+    status 1 ranks below the others: closing this process's ends is what
+    breaks the pipe of a helper still writing when another has died.  The
+    waits are interrupted by Ctrl-C, and the helpers not yet reaped are
+    then killed; a second Ctrl-C waits until the kills are reaped.
     """
 
-    def __init__(self, name: str, count: int):
-        self.name, self.parts, self.pids = name, count + 1, []
-        self.cpus = sorted(os.sched_getaffinity(0))
+    def __init__(self, name: str, runs: list[Callable[[BinaryIO, int], object]]):
+        self.name, self.runs, self.parts = name, runs, len(runs) + 1
+        self.cpus, self.pids, self.ends = sorted(os.sched_getaffinity(0)), [], []
 
     def _slice(self, role: int) -> list[int]:
         n = len(self.cpus)
         return self.cpus[role * n // self.parts : (role + 1) * n // self.parts]
 
-    def fork(self, run: Callable[[], object]) -> None:
-        """Fork the next helper, which calls run() and ends by os._exit.
+    def __enter__(self) -> list[tuple[BinaryIO, int]]:
+        import signal
 
-        Its status is 0 after run returns, 1 after a BrokenPipeError and
-        2 after any other error; os._exit flushes none of the buffers it
-        inherited.  SIGINT is held across the fork, so neither process can
-        miss it or see it early, and the helper ignores it: Ctrl-C reaches
-        the whole process group, and only this process reports it.  An
-        OSError from os.fork (no process to spare) is raised here.
-        """
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
+            for run in self.runs:
+                self._fork(run, signal, held)
+            _pin(self._slice(0))
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)  # kills and reaps the helpers already forked
+            if not isinstance(exc, OSError):
+                raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return self.ends
+
+    def _fork(self, run: Callable[[BinaryIO, int], object], signal, held: set) -> None:
+        # forks one helper while SIGINT is blocked; held is the mask from before, which the helper restores
+        down = up = ()  # this process writes down[1] and reads up[0]; the helper the other two
+        try:
+            down = os.pipe()
+            up = os.pipe()
             pid = os.fork()
             if not pid:
                 status = 2
@@ -73,28 +109,33 @@ class _Helpers:
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
                     _pin(self._slice(len(self.pids) + 1))
-                    run()
+                    for reader, writer in self.ends:
+                        reader.close()
+                        os.close(writer)
+                    os.close(down[1])
+                    os.close(up[0])
+                    run(open(down[0], "rb"), up[1])
                     status = 0
                 except BrokenPipeError:
                     status = 1
                 finally:
                     os._exit(status)  # never returns into the caller's frames
             self.pids.append(pid)
-            _pin(self._slice(0))
+            self.ends.append((open(up[0], "rb"), down[1]))
+            down, up = down[:1], up[1:]  # the helper's ends, closed here
         finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            for fd in (*down, *up):
+                os.close(fd)
 
-    def reap(self, kill: bool) -> list[int]:
-        """Wait for every helper, after a SIGKILL if kill, and set this process's CPUs back.
+    def __exit__(self, kind, exc, tb) -> None:
+        import signal
 
-        Returns their exit statuses (os.waitstatus_to_exitcode), in fork
-        order.  The waits without kill are interrupted by Ctrl-C, and the
-        helpers not yet reaped are then killed; a second Ctrl-C waits
-        until the kills are reaped.
-        """
-        statuses = []
+        for reader, writer in self.ends:
+            reader.close()
+            os.close(writer)
+        self.ends, statuses = [], []
         try:
-            while self.pids and not kill:
+            while self.pids and kind is None:
                 statuses.append(os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1]))
                 del self.pids[0]
         finally:
@@ -105,18 +146,15 @@ class _Helpers:
                         os.kill(pid, signal.SIGKILL)
                     except ProcessLookupError:  # reaped above, by a wait that a Ctrl-C cut short
                         continue
-                    statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                    os.waitpid(pid, 0)
                 self.pids = []
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
                 _pin(self.cpus)
-        return statuses
-
-    def error(self, status: int) -> Exception | None:
-        # what a helper's exit status stands for (see fork): None for 0
+        # the first error, a closed pipe only where no helper has a graver one
+        status = min(statuses, key=lambda s: (s == 0, s == 1), default=0)
         if status == 1:
-            return BrokenPipeError(f"{self.name} met a closed pipe")
+            raise BrokenPipeError(f"{self.name} met a closed pipe")
         if status:
             how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-            return ChildProcessError(f"{self.name} {how}")
-        return None
+            raise ChildProcessError(f"{self.name} {how}")

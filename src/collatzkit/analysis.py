@@ -78,7 +78,7 @@ import math
 from functools import partial
 from itertools import chain, cycle, starmap
 from operator import sub
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from .core import (
     _JUMP_BITS,
@@ -247,12 +247,15 @@ def _run_chunks(work, starts: range, workers: int):
     # allows, never more processes than chunks or usable CPUs; any other
     # scan, and one whose fork fails, runs here alone.  Of W processes,
     # helper r runs chunks r, r + W, ... and sends each result, or the
-    # exception its chunk raised, pickled down a pipe of its own; this
-    # process runs chunks 0, W, ... and yields every result, or raises the
-    # exception, at its chunk's turn.  So a helper runs ahead by at most
-    # what its pipe and this process's read buffer hold.  Whatever ends the
-    # scan, each helper is killed and reaped (_fork._Helpers); a helper
-    # whose pipe ends early raises ChildProcessError
+    # exception its chunk raised, pickled down its pipe to this process
+    # (its pipe from this process is left unread); this process runs chunks
+    # 0, W, ... and yields every result, or raises the exception, at its
+    # chunk's turn.  So a helper runs ahead by at most what its pipe and
+    # this process's read buffer hold.  _fork._Helpers owns the helpers'
+    # lives: a scan that ends normally waits for them, as each has sent its
+    # last result and is exiting; an error, an early close or Ctrl-C kills
+    # them first.  A helper whose pipe ends early raises its exit status's
+    # error, or ChildProcessError where that status is 0
     import os  # loaded at interpreter start; not a module-level import
 
     firsts = starts[::_CHUNK_ODDS]
@@ -272,9 +275,7 @@ def _run_chunks(work, starts: range, workers: int):
         return
     import pickle
 
-    def send(role: int, fd: int) -> None:
-        for reader in readers:
-            reader.close()
+    def send(role: int, unread: BinaryIO, fd: int) -> None:
         with open(fd, "wb") as pipe:
             for x in firsts[role::workers]:
                 try:
@@ -286,37 +287,22 @@ def _run_chunks(work, starts: range, workers: int):
                 if not message[0]:
                     return
 
-    helpers, readers, dead = _fork._Helpers("a scan helper", workers - 1), [], 0
-    try:
-        try:
-            for role in range(1, workers):
-                fd, helper_fd = os.pipe()
-                readers.append(open(fd, "rb"))
-                try:
-                    helpers.fork(partial(send, role, helper_fd))
-                finally:
-                    os.close(helper_fd)  # so a helper that dies leaves its pipe at EOF
-        except OSError:  # no process to spare: this process scans alone
-            helpers.reap(True)
-            workers = 1
-        for role, x in zip(cycle(range(workers)), firsts):
+    with _fork._Helpers("a scan helper", [partial(send, role) for role in range(1, workers)]) as ends:
+        # where the fork failed, ends is [] and this process runs every chunk
+        for role, x in zip(cycle(range(len(ends) + 1)), firsts):
             if not role:
                 yield work(chunk(x))
                 continue
             try:
-                ok, result = pickle.load(readers[role - 1])
-            except (EOFError, pickle.UnpicklingError):  # the helper is gone: its status says why
-                dead = role
+                ok, result = pickle.load(ends[role - 1][0])
+            except (EOFError, pickle.UnpicklingError):  # the helper is gone: leaving raises its status's error
                 break
             if not ok:
                 raise result
             yield result
-    finally:
-        for reader in readers:
-            reader.close()
-        statuses = helpers.reap(True)
-    if dead:
-        raise helpers.error(statuses[dead - 1]) or ChildProcessError("a scan helper closed its pipe early")
+        else:
+            return
+    raise ChildProcessError("a scan helper closed its pipe early")
 
 
 def _alpha_counts(bound: int) -> list[int]:

@@ -99,14 +99,16 @@ written by two processes (_write_forked): after the count pass the
 process forks one helper, and block i is walked, from its checkpoint, and
 rendered only by the process whose role is i % 2.  So each block is
 walked twice, by the count pass and by the process that renders it.  A
-token on two pipes passes the right to write, so the blocks reach out in
+token, sent each way on the two pipes that _fork._Helpers makes between
+the processes, hands over the right to write, so the blocks reach out in
 order and the bytes are those of one process.  For JSON the token also
-carries the block's total_divisions, largest iterate and alpha string, so
-whichever process renders the last block writes the tail; odd_length is
-that block's index times _BLOCK plus its length.  The two processes run
+carries the block's total_divisions, largest iterate and alpha string,
+so whichever process renders the last block writes the tail; odd_length
+is that block's index times _BLOCK plus its length.  The two processes run
 on disjoint halves of this process's CPUs, so the scheduler cannot stack
 them on one CPU, and this process gets its own mask back when the helper
-is reaped.  _write_line is the one renderer; a process that writes the
+is reaped, which _fork._Helpers does on every exit, as for a scan's
+helpers.  _write_line is the one renderer; a process that writes the
 whole line is its one-role case.
 """
 
@@ -635,10 +637,11 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     its start's bits reach _FORK_WORK, is written by two processes, each
     walking and rendering every other block from its checkpoint
     (_write_forked), when out has a file descriptor and _fork._may_fork
-    allows a fork (os.fork, two usable CPUs or more, no second thread);
-    any other line is written by this process alone.  _write_range
-    streams each direct line longer than _BLOCK iterates through here; the
-    CLI's lookup route, each start of at least DECIMAL_MIN_BITS bits.
+    allows a fork (the platform can fork, two usable CPUs or more, no
+    second thread); any other line, and one whose fork fails, is written
+    by this process alone.  _write_range streams each direct line longer
+    than _BLOCK iterates through here; the CLI's lookup route, each start
+    of at least DECIMAL_MIN_BITS bits.
     """
     _require_odd(x)
     length, checkpoints = _checkpoints(x, max_steps, method)
@@ -706,55 +709,38 @@ def _write_forked(
     Block i is walked and rendered only by the process whose role is
     i % 2: it takes the first block of blocks, the route's block walker,
     from checkpoints[i] (see _checkpoints), so each process holds one block
-    at a time and walks none it does not render.  A token passed on two
-    pipes orders their writes and carries what the JSON tail needs of the
-    other process's blocks (see _write_line).  The helper is a
-    _fork._Helpers one: the two processes run on disjoint halves of this
-    process's CPUs, the helper ignores SIGINT and ends by os._exit.  This
-    process reaps it on every path: if it raises (a closed pipe, Ctrl-C,
-    out of memory), it kills the helper and waits for it first, and its
-    CPU mask is set back either way.  A helper that ends with status 1
-    raises BrokenPipeError here, and one that ends with any other status
-    but 0, or by a signal, raises ChildProcessError.  The helper exits 0
-    only after sending every token this process waits for, so a token pipe
-    at EOF always comes with a status that raises.  Where os.fork fails,
-    this process writes the line alone.
+    at a time and walks none it does not render.  A token, passed each way
+    on the two pipes that join the processes, orders their writes and
+    carries what the JSON tail needs of the other's blocks (see
+    _write_line).
+    The helper's life is _fork._Helpers': the two processes run on
+    disjoint halves of this process's CPUs, and the helper ignores SIGINT
+    and ends by os._exit.  Leaving waits for the helper; if this process
+    raised (a closed pipe, Ctrl-C, out of memory), it kills the helper
+    first, and its CPU mask is set back either way.  A helper that ends
+    with status 1 raises BrokenPipeError here, and one that ends with any
+    other status but 0, or by a signal, raises ChildProcessError.  The
+    helper exits 0 only after sending every token this process waits for,
+    so a token pipe at EOF always comes with a status that raises.  Where
+    the fork fails, this process writes the line alone.
     """
     from ._fork import _Helpers
 
     out.flush()  # so the helper inherits no buffered text to write again
-    parent_in, helper_out = os.pipe()
-    helper_in, parent_out = os.pipe()
 
-    def helper() -> None:
-        os.close(parent_in)
-        os.close(parent_out)
+    def helper(token_in: BinaryIO, token_out: int) -> None:
         own = (next(blocks(checkpoint)) for checkpoint in checkpoints[1::2])
-        _write_line(out, x, own, fmt, (1, open(helper_in, "rb", closefd=False), helper_out))
+        _write_line(out, x, own, fmt, (1, token_in, token_out))
 
-    helpers, done = _Helpers("the render helper", 1), False
-    try:
-        try:
-            helpers.fork(helper)
-        except OSError:  # no process to spare: this process writes the line alone
+    with _Helpers("the render helper", [helper]) as ends:
+        if not ends:  # no process to spare: this process writes the line alone
             _write_line(out, x, blocks(x), fmt)
             return
-        finally:
-            os.close(helper_in)
-            os.close(helper_out)  # so a helper that dies leaves parent_in at EOF
         try:
             own = (next(blocks(checkpoint)) for checkpoint in checkpoints[0::2])
-            _write_line(out, x, own, fmt, (0, open(parent_in, "rb", closefd=False), parent_out))
-        except EOFError:  # the helper is gone: its status says why
+            _write_line(out, x, own, fmt, (0, *ends[0]))
+        except EOFError:  # the helper is gone: leaving raises its status's error
             pass
-        done = True
-    finally:
-        os.close(parent_in)
-        os.close(parent_out)
-        statuses = helpers.reap(not done)
-    error = helpers.error(statuses[0])
-    if error:
-        raise error
 
 
 # characters of iterate and alpha strings a direct range's line memo holds

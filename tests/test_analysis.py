@@ -575,9 +575,9 @@ class RecordingHelpers(_fork._Helpers):
     # each forked scan runs on, this one included
     sizes = []
 
-    def __init__(self, name, count):
-        super().__init__(name, count)
-        self.sizes.append(count + 1)
+    def __init__(self, name, runs):
+        super().__init__(name, runs)
+        self.sizes.append(len(runs) + 1)
 
 
 @pytest.fixture

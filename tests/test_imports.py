@@ -5,8 +5,8 @@ library module when a name from it is first read or a command that uses it
 runs.  No command loads concurrent.futures, which brings in
 multiprocessing, logging, pickle, socket and subprocess: a scan with
 --workers forks its helpers with os.fork, and only such a scan loads
-pickle, to send results back, and the fork rules (collatzkit._fork, with
-signal).  verify runs its table kernels in analysis and loads no
+pickle, to send results back, and the fork rules (collatzkit._fork); signal
+loads only once a helper is forked.  verify runs its table kernels in analysis and loads no
 trajectory, and fractions loads only where a Fraction is built.  The
 result records are named tuples, so dataclasses (and with it inspect) is
 never loaded, and json loads only for JSON output.  argparse (with gettext
@@ -134,6 +134,17 @@ def test_a_scan_that_may_fork_loads_the_fork_rules():
     # the module loads before the CPUs are counted, so on one CPU too
     code = "import collatzkit.cli; collatzkit.cli.run(['drift', '--bound', '2097151', '--workers', '2'])"
     assert loaded_after(code, FORK_STACK) == list(FORK_STACK)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the CPUs a process may run on cannot be set")
+def test_a_scan_pinned_to_one_cpu_loads_the_fork_rules_but_nothing_to_fork_with():
+    # the fork rules load to count the CPUs, and refuse on one: signal, for
+    # the forks, and pickle, for the results, stay unloaded
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import collatzkit.cli; collatzkit.cli.run(['drift', '--bound', '2097151', '--workers', '2'])"
+    )
+    assert loaded_after(code, FORK_STACK) == ["collatzkit._fork"]
 
 
 def test_a_forked_scan_gives_the_single_process_output():
