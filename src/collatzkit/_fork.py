@@ -54,7 +54,9 @@ class _Helpers:
 
     SIGINT is held across the forks, so no process can miss it or see it
     early, and the helpers ignore it: Ctrl-C reaches the whole process
-    group, and only this process reports it.  The CPUs this process may
+    group, and only this process reports it.  A Ctrl-C that came during
+    the forks is raised once they are done, after the helpers are killed
+    and reaped and this process's CPUs set back.  The CPUs this process may
     run on, sorted, are cut into len(runs) + 1 slices of near-equal size:
     helper r runs on slice r, and this process on slice 0 until it leaves.
     Left to the scheduler, a forked process tends to run on the CPU of the
@@ -83,17 +85,19 @@ class _Helpers:
     def __enter__(self) -> list[tuple[BinaryIO, int]]:
         import signal
 
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for run in self.runs:
-                self._fork(run, signal, held)
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for run in self.runs:
+                    self._fork(run, signal, held)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)  # raises a Ctrl-C that came meanwhile
             _pin(self._slice(0))
         except BaseException as exc:
-            self.__exit__(type(exc), exc, None)  # kills and reaps the helpers already forked
+            # with calls no __exit__ when __enter__ raises: kill and reap the helpers already forked here
+            self.__exit__(type(exc), exc, None)
             if not isinstance(exc, OSError):
                 raise
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         return self.ends
 
     def _fork(self, run: Callable[[BinaryIO, int], object], signal, held: set) -> None:
@@ -149,8 +153,8 @@ class _Helpers:
                     os.waitpid(pid, 0)
                 self.pids = []
             finally:
+                _pin(self.cpus)  # before a Ctrl-C that came meanwhile is raised
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                _pin(self.cpus)
         # the first error, a closed pipe only where no helper has a graver one
         status = min(statuses, key=lambda s: (s == 0, s == 1), default=0)
         if status == 1:

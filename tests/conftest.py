@@ -33,14 +33,14 @@ def _ancestors() -> set[str]:
     return pids
 
 
-def pipe_writers(fds=(1, 2)) -> list[tuple[int, str]]:
-    """(pid, command line) of each process outside this one and its ancestors that may write to fds' pipes.
+def pipe_writers() -> list[tuple[int, str]]:
+    """(pid, command line) of each process outside this one and its ancestors that may write to stdout's or stderr's pipe.
 
     Linux only: the pipes are matched by their /proc/*/fd link, and an end
     is a write end when its fdinfo flags open it for writing.  Processes
     whose /proc entries may not be read are skipped.
     """
-    pipes = {os.readlink(f"/proc/self/fd/{fd}") for fd in fds if stat.S_ISFIFO(os.fstat(fd).st_mode)}
+    pipes = {os.readlink(f"/proc/self/fd/{fd}") for fd in (1, 2) if stat.S_ISFIFO(os.fstat(fd).st_mode)}
     if not pipes:
         return []
     skip, holders = _ancestors(), []
@@ -71,6 +71,8 @@ def pytest_sessionfinish(session):
     holders = pipe_writers()
     if holders:
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter:
+            reporter.write_line("")  # ends the progress line
         for pid, command in holders:
             line = f"process {pid} still holds pytest's stdout or stderr open for writing: {command}"
             if reporter:

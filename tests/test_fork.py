@@ -9,6 +9,7 @@ here ends within the test, as tests/conftest.py checks.
 
 import os
 import select
+import signal
 import time
 
 import pytest
@@ -110,3 +111,39 @@ def test_a_failed_second_fork_gives_no_ends_and_reaps_the_first_helper(monkeypat
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # reaped
         os.waitpid(forks[0], 0)
+
+
+def test_a_ctrl_c_during_the_forks_reaps_the_helpers_and_gives_the_cpus_back(monkeypatch):
+    # SIGINT is held across the forks, so a Ctrl-C that comes in meanwhile
+    # is raised once it is let through: the helper already forked must then
+    # be killed and reaped, and the CPU mask set back
+    fork = os.fork
+
+    def fork_then_ctrl_c():
+        pid = fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)  # pending while SIGINT is held
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_ctrl_c)
+    cpus = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        with _Helpers("a test helper", [blocked]):
+            pytest.fail("the block ran")
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_ctrl_c_during_the_kills_still_gives_the_cpus_back(monkeypatch):
+    kill = os.kill
+
+    def kill_then_ctrl_c(pid, sig):
+        kill(pid, sig)
+        kill(os.getpid(), signal.SIGINT)  # pending while SIGINT is held
+
+    monkeypatch.setattr(os, "kill", kill_then_ctrl_c)
+    cpus = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        with _Helpers("a test helper", [blocked]) as ends:
+            assert ends[0][0].read(5) == b"ready"
+            raise LookupError("the block's own")
+    assert os.sched_getaffinity(0) == cpus
