@@ -11,10 +11,11 @@ the same table, parses help requests and every other line.  main(), the
 entry point of the console script and of python -m collatzkit, ends the
 process at its last byte: it flushes stdout and stderr, runs the atexit
 callbacks and skips the interpreter's teardown, unless a tracer, profiler
-or second thread is watching the process; it alone may fork a helper to
-render a long walk line in two processes.  run() is the in-process API.  A
-scan with --workers may fork helpers wherever it runs, under main() or
-run() (analysis._run_chunks), and reaps them before it returns.
+or second thread is watching the process.  run() is the in-process API,
+and main() calls it.  A scan with --workers and a long walk line written
+to a file descriptor may fork helpers by the same rules (_fork._may_fork)
+wherever they run, under main() or run(), and reap them before run()
+returns.
 """
 
 from __future__ import annotations
@@ -185,14 +186,18 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         starts = range(first, args.end + 1, 2)
     if args.stats:
         if args.method == "direct" and starts:
-            from .trajectory import _fold, _range_columns
+            from .trajectory import DECIMAL_MIN_BITS, _fold, _range_columns
 
-            # the first start goes through this module's trajectory_direct:
-            # perfbench/tracing.py counts direct steps there and divides by
-            # them unguarded, and its probe's --stats range runs on every
-            # workload.  The later starts' walks join the earlier ones, and
-            # their iterates below the first start, without records
-            stats = _fold(_range_columns(trajectory_direct(starts[0], max_steps), starts[-1], max_steps))
+            # the kernel walks every start, the first too, without a record.
+            # A first start below DECIMAL_MIN_BITS bits, whose record is
+            # small, still goes through this module's trajectory_direct, and
+            # the record is dropped: perfbench/tracing.py counts direct steps
+            # there and divides by them unguarded, and no other command
+            # reaches trajectory_direct, which the test that every operation
+            # is reachable from some command asks for
+            if starts[0].bit_length() < DECIMAL_MIN_BITS:
+                trajectory_direct(starts[0], max_steps)
+            stats = _fold(_range_columns(starts[0], starts[-1], max_steps))
         else:
             from .trajectory import _lookup_rows
 
@@ -212,18 +217,14 @@ def _cmd_trajectory(args: argparse.Namespace, out: TextIO) -> None:
         return
     from .trajectory import DECIMAL_MIN_BITS, _write_range, _write_walk
 
-    # a long line may be rendered by two processes: only under main(), whose
-    # process ends after the command, and never under a tracer, a profiler
-    # or a second thread
-    fork = args.fork and not _watched()
     if args.method == "direct":
         if starts:
             # every direct line, of one start or of a range, at any size
-            _write_range(out, starts[0], starts[-1], args.format, max_steps, fork)
+            _write_range(out, starts[0], starts[-1], args.format, max_steps)
         return
     for x in starts:
         if x.bit_length() >= DECIMAL_MIN_BITS:
-            _write_walk(out, x, args.format, max_steps, "lookup", fork)
+            _write_walk(out, x, args.format, max_steps, "lookup")
         else:
             # a smaller start keeps its record, built before its first byte
             # is written, for two reasons.  It is faster: one lookup walk,
@@ -450,28 +451,22 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None, err: TextI
     """Parse argv, dispatch, and return the process exit code.
 
     Numbers of any length are parsed and printed: CPython's int/str digit
-    limit is lifted for the call and restored on return.  A walk line is
-    rendered in this process alone, unlike under main(); a scan with
-    --workers may fork helpers, as the library call does, and reaps them
-    before it returns.
+    limit is lifted for the call and restored on return.  A scan with
+    --workers and a long walk line written to a file descriptor may fork
+    helpers (analysis._run_chunks, trajectory._write_walk), wherever run
+    is called, and every helper is reaped before it returns.
     """
-    return _run(argv, out, err, fork=False)
-
-
-def _run(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None, fork: bool) -> int:
-    # run's body; main() alone passes fork=True, so that a long walk line
-    # may be written by two processes (trajectory._write_walk)
     if not hasattr(sys, "set_int_max_str_digits"):
-        return _dispatch(argv, out, err, fork)
+        return _dispatch(argv, out, err)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _dispatch(argv, out, err, fork)
+        return _dispatch(argv, out, err)
     finally:
         sys.set_int_max_str_digits(previous)
 
 
-def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None, fork: bool) -> int:
+def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     # parsed here, under run's lifted digit limit: a start may be any length
@@ -485,7 +480,6 @@ def _dispatch(argv: Sequence[str] | None, out: TextIO | None, err: TextIO | None
         _, modules, handler, _ = _COMMANDS[args.command]
         for module in modules:
             _bind(module)
-        args.fork = fork
         handler(args, out)
         return 0
     except MaxStepsExceeded as exc:
@@ -524,12 +518,11 @@ def main() -> NoReturn:
     The process ends at its last byte: after the atexit callbacks and a
     flush of stdout and stderr it calls os._exit, skipping the teardown of
     modules and objects (about 10 ms a command).  Under a tracer, profiler
-    or a second thread it exits by sys.exit, as any program would.  Here
-    alone a long trajectory line may be rendered with a forked helper
-    (trajectory._write_walk), which the command reaps before it returns.
+    or a second thread it exits by sys.exit, as any program would.  Every
+    helper that the command forked is reaped by then.
     """
     try:
-        code = _run(None, None, None, fork=True)
+        code = run()
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe: send the unflushed rest to devnull so

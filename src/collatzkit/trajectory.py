@@ -31,27 +31,26 @@ odd_length(y), total_divisions adds the same way, and peak(x) is the
 larger of the walk's maximum up to y (y included) and peak(y), since a
 peak never counts its own start.
 
-Both --stats kernels, _range_columns and the lookup route's _lookup_rows,
-join once more, below the range's first start lo.  Once an earlier
-start's walk has reached 1, each odd iterate y < lo that it passed maps
-to y's own summary: the walk's odd steps and divisions after y, and
-peak(y), its largest iterate after y.  The direct route keeps every
-iterate of its first start's record this way, and the block ends of its
-later walks; the lookup route keeps every iterate.  A later walk that
-reaches a kept y stops there and adds the three by the sums above.  This
-is exact arithmetic: past y, x's iterates are y's.  While a walk goes on
-it keeps each iterate y < lo with the steps and divisions up to y and the
-largest iterate since the one kept before (y included); _remember turns
-these into entries from the last back.  So peak(y) takes in every
-iterate after y: the front values of every later block, the last
-block's too, the iterate where the walk itself joined, and that one's
-peak.  Only starts with a later start keep iterates, and only while room
-lasts: each entry costs its key's bits plus _JOIN_ENTRY_BITS, out of
-_JOIN_ROOM.  The entries come only from walks that reached 1, so a walk
-that cycles never joins one: it runs out of budget and raises
-MaxStepsExceeded at its own start, and a joined count over the budget
-raises at x too.  So the bytes, the exit codes and the first failing
-start are those of the full walks.
+Both --stats kernels, _range_columns and the lookup route's
+_lookup_rows, join once more, below the range's first start lo.  Once an
+earlier start's walk has reached 1, each odd iterate y < lo that it
+passed maps to y's own summary: the walk's odd steps and divisions after
+y, and peak(y), its largest iterate after y.  The direct route keeps the
+block ends of its walks this way, the first start's too, and the lookup
+route every iterate.  A later walk that reaches a kept y stops there and
+adds the three by the sums above.  This is exact arithmetic: past y, x's
+iterates are y's.  While a walk goes on it keeps each iterate y < lo
+with the steps and divisions up to y and the largest iterate since the
+one kept before (y included); _remember turns these into entries from
+the last back.  So peak(y) takes in every iterate after y: the front
+values of every later block, the last block's too, the iterate where the
+walk itself joined, and that one's peak.  Only starts with a later start
+keep iterates, and only while room lasts: each entry costs its key's
+bits plus _JOIN_ENTRY_BITS, out of _JOIN_ROOM.  The entries come only
+from walks that reached 1, so a walk that cycles never joins one: it
+runs out of budget and raises MaxStepsExceeded at its own start, and a
+joined count over the budget raises at x too.  So the bytes, the exit
+codes and the first failing start are those of the full walks.
 
 The direct range-walk kernels, _range_columns and verify's
 analysis._count_walks, walk by the block rule of the core module's
@@ -90,13 +89,14 @@ write_record feeds _write_line a record's tuples in slices of _BLOCK
 instead.  So no direct line, of one start or of a range, is built as a
 record; the CLI's lookup route streams starts of at least
 DECIMAL_MIN_BITS bits, and smaller ones keep their records
-(cli._cmd_trajectory says why).  Neither route's --stats builds a
-record, but for the direct range's first start.
+(cli._cmd_trajectory says why).  Neither route's --stats kernel builds a
+record.
 
-Under cli.main, a streamed line of more than one block from a start of at
-least DECIMAL_MIN_BITS bits, long enough to repay a fork (_FORK_WORK), is
-written by two processes (_write_forked): after the count pass the
-process forks one helper, and block i is walked, from its checkpoint, and
+A streamed line of more than one block from a start of at least
+DECIMAL_MIN_BITS bits, long enough to repay a fork (_FORK_WORK), is
+written by two processes (_write_forked) where out has a file descriptor
+and _fork._may_fork allows a fork: after the count pass the process
+forks one helper, and block i is walked, from its checkpoint, and
 rendered only by the process whose role is i % 2.  So each block is
 walked twice, by the count pass and by the process that renders it.  A
 token, sent each way on the two pipes that _fork._Helpers makes between
@@ -104,12 +104,12 @@ the processes, hands over the right to write, so the blocks reach out in
 order and the bytes are those of one process.  For JSON the token also
 carries the block's total_divisions, largest iterate and alpha string,
 so whichever process renders the last block writes the tail; odd_length
-is that block's index times _BLOCK plus its length.  The two processes run
-on disjoint halves of this process's CPUs, so the scheduler cannot stack
-them on one CPU, and this process gets its own mask back when the helper
-is reaped, which _fork._Helpers does on every exit, as for a scan's
-helpers.  _write_line is the one renderer; a process that writes the
-whole line is its one-role case.
+is that block's index times _BLOCK plus its length.  The two processes
+run on disjoint halves of this process's CPUs, so the scheduler cannot
+stack them on one CPU, and this process gets its own mask back when the
+helper is reaped, which _fork._Helpers does on every exit, as for a
+scan's helpers.  _write_line is the one renderer; a process that writes
+the whole line is its one-role case.
 """
 
 from __future__ import annotations
@@ -267,42 +267,29 @@ def _remember(below: dict[int, tuple[int, int, int]], path: list, steps: int, di
     return peak
 
 
-def _range_columns(first: TrajectoryRecord, last: int, max_steps: int) -> Iterator[tuple[list[int], ...]]:
-    """_fold's column blocks for the direct records of the odd starts first.start..last.
+def _range_columns(lo: int, last: int, max_steps: int) -> Iterator[tuple[list[int], ...]]:
+    """_fold's column blocks for the direct records of the odd starts lo..last, without records.
 
-    first is the range's first record; every later start x is walked, by
-    the block rule, without a record until it reaches 1, an earlier start
-    of the range whose summary is in the table, or an odd iterate below
-    first.start that an earlier start's walk passed through (see the
+    Each start x is walked by the block rule until it reaches 1, an
+    earlier start of the range whose summary is in the table, or an odd
+    iterate below lo that an earlier start's walk passed through (see the
     module docstring).  The table is the first block, yielded once it holds
     _TABLE_STARTS rows or at the end; later rows go into fresh blocks of
     _BLOCK rows.  A start whose walk passes max_steps odd steps raises
     MaxStepsExceeded, so the first failing start is that of the full walks.
     """
-    lo = first.start
+    _require_odd(lo)
     k = _JUMP_BITS
     jumps = _jump_table(k)
     low = (1 << k) - 1
     # entry (y - lo) // 2 summarises start y; the table is the first block
-    lengths, divisions, peaks = block = [first.odd_length], [first.total_divisions], [first.peak]
+    lengths, divisions, peaks = block = [], [], []
     size = _TABLE_STARTS
     below: dict[int, tuple[int, int, int]] = {}
     get = below.get
     path: list[tuple[int, int, int, int]] = []
-    room = _JOIN_ROOM if lo < last else 0
-    # the first record's iterates below lo, from its end, while room lasts
-    steps = divs = peak = 0
-    for y, alpha in zip(reversed(first.iterates), reversed(first.alphas)):
-        if room <= 0:
-            break
-        if y < lo:
-            below[y] = (steps, divs, peak)
-            room -= y.bit_length() + _JOIN_ENTRY_BITS
-        steps += 1
-        divs += alpha
-        if y > peak:
-            peak = y
-    for x in range(lo + 2, last + 1, 2):
+    room = _JOIN_ROOM
+    for x in range(lo, last + 1, 2):
         if x == last:
             room = 0  # no later start would read its entries
         reach = lo + 2 * len(lengths) - 2
@@ -623,7 +610,7 @@ def write_record(out: TextIO, record: TrajectoryRecord, fmt: str) -> None:
 _FORK_WORK = 2**26
 
 
-def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork: bool = False) -> None:
+def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str) -> None:
     """write_record of x's record by method ("direct" or "lookup"), without building it.
 
     A count pass (_checkpoints) walks x and keeps at most a block and the
@@ -632,9 +619,9 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     exactly when the walk has more than max_steps odd steps.  The write
     pass then walks x again by the same method and writes each block of
     the line as it is made, so the memory held is a block and one iterate
-    per block, not the record.  With fork, a line of more than one block
-    from a start of at least DECIMAL_MIN_BITS bits, whose odd steps times
-    its start's bits reach _FORK_WORK, is written by two processes, each
+    per block, not the record.  A line of more than one block from a
+    start of at least DECIMAL_MIN_BITS bits, whose odd steps times its
+    start's bits reach _FORK_WORK, is written by two processes, each
     walking and rendering every other block from its checkpoint
     (_write_forked), when out has a file descriptor and _fork._may_fork
     allows a fork (the platform can fork, two usable CPUs or more, no
@@ -647,7 +634,7 @@ def _write_walk(out: TextIO, x: int, fmt: str, max_steps: int, method: str, fork
     length, checkpoints = _checkpoints(x, max_steps, method)
     blocks = _lookup_blocks if method == "lookup" else _direct_blocks
     bits = x.bit_length()
-    if fork and length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_share(out):
+    if length > _BLOCK and bits >= DECIMAL_MIN_BITS and length * bits >= _FORK_WORK and _may_share(out):
         _write_forked(out, x, blocks, checkpoints, fmt)
     else:
         _write_line(out, x, blocks(x), fmt)
@@ -747,7 +734,7 @@ def _write_forked(
 _MEMO_CHARS = 2**20
 
 
-def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork: bool = False) -> None:
+def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int) -> None:
     """write_record of the direct records of the odd starts lo..last, without building them.
 
     Each start x is walked until it reaches 1 or an earlier start y of the
@@ -756,10 +743,10 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork
     walked at most _BLOCK steps.  A line that ends within them is checked
     against max_steps once, then rendered once, written in one write and,
     but for the last start's, kept in the memo; a walk that passes _BLOCK
-    steps is streamed by _write_walk, with fork, whose count pass checks
-    its budget.  A start whose walk passes max_steps odd steps raises
-    MaxStepsExceeded before any byte of its line, so the lines before the
-    first failing start are all written.
+    steps is streamed by _write_walk, whose count pass checks its budget.
+    A start whose walk passes max_steps odd steps raises MaxStepsExceeded
+    before any byte of its line, so the lines before the first failing
+    start are all written.
     """
     _require_odd(lo)
     as_json = fmt == "json"
@@ -792,7 +779,7 @@ def _write_range(out: TextIO, lo: int, last: int, fmt: str, max_steps: int, fork
             # the bound appends keep the lists alive: empty them, so the
             # partial walk is not held while the line streams
             del iterates[:], alphas[:]
-            _write_walk(out, x, fmt, max_steps, "direct", fork)
+            _write_walk(out, x, fmt, max_steps, "direct")
             continue
         length = steps if joined is None else steps + joined[2]
         if length > max_steps:

@@ -429,7 +429,7 @@ def verify_or_error(bound, max_steps):
 
 def range_rows_or_error(bound, max_steps):
     try:
-        return sum(sum(block[0]) for block in _range_columns(trajectory_direct(1, max_steps), bound, max_steps))
+        return sum(sum(block[0]) for block in _range_columns(1, bound, max_steps))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
 

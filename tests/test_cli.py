@@ -612,6 +612,17 @@ def test_a_lookup_stats_range_of_big_starts_holds_no_record():
     assert rss < floor + _JOIN_ROOM // 8 // 1024 + 4 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_direct_stats_walk_of_a_big_start_holds_no_record():
+    # the direct --stats kernel walks its first start too without a record:
+    # the one 20001-bit start of 96987 odd steps peaks near classify 7.
+    # Holding its record, this command peaked at 241 MiB
+    *_, floor = peak_rss_kib("classify", "7")
+    code, sha, rss = peak_rss_kib("trajectory", BIG_START, "--stats")
+    assert (code, sha) == (0, "3bca2c9e5bb9986384af5b3d5e85a45c9e7833bf19df8639801b8e50a1b909cf")
+    assert rss < floor + 4 * 1024
+
+
 # the length of 2**5000 - 1's walk is 24131: one step less is over budget
 BIG_WALK_DIGESTS = {
     "text": "5148dd1c759301b4383981ac15e8c7e73bf000a34d0d14aa7200138cdb4736ec",
@@ -764,6 +775,23 @@ def test_a_direct_stats_range_walks_only_its_first_start_through_the_cli(monkeyp
     code, out, err = invoke("trajectory", "281", "--end", "50281", "--stats")
     assert (code, err, calls) == (0, "", [281])
     assert out.startswith("count=25001\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[str(2**1023 + 1), "--end", str(2**1023 + 41)], [str(2**1100 - 1), "--end", str(2**1100 + 41)], [str(2**1100)]],
+    ids=["1024-bit", "1100-bit", "even"],
+)
+def test_a_direct_stats_range_from_a_big_start_never_reaches_the_cli_record(monkeypatch, argv):
+    # from DECIMAL_MIN_BITS bits on, the first start is walked only by the
+    # kernel, and the bytes, exit code and error are those of the lookup route
+    def fail(*args):
+        raise AssertionError("a big first start built its record")
+
+    want = invoke("trajectory", *argv, "--stats", "--method", "lookup")
+    monkeypatch.setattr(cli, "trajectory_direct", fail)
+    assert invoke("trajectory", *argv, "--stats") == want
+    assert want[0] == (1 if len(argv) == 1 else 0)
 
 
 def test_a_lookup_stats_range_walks_every_start_by_lookup(monkeypatch):
@@ -1222,10 +1250,21 @@ def test_a_walk_over_budget_forks_nothing(method):
 
 
 def test_run_and_a_watched_main_render_a_walk_line_alone():
-    # run() to sys.stdout and to a StringIO, then main() with a second
-    # thread alive: each writes the line of 2**5000-1 alone
-    script = NO_FORK + (
-        "assert cli.run(argv) == 0\n"
+    # run() to sys.stdout shares the line of 2**5000-1 as main() does, with
+    # one fork where two CPUs are usable; then, with os.fork refused, run()
+    # to a StringIO and main() with a second thread alive each write it alone
+    script = (
+        "import os, sys\n"
+        "fork, forks = os.fork, []\n"
+        "def counting():\n"
+        "    forks.append(1)\n"
+        "    return fork()\n"
+        "os.fork = counting\n"
+        "from collatzkit import cli\n"
+        "assert cli.run(sys.argv[1:]) == 0\n"
+        "sys.stdout.flush()\n"
+        "assert len(forks) == (len(getattr(os, 'sched_getaffinity', lambda pid: ())(0)) > 1), forks\n"
+    ) + NO_FORK + (
         "assert cli.run(argv, io.StringIO()) == 0\n"
         "threading.Thread(target=time.sleep, args=(0.2,)).start()\n"
         "sys.argv = ['collatzkit', *argv]\n"

@@ -108,6 +108,16 @@ MATRIX = {
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --method lookup": ("21dbe56ed0b35b3ae9ff2b638408082e2bc14b0c61694c5eeaefeae033034b89", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format json --method lookup": ("a26b7e484d71eb4c391ac2172329b101f394cfb355c9406f9c400c9935f5304c", 0),
     f"trajectory {2**999 + 3**600} --end {2**999 + 3**600 + 198} --stats --format csv --method lookup": ("d6ff2f9b16f641e403c241421bf6d122098313adfdb5bdc9ab95a91a4df5613a", 0),
+    # 22 starts from 2**1100 - 1: a first start of DECIMAL_MIN_BITS bits or
+    # more, which the direct kernel walks with no record; on a budget of 100
+    # steps it exits 3 at that start
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats": ("50fbc4a8bf721c46f952d5e406be1821b1ccd85f1f37a9063fee88f7f309cb9b", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats --format json": ("fc89b5788a85f7871299807bbad7cdff5f87cbdcef74863d6904122c257192b5", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats --format csv": ("323bbca6b9845540098640823bf7be82c67827625ca7c0a5cc2fadd6734ad067", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats --method lookup": ("50fbc4a8bf721c46f952d5e406be1821b1ccd85f1f37a9063fee88f7f309cb9b", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats --format json --method lookup": ("fc89b5788a85f7871299807bbad7cdff5f87cbdcef74863d6904122c257192b5", 0),
+    f"trajectory {2**1100 - 1} --end {2**1100 + 41} --stats --format csv --method lookup": ("323bbca6b9845540098640823bf7be82c67827625ca7c0a5cc2fadd6734ad067", 0),
+    f"COLLATZ_MAX_STEPS=100 trajectory {2**1100 - 1} --end {2**1100 + 41} --stats": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
     # 150001 starts: the direct route fills the whole 2**17-start join table
     # and goes on past it
     "trajectory 1 --end 300001 --stats": ("9b688a3d77771764f819e2ffacebb77f367b97057a1f85adbc6e614af136c0aa", 0),

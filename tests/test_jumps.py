@@ -87,7 +87,7 @@ def rows_or_error(first, last, max_steps):
     # the (start, budget) of the MaxStepsExceeded it raises
     rows = []
     try:
-        for block in _range_columns(trajectory_direct(first, max_steps), last, max_steps):
+        for block in _range_columns(first, last, max_steps):
             rows.extend(zip(*block))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps

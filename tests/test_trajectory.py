@@ -594,15 +594,14 @@ def test_only_a_long_line_of_a_big_start_to_a_file_forks(tmp_path, monkeypatch):
     assert one_step.bit_length() > DECIMAL_MIN_BITS and trajectory_direct(one_step).odd_length == 1
     with open(tmp_path / "line", "w") as out:
 
-        def writes(x, fork=True, to=out):
+        def writes(x, to=out):
             # the starts _write_forked got, by the direct and the lookup route
             forked.clear()
             for method in ("direct", "lookup"):
-                _write_walk(to, x, "text", 10**6, method, fork)
+                _write_walk(to, x, "text", 10**6, method)
             return forked
 
         assert writes(big) == [big, big]
-        assert writes(big, fork=False) == []
         assert writes(short) == []
         assert writes(one_step) == []
         monkeypatch.setattr(trajectory_module, "_FORK_WORK", 0)  # the start's bits alone rule
@@ -641,7 +640,7 @@ def summarise(first, last, max_steps, engine):
     # MaxStepsExceeded the range raises
     try:
         if engine:
-            return _fold(_range_columns(trajectory_direct(first, max_steps), last, max_steps))
+            return _fold(_range_columns(first, last, max_steps))
         return trajectory_stats(trajectory_direct(x, max_steps) for x in range(first, last + 1, 2))
     except MaxStepsExceeded as exc:
         return exc.start, exc.max_steps
@@ -682,7 +681,7 @@ def test_the_memo_table_stops_at_its_cap(monkeypatch):
     # the table is the first block: once the range is consumed it still
     # holds 8 rows, and the other 193 starts went into a block of their own
     monkeypatch.setattr(trajectory_module, "_TABLE_STARTS", 8)
-    blocks = list(_range_columns(trajectory_direct(1), 401, 10**6))
+    blocks = list(_range_columns(1, 401, 10**6))
     assert [[len(column) for column in block] for block in blocks] == [[8, 8, 8], [193, 193, 193]]
     assert _fold(blocks) == summarise(1, 401, 10**6, False)
 
@@ -692,7 +691,7 @@ def kernel_rows(route, first, last, max_steps):
     # --stats kernel, or the (start, budget) of the MaxStepsExceeded it raises
     try:
         if route == "direct":
-            blocks = _range_columns(trajectory_direct(first, max_steps), last, max_steps)
+            blocks = _range_columns(first, last, max_steps)
             return [row for block in blocks for row in zip(*block)]
         return [tuple(row) for row in _lookup_rows(range(first, last + 1, 2), max_steps)]
     except MaxStepsExceeded as exc:
@@ -932,10 +931,10 @@ def test_only_lines_over_the_block_go_through_write_record(monkeypatch, block):
     # or not; a longer one is streamed by _write_walk
     written = []
 
-    def spy(out, x, fmt, max_steps, method, fork):
-        assert (method, fork) == ("direct", False)
+    def spy(out, x, fmt, max_steps, method):
+        assert method == "direct"
         written.append(x)
-        _write_walk(out, x, fmt, max_steps, method, fork)
+        _write_walk(out, x, fmt, max_steps, method)
 
     monkeypatch.setattr(trajectory_module, "_BLOCK", block)
     monkeypatch.setattr(trajectory_module, "_write_walk", spy)
